@@ -158,8 +158,8 @@ PumpResult run_pump(int pairs, int reps) {
     const double t0 = now_secs();
     for (int i = 0; i < pairs; ++i) {
       tr.send_am(0, 1, 0, x10rt::ByteBuffer{});
-      while (auto m = tr.poll(1)) m->run();
-      while (auto m = tr.poll(0)) m->run();
+      while (auto m = tr.poll(1)) tr.dispatch(1, *m);
+      while (auto m = tr.poll(0)) tr.dispatch(0, *m);
     }
     const double secs = now_secs() - t0;
     if (received != pairs) {
@@ -173,7 +173,6 @@ PumpResult run_pump(int pairs, int reps) {
   return r;
 }
 
-#ifdef APGAS_HAVE_POLL_BATCH
 /// Batched variant of (c): one-way flood of `n` AMs drained with
 /// poll_batch, measuring the amortized per-message cost.
 PumpResult run_pump_batch(int n, int reps) {
@@ -195,7 +194,7 @@ PumpResult run_pump_batch(int n, int reps) {
       if ((i & 31) == 31) {
         tr.poll_batch(1, batch, 32);
         while (!batch.empty()) {
-          batch.front().run();
+          tr.dispatch(1, batch.front());
           batch.pop_front();
         }
       }
@@ -203,7 +202,7 @@ PumpResult run_pump_batch(int n, int reps) {
     for (;;) {
       if (tr.poll_batch(1, batch, 32) == 0) break;
       while (!batch.empty()) {
-        batch.front().run();
+        tr.dispatch(1, batch.front());
         batch.pop_front();
       }
     }
@@ -237,10 +236,10 @@ PumpResult run_pump_flood(int n, int reps) {
     for (int i = 0; i < n; ++i) {
       tr.send_am(0, 1, 0, x10rt::ByteBuffer{});
       if ((i & 31) == 31) {
-        while (auto m = tr.poll(1)) m->run();
+        while (auto m = tr.poll(1)) tr.dispatch(1, *m);
       }
     }
-    while (auto m = tr.poll(1)) m->run();
+    while (auto m = tr.poll(1)) tr.dispatch(1, *m);
     const double secs = now_secs() - t0;
     if (received != n) {
       std::fprintf(stderr, "pump_flood lost messages: %ld != %d\n", received,
@@ -252,7 +251,6 @@ PumpResult run_pump_flood(int n, int reps) {
   r.msgs_per_sec = static_cast<double>(r.pairs) / r.secs;
   return r;
 }
-#endif  // APGAS_HAVE_POLL_BATCH
 
 }  // namespace
 
@@ -291,10 +289,8 @@ int main() {
   bench::row("%12s %10s %10s %14s", "mode", "msgs", "secs", "msgs/s");
   std::vector<PumpResult> pump;
   pump.push_back(run_pump(kPairs, kReps));
-#ifdef APGAS_HAVE_POLL_BATCH
   pump.push_back(run_pump_flood(2 * kPairs, kReps));
   pump.push_back(run_pump_batch(2 * kPairs, kReps));
-#endif
   for (const auto& r : pump) {
     bench::row("%12s %10d %10.4f %14.0f", r.mode.c_str(), 2 * r.pairs, r.secs,
                r.msgs_per_sec);

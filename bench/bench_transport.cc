@@ -77,7 +77,7 @@ void run_flood(bool coalesce, int n, FloodResult& r) {
   tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
   while (tr.poll_batch(1, batch, 64) > 0) {
     while (!batch.empty()) {
-      batch.front().run();
+      tr.dispatch(1, batch.front());
       batch.pop_front();
     }
   }
@@ -110,7 +110,7 @@ void run_echo(bool coalesce, int pairs, FloodResult& r) {
   auto drain = [&tr, &batch](int place) {
     while (tr.poll_batch(place, batch, 64) > 0) {
       while (!batch.empty()) {
-        batch.front().run();
+        tr.dispatch(place, batch.front());
         batch.pop_front();
       }
     }
@@ -164,7 +164,7 @@ void run_retx_flood(bool lossy, int n, FloodResult& r) {
   auto drain = [&tr, &batch](int place) {
     while (tr.poll_batch(place, batch, 64) > 0) {
       while (!batch.empty()) {
-        batch.front().run();
+        tr.dispatch(place, batch.front());
         batch.pop_front();
       }
     }
@@ -277,7 +277,7 @@ struct TuneHarness {
   void drain(int place, std::deque<x10rt::Message>& batch) {
     while (tr->poll_batch(place, batch, 64) > 0) {
       while (!batch.empty()) {
-        batch.front().run();
+        tr->dispatch(place, batch.front());
         batch.pop_front();
       }
     }

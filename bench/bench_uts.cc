@@ -5,7 +5,6 @@
 // paper's 98% parallel efficiency claim.
 #include <algorithm>
 #include <chrono>
-#include <deque>
 
 #include "bench_common.h"
 #include "kernels/uts/uts.h"
@@ -13,48 +12,14 @@
 
 namespace {
 
-// --- socket-mode UTS (frame tasks) ------------------------------------------
+// --- socket-mode UTS ----------------------------------------------------------
 //
-// The GLB traversal above ships closures, which cannot cross a process
-// boundary. Under APGAS_BACKEND=socket (apgas_launch) we run a frame-task
-// variant instead: place 0 expands the tree breadth-first until the frontier
-// is wide enough, then round-robins each frontier subtree to the places as a
-// registered task (asyncAtFrame). Every place accumulates its traversal into
-// the "uts.nodes" counter; the launcher's metrics aggregation sums the
-// counter across place processes, and the parent verifies the total against
-// the sequential count. Tree shape is a pure function of the root seed, so
-// the partitioned traversal must count exactly the same nodes.
-
-struct UtsFrontierNode {
-  kernels::UtsNodeState state;
-  int depth = 0;
-};
-
-std::uint64_t uts_count_subtree(const kernels::UtsNodeState& s, int depth,
-                                double b0, int max_depth) {
-  std::uint64_t nodes = 1;
-  const int k = kernels::uts_geo_children(s, depth, b0, max_depth);
-  for (int i = 0; i < k; ++i) {
-    nodes += uts_count_subtree(s.spawn(static_cast<std::uint32_t>(i)),
-                               depth + 1, b0, max_depth);
-  }
-  return nodes;
-}
-
-/// Frame: [state 20B][depth i32][b0 double][max_depth i32]
-void uts_subtree_task(x10rt::ByteBuffer& args) {
-  kernels::UtsNodeState s{};
-  args.get_raw(s.digest.data(), s.digest.size());
-  const auto depth = args.get<std::int32_t>();
-  const auto b0 = args.get<double>();
-  const auto max_depth = args.get<std::int32_t>();
-  const std::uint64_t n = uts_count_subtree(s, depth, b0, max_depth);
-  apgas::Runtime::get().metrics().counter("uts.nodes").fetch_add(
-      n, std::memory_order_relaxed);
-}
-
-// Registered pre-main, hence pre-fork: every place process agrees on the id.
-const int kUtsSubtreeTask = apgas::register_task_fn(&uts_subtree_task);
+// Under APGAS_BACKEND=socket (apgas_launch) every place is its own process
+// and the lifeline GLB traversal runs across them: bags ride the wire
+// through their Ser hooks, steals through immediate frames. Place 0 gathers
+// the per-place node counts into the "uts.nodes" counter; the launcher's
+// metrics aggregation hands the total to this supervising parent, which
+// verifies it against the sequential count.
 
 int run_socket_uts() {
   using namespace apgas;
@@ -67,55 +32,17 @@ int run_socket_uts() {
     if (v > 0) p.depth = v;
   }
   p.glb.chunk = 128;
-  // APGAS_UTS_GLB=1 runs the *real* lifeline GLB across place processes —
-  // bags ride the wire through their Ser hooks (ISSUE 10) — instead of the
-  // static frontier partitioning below.
-  const char* glb_env = std::getenv("APGAS_UTS_GLB");
-  const bool use_glb = glb_env != nullptr && glb_env[0] != '\0' &&
-                       glb_env[0] != '0';
   const std::uint64_t expected = kernels::uts_sequential(p).nodes;
 
   const auto t0 = std::chrono::steady_clock::now();
-  Runtime::run(cfg, [p, use_glb] {
+  Runtime::run(cfg, [p] {
     using namespace apgas;
-    const int P = num_places();
-    if (use_glb) {
-      glb::Glb<kernels::UtsBag> balancer(p.glb);
-      balancer.run(kernels::UtsBag(p, true));
-      std::uint64_t nodes = 0;
-      for (int q = 0; q < P; ++q) nodes += balancer.bag_at(q).nodes();
-      // One counter bump at place 0 with the gathered total: the parent's
-      // metrics aggregation then verifies it like the frontier path's.
-      Runtime::get().metrics().counter("uts.nodes").fetch_add(
-          nodes, std::memory_order_relaxed);
-      return;
-    }
-    std::deque<UtsFrontierNode> frontier;
-    frontier.push_back({kernels::UtsNodeState::root(p.seed), 0});
-    std::uint64_t expanded = 0;
-    while (!frontier.empty() &&
-           frontier.size() < static_cast<std::size_t>(P) * 8) {
-      const UtsFrontierNode node = frontier.front();
-      frontier.pop_front();
-      ++expanded;  // the expanded node itself is counted here at place 0
-      const int k =
-          kernels::uts_geo_children(node.state, node.depth, p.b0, p.depth);
-      for (int i = 0; i < k; ++i) {
-        frontier.push_back({node.state.spawn(static_cast<std::uint32_t>(i)),
-                            node.depth + 1});
-      }
-    }
+    glb::Glb<kernels::UtsBag> balancer(p.glb);
+    balancer.run(kernels::UtsBag(p, true));
+    std::uint64_t nodes = 0;
+    for (int q = 0; q < num_places(); ++q) nodes += balancer.bag_at(q).nodes();
     Runtime::get().metrics().counter("uts.nodes").fetch_add(
-        expanded, std::memory_order_relaxed);
-    int rr = 0;
-    for (const UtsFrontierNode& node : frontier) {
-      x10rt::ByteBuffer args;
-      args.put_raw(node.state.digest.data(), node.state.digest.size());
-      args.put<std::int32_t>(node.depth);
-      args.put<double>(p.b0);
-      args.put<std::int32_t>(p.depth);
-      asyncAtFrame(rr++ % P, kUtsSubtreeTask, std::move(args));
-    }
+        nodes, std::memory_order_relaxed);
   });
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(t1 - t0).count();
@@ -126,11 +53,9 @@ int run_socket_uts() {
   const auto it = m.find("uts.nodes");
   const std::uint64_t nodes = it == m.end() ? 0 : it->second;
   const bool verified = nodes == expected;
-  bench::header(use_glb
-                    ? "UTS (geometric) — socket backend, lifeline GLB across "
-                      "place processes"
-                    : "UTS (geometric) — socket backend, one process per "
-                      "place");
+  bench::header(
+      "UTS (geometric) — socket backend, lifeline GLB across place "
+      "processes");
   bench::row("%8s %6s %14s %14s %10s", "places", "depth", "nodes", "Mnodes/s",
              "verified");
   bench::row("%8d %6d %14llu %14.3f %10s", cfg.places, p.depth,

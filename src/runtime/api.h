@@ -120,7 +120,7 @@ namespace detail {
 /// What the remote-spawn bookkeeping produces: the wire finish context (home
 /// pointer stripped — resolved at the destination), the FINISH_HERE credit
 /// travelling with the task, and the causal span pair. Shared by asyncAt
-/// (closure path) and asyncAtFrame (registered-function path).
+/// (boxed closure) and asyncAtFrame (registered function with args).
 struct RemoteSpawn {
   FinCtx wire;
   std::uint64_t credit = 0;
@@ -163,7 +163,9 @@ inline RemoteSpawn prepare_remote_spawn(Runtime& rt, int p) {
 }  // namespace detail
 
 /// `at(p) async S`: active message — spawns an activity at place p under the
-/// innermost enclosing finish. Non-blocking.
+/// innermost enclosing finish. Non-blocking. In-process sugar: the closure
+/// is boxed into the args of the reserved local_closure_fn() and ships as an
+/// ordinary frame task.
 inline void asyncAt(int p, std::function<void()> f) {
   Runtime& rt = Runtime::get();
   if (p == here()) {
@@ -175,14 +177,14 @@ inline void asyncAt(int p, std::function<void()> f) {
   // leaves the finish books untouched (diagnosable, recoverable-in-principle).
   rt.check_closure_can_reach(p);
   detail::RemoteSpawn rs = detail::prepare_remote_spawn(rt, p);
-  rt.send_task(p, std::move(f), rs.wire, rs.credit, rs.span, rs.parent_span);
+  rt.send_task_frame(p, local_closure_fn(), box_local_closure(std::move(f)),
+                     rs.wire, rs.credit, rs.span, rs.parent_span);
 }
 
 /// `at(p) async S` for a *registered* task function (task_registry.h) plus
-/// serialized args — the only spawn form that crosses a process boundary
-/// under the socket backend (a closure's environment has no wire form).
-/// In-process it ships the same wire frame through the same handler, so code
-/// written against frames behaves identically on both backends.
+/// serialized args — the spawn form that crosses a process boundary under
+/// the socket backend (a closure's environment has no wire form). It ships
+/// the same frame through the same handler on both backends.
 inline void asyncAtFrame(int p, int fn_id, x10rt::ByteBuffer args = {}) {
   Runtime& rt = Runtime::get();
   if (p == here()) {
@@ -257,27 +259,11 @@ auto at(int p, F&& f) -> std::invoke_result_t<F> {
   }
 }
 
-/// Fire-and-forget X10RT-level active message, *not* governed by any finish.
-/// Library plumbing (e.g. GLB steal requests) uses this; user code should
-/// prefer asyncAt.
-inline void immediate_at(int p, std::function<void()> fn,
-                         x10rt::MsgType type = x10rt::MsgType::kOther,
-                         std::size_t bytes = 32) {
-  trace::emit(trace::Ev::kMsgSend, static_cast<std::uint64_t>(type),
-              static_cast<std::uint64_t>(p));
-  x10rt::Message m;
-  m.src = here();
-  m.type = type;
-  m.bytes = bytes;
-  m.run = std::move(fn);
-  Runtime::get().transport().send(p, std::move(m));
-}
-
-/// Fire-and-forget *frame* immediate: the wire twin of immediate_at for a
-/// registered task function plus serialized args. Same accounting as
-/// immediate_at (not finish-governed, no tasks_shipped, no ship-latency
-/// sample) but crosses process boundaries. Always routed through the
-/// transport, even to self, so both backends count it identically.
+/// Fire-and-forget X10RT-level active message for a registered task function
+/// plus serialized args, *not* governed by any finish (no tasks_shipped, no
+/// ship-latency sample). Library plumbing (GLB steals, Team mail) uses this;
+/// user code should prefer asyncAt. Always routed through the transport,
+/// even to self, so both backends count it identically.
 inline void immediateAtFrame(int p, int fn_id, x10rt::ByteBuffer args = {},
                              x10rt::MsgType type = x10rt::MsgType::kOther) {
   Runtime::get().send_immediate_frame(p, fn_id, std::move(args), type);

@@ -8,11 +8,11 @@
 //     event to the initiator.
 //   * FIFO  — unregistered memory: the payload is serialized into a kData
 //     active message and copied out by the destination scheduler.
+// Both end in a copy-done message at the initiator. Every one of these
+// messages carries process-local pointers, so they stay inside one process.
 #pragma once
 
 #include <cassert>
-#include <cstring>
-#include <vector>
 
 #include "runtime/api.h"
 
@@ -44,9 +44,19 @@ GlobalRail<T> global_rail(const Congruent<T>& c, int place) {
 
 namespace detail_rail {
 // Finish accounting for an asyncCopy modeled as one local async at the
-// initiator (defined in finish.cc).
+// initiator, and its message paths (defined in finish.cc).
 void copy_spawn(const FinCtx& ctx);
 void copy_complete(const FinCtx& ctx);
+/// The copy-done completion the DMA engine posts for an RDMA copy.
+x10rt::Completion copy_completion(const FinCtx& ctx);
+/// FIFO put: ships the bytes to `dst`, which copies them to `dst_addr` and
+/// answers with copy-done.
+void fifo_put(int dst, void* dst_addr, const void* src, std::size_t bytes,
+              const FinCtx& ctx);
+/// FIFO get: asks `src_place` to reply with the bytes, which copy-done
+/// lands at `dst`.
+void fifo_get(int src_place, const void* src_addr, void* dst,
+              std::size_t bytes, const FinCtx& ctx);
 }  // namespace detail_rail
 
 /// Put: copies n elements from local memory into `dst` at dst_off.
@@ -56,31 +66,17 @@ void async_copy(const T* src, GlobalRail<T> dst, std::size_t dst_off,
                 std::size_t n) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(dst_off + n <= dst.size);
-  Runtime& rt = Runtime::get();
-  auto& tr = rt.transport();
+  auto& tr = Runtime::get().transport();
   FinCtx ctx = current_spawn_ctx();
   detail_rail::copy_spawn(ctx);
   T* dst_addr = dst.data + dst_off;
   const std::size_t bytes = n * sizeof(T);
-  const int initiator = here();
   if (tr.is_registered(dst.place, dst_addr, bytes)) {
-    tr.put(initiator, dst.place, dst_addr, src, bytes,
-           [ctx] { detail_rail::copy_complete(ctx); });
+    tr.put(here(), dst.place, dst_addr, src, bytes,
+           detail_rail::copy_completion(ctx));
     return;
   }
-  // FIFO path: serialize through the destination's inbox.
-  std::vector<std::byte> payload(bytes);
-  std::memcpy(payload.data(), src, bytes);
-  x10rt::Message m;
-  m.src = initiator;
-  m.type = x10rt::MsgType::kData;
-  m.bytes = bytes;
-  Runtime* rtp = &rt;
-  m.run = [rtp, dst_addr, payload = std::move(payload), initiator, ctx] {
-    std::memcpy(dst_addr, payload.data(), payload.size());
-    rtp->send_ctrl(initiator, [ctx] { detail_rail::copy_complete(ctx); }, 8);
-  };
-  tr.send(dst.place, std::move(m));
+  detail_rail::fifo_put(dst.place, dst_addr, src, bytes, ctx);
 }
 
 /// Get: copies n elements from `src` at src_off into local memory.
@@ -89,38 +85,17 @@ void async_copy(GlobalRail<T> src, std::size_t src_off, T* dst,
                 std::size_t n) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(src_off + n <= src.size);
-  Runtime& rt = Runtime::get();
-  auto& tr = rt.transport();
+  auto& tr = Runtime::get().transport();
   FinCtx ctx = current_spawn_ctx();
   detail_rail::copy_spawn(ctx);
   const T* src_addr = src.data + src_off;
   const std::size_t bytes = n * sizeof(T);
-  const int initiator = here();
   if (tr.is_registered(src.place, src_addr, bytes)) {
-    tr.get(initiator, src.place, dst, src_addr, bytes,
-           [ctx] { detail_rail::copy_complete(ctx); });
+    tr.get(here(), src.place, dst, src_addr, bytes,
+           detail_rail::copy_completion(ctx));
     return;
   }
-  // FIFO path: ask the owner to ship the bytes back.
-  x10rt::Message m;
-  m.src = initiator;
-  m.type = x10rt::MsgType::kOther;
-  m.bytes = 16;
-  Runtime* rtp = &rt;
-  m.run = [rtp, src_addr, dst, bytes, initiator, ctx] {
-    std::vector<std::byte> payload(bytes);
-    std::memcpy(payload.data(), src_addr, bytes);
-    x10rt::Message back;
-    back.src = here();
-    back.type = x10rt::MsgType::kData;
-    back.bytes = bytes;
-    back.run = [dst, payload = std::move(payload), ctx] {
-      std::memcpy(dst, payload.data(), payload.size());
-      detail_rail::copy_complete(ctx);
-    };
-    rtp->transport().send(initiator, std::move(back));
-  };
-  tr.send(src.place, std::move(m));
+  detail_rail::fifo_get(src.place, src_addr, dst, bytes, ctx);
 }
 
 /// The Torrent "GUPS" feature: remote atomic XOR on registered memory.

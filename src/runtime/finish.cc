@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "runtime/runtime.h"
+#include "runtime/task_registry.h"
 #include "runtime/trace.h"
 
 namespace apgas {
@@ -519,29 +520,22 @@ void fin_report_exception(Runtime& rt, const FinCtx& ctx,
   }
   if (!ctx.key.valid()) std::rethrow_exception(ep);  // system activity
   const FinishKey key = ctx.key;
+  x10rt::ByteBuffer frame = rt.transport().acquire_buffer();
+  frame.put<std::int32_t>(key.home);
+  frame.put<std::uint64_t>(key.seq);
   if (rt.multi_process() && key.home != rt.local_place()) {
     // std::exception_ptr has no wire form: the typed codec
     // (wire_encode_exception, runtime.h) classifies standard exceptions so
     // the home place rebuilds the matching std type; unknown types degrade
     // to std::runtime_error with the original what().
-    x10rt::ByteBuffer frame = rt.transport().acquire_buffer();
-    frame.put<std::int32_t>(key.home);
-    frame.put<std::uint64_t>(key.seq);
     wire_encode_exception(frame, ep);
-    rt.transport().send_am(here(), key.home, rt.am_exception(),
-                           std::move(frame), x10rt::MsgType::kControl);
-    return;
+  } else {
+    // In-process the original exception_ptr rides boxed, so the waiter
+    // rethrows the exact thrown type.
+    box_encode_exception(frame, std::move(ep));
   }
-  // In-process, exceptions ride a closure instead — the original
-  // exception_ptr reaches the waiter, preserving exact type identity.
-  Runtime* rtp = &rt;
-  rt.send_ctrl(
-      key.home,
-      [rtp, key, ep = std::move(ep)] {
-        rtp->with_home_finish(
-            key, [&ep](FinishHome& fh) { fh.on_exception(ep); });
-      },
-      64);
+  rt.transport().send_am(here(), key.home, rt.am_exception(),
+                         std::move(frame), x10rt::MsgType::kControl);
 }
 
 void fin_flush_block(Runtime& rt, FinishKey key, Pragma mode) {
@@ -713,6 +707,87 @@ void copy_complete(const FinCtx& ctx) {
     b->dirty = true;
   }
   fin_flush_block(rt, ctx.key, ctx.mode);
+}
+
+namespace {
+
+/// Header of every asyncCopy message. The messages run as immediate task
+/// functions; pointers throughout, so each first rejects a message from
+/// another process (require_local_origin).
+struct CopyHeader {
+  FinCtx ctx;                      // the initiator's finish context
+  int initiator = -1;              // where copy_done goes
+  std::byte* dst = nullptr;        // where the payload bytes land
+  const std::byte* src = nullptr;  // FIFO get: where they come from
+  std::size_t n = 0;               // FIFO get: how many
+};
+
+x10rt::ByteBuffer copy_frame(int fn, const CopyHeader& h) {
+  x10rt::ByteBuffer b = Runtime::get().transport().acquire_buffer();
+  b.put<std::int32_t>(fn);
+  b.put(h);
+  return b;
+}
+
+/// Sends `fn`(`h` + the `bytes` at `src`) to place `dst` as an immediate.
+void send_copy(int dst, int fn, const CopyHeader& h, const void* src,
+               std::size_t bytes, x10rt::MsgType type) {
+  Runtime& rt = Runtime::get();
+  x10rt::ByteBuffer b = copy_frame(fn, h);
+  b.put_raw(src, bytes);
+  rt.transport().send_am(here(), dst, rt.am_immediate(), std::move(b), type);
+}
+
+/// At the initiator: lands a FIFO get's bytes, then completes the copy.
+void copy_done(x10rt::ByteBuffer& buf) {
+  require_local_origin("an asyncCopy finish context");
+  const auto h = buf.get<CopyHeader>();
+  buf.get_raw(h.dst, buf.remaining());  // none unless a FIFO get's reply
+  copy_complete(h.ctx);
+}
+const int kCopyDone = register_task_fn(&copy_done);
+
+/// At the destination of a FIFO put: lands the bytes, acknowledges.
+void copy_put(x10rt::ByteBuffer& buf) {
+  require_local_origin("an asyncCopy destination address");
+  const auto h = buf.get<CopyHeader>();
+  buf.get_raw(h.dst, buf.remaining());
+  send_copy(h.initiator, kCopyDone, {h.ctx}, nullptr, 0,
+            x10rt::MsgType::kControl);
+}
+const int kCopyPut = register_task_fn(&copy_put);
+
+/// At the source of a FIFO get: replies with the bytes.
+void copy_get(x10rt::ByteBuffer& buf) {
+  require_local_origin("an asyncCopy source address");
+  const auto h = buf.get<CopyHeader>();
+  send_copy(h.initiator, kCopyDone, {h.ctx, -1, h.dst}, h.src, h.n,
+            x10rt::MsgType::kData);
+}
+const int kCopyGet = register_task_fn(&copy_get);
+
+}  // namespace
+
+x10rt::Completion copy_completion(const FinCtx& ctx) {
+  return {Runtime::get().am_immediate(), copy_frame(kCopyDone, {ctx})};
+}
+
+void fifo_put(int dst, void* dst_addr, const void* src, std::size_t bytes,
+              const FinCtx& ctx) {
+  Runtime::get().check_closure_can_reach(dst,
+                                         "asyncCopy of unregistered memory");
+  send_copy(dst, kCopyPut, {ctx, here(), static_cast<std::byte*>(dst_addr)},
+            src, bytes, x10rt::MsgType::kData);
+}
+
+void fifo_get(int src_place, const void* src_addr, void* dst,
+              std::size_t bytes, const FinCtx& ctx) {
+  Runtime::get().check_closure_can_reach(src_place,
+                                         "asyncCopy of unregistered memory");
+  send_copy(src_place, kCopyGet,
+            {ctx, here(), static_cast<std::byte*>(dst),
+             static_cast<const std::byte*>(src_addr), bytes},
+            nullptr, 0, x10rt::MsgType::kOther);
 }
 
 }  // namespace detail_rail

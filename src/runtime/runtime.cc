@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -60,6 +61,45 @@ const TaskFn& task_fn(int id) {
 
 int num_task_fns() { return static_cast<int>(task_registry().size()); }
 
+namespace {
+
+/// Takes the closure out of box_local_closure's args and frees the box.
+std::function<void()> unbox_local_closure(x10rt::ByteBuffer& args) {
+  std::unique_ptr<std::function<void()>> box(
+      reinterpret_cast<std::function<void()>*>(
+          static_cast<std::uintptr_t>(args.get<std::uint64_t>())));
+  return std::move(*box);
+}
+
+void run_local_closure(x10rt::ByteBuffer& args) {
+  unbox_local_closure(args)();
+}
+
+// Registered pre-main like every task function: one id in every process.
+const int kLocalClosureFn = register_task_fn(&run_local_closure);
+
+}  // namespace
+
+int local_closure_fn() { return kLocalClosureFn; }
+
+x10rt::ByteBuffer box_local_closure(std::function<void()> body) {
+  x10rt::ByteBuffer args;
+  args.put(static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(
+      new std::function<void()>(std::move(body)))));
+  return args;
+}
+
+void require_local_origin(const char* what) {
+  const int peer = x10rt::Transport::dispatch_peer();
+  if (peer < 0) return;
+  std::fprintf(stderr,
+               "[apgas] fatal: malformed frame from place %d: it carries %s, "
+               "which is process-local and cannot arrive from another "
+               "process\n",
+               peer, what);
+  std::abort();
+}
+
 // --- wire handlers for the cross-process spawn/exception paths --------------
 
 namespace {
@@ -83,34 +123,51 @@ void rt_am_spawn(Runtime& rt, x10rt::ByteBuffer& buf) {
   const auto src = buf.get<std::int32_t>();
   const auto t_send_ns = buf.get<std::uint64_t>();
   const auto fn_id = buf.get<std::int32_t>();
-  const TaskFn& fn = task_fn(fn_id);  // aborts on an out-of-range wire id
-  std::vector<std::byte> args(buf.remaining());
-  if (!args.empty()) buf.get_raw(args.data(), args.size());
+  Activity act;
+  if (fn_id == kLocalClosureFn) {
+    // The boxed closure becomes the body itself: no args copy, no wrapper.
+    require_local_origin("a boxed closure");
+    act.body = unbox_local_closure(buf);
+  } else {
+    const TaskFn& fn = task_fn(fn_id);  // aborts on an out-of-range wire id
+    std::vector<std::byte> args(buf.remaining());
+    if (!args.empty()) buf.get_raw(args.data(), args.size());
+    act.body = [fn, args = std::move(args)]() mutable {
+      x10rt::ByteBuffer b{std::move(args)};
+      fn(b);
+    };
+  }
   if (t_send_ns != 0 && hist::enabled()) {
     rt.record_ship_latency(t_send_ns, src);
   }
-  Activity act;
   act.fin = fin_task_received(rt, key, mode);
   act.credit = credit;
   act.remote_origin = true;
   act.span = span;
   act.parent_span = parent_span;
-  act.body = [fn, args = std::move(args)]() mutable {
-    x10rt::ByteBuffer b{std::move(args)};
-    fn(b);
-  };
   rt.sched(here()).run_activity(act);
 }
 
-/// am_exception frame: [home i32][seq u64][kind u8][what string] (the wire
-/// codec below). Used only across processes — in-process,
-/// fin_report_exception ships the original exception_ptr so tests keep exact
-/// exception-type identity even for user-defined types.
+/// Kind byte of the boxed in-process form, outside the wire ExcKind table.
+constexpr std::uint8_t kBoxedException = 0xff;
+
+/// am_exception frame: [home i32][seq u64] then the wire codec's [kind u8]
+/// [what string] or box_encode_exception's in-process form.
 void rt_am_exception(Runtime& rt, x10rt::ByteBuffer& buf) {
   FinishKey key;
   key.home = buf.get<std::int32_t>();
   key.seq = buf.get<std::uint64_t>();
-  const std::exception_ptr ep = wire_decode_exception(buf);
+  std::exception_ptr ep;
+  const std::size_t kind_pos = buf.position();
+  if (buf.get<std::uint8_t>() == kBoxedException) {
+    require_local_origin("a boxed exception");
+    std::unique_ptr<std::exception_ptr> box(reinterpret_cast<std::exception_ptr*>(
+        static_cast<std::uintptr_t>(buf.get<std::uint64_t>())));
+    ep = std::move(*box);
+  } else {
+    buf.seek(kind_pos);
+    ep = wire_decode_exception(buf);
+  }
   if (key.home != here()) {
     std::fprintf(stderr,
                  "[apgas] fatal: exception frame for place %d arrived at "
@@ -121,10 +178,11 @@ void rt_am_exception(Runtime& rt, x10rt::ByteBuffer& buf) {
   rt.with_home_finish(key, [&ep](FinishHome& fh) { fh.on_exception(ep); });
 }
 
-/// am_immediate frame: [fn_id i32][args...]. Runs inline on the poller, like
-/// immediate_at's closure — no finish scope, no activity, no scheduler.
+/// am_immediate frame: [fn_id i32][args...]. Runs inline on the poller — no
+/// finish scope, no activity, no scheduler.
 void rt_am_immediate(Runtime& /*rt*/, x10rt::ByteBuffer& buf) {
   const auto fn_id = buf.get<std::int32_t>();
+  if (fn_id == kLocalClosureFn) require_local_origin("a boxed closure");
   const TaskFn& fn = task_fn(fn_id);  // aborts on an out-of-range wire id
   fn(buf);
 }
@@ -226,6 +284,12 @@ std::exception_ptr wire_decode_exception(x10rt::ByteBuffer& b) {
       break;
   }
   return std::make_exception_ptr(std::runtime_error(what));
+}
+
+void box_encode_exception(x10rt::ByteBuffer& b, std::exception_ptr ep) {
+  b.put(kBoxedException);
+  b.put(static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(
+      new std::exception_ptr(std::move(ep)))));
 }
 
 Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
@@ -837,10 +901,9 @@ void Runtime::send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
 
 void Runtime::send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
                                    x10rt::MsgType type) {
-  // Mirrors immediate_at's accounting exactly: a trace event plus the
-  // transport's own per-class tallies — no tasks_shipped bump, no
-  // ship-latency stamp (run_diff relies on ship-histogram count ==
-  // tasks_shipped).
+  // A trace event plus the transport's own per-class tallies — no
+  // tasks_shipped bump, no ship-latency stamp (run_diff relies on
+  // ship-histogram count == tasks_shipped).
   trace::emit(trace::Ev::kMsgSend, static_cast<std::uint64_t>(type),
               static_cast<std::uint64_t>(dst));
   x10rt::ByteBuffer frame = transport_->acquire_buffer();
@@ -858,60 +921,15 @@ void Runtime::send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
   transport_->flush_coalesced(here(), x10rt::FlushReason::kImmediate);
 }
 
-void Runtime::check_closure_can_reach(int dst) const {
+void Runtime::check_closure_can_reach(int dst, const char* what) const {
   if (multi_process() && dst != local_place_) {
     std::fprintf(stderr,
-                 "[apgas] fatal: closure spawn (asyncAt/at) to place %d "
-                 "cannot cross a process boundary under the socket backend; "
-                 "register the body (register_task_fn) and spawn it with "
-                 "asyncAtFrame\n",
-                 dst);
+                 "[apgas] fatal: %s to place %d cannot cross a process "
+                 "boundary under the socket backend; register the body "
+                 "(register_task_fn) and spawn it with asyncAtFrame\n",
+                 what, dst);
     std::abort();
   }
-}
-
-void Runtime::send_task(int dst, std::function<void()> body, const FinCtx& ctx,
-                        std::uint64_t credit, std::uint64_t span,
-                        std::uint64_t parent_span) {
-  // Backstop only: api.h's spawn sites call check_closure_can_reach before
-  // any finish bookkeeping mutates, so this should be unreachable.
-  check_closure_can_reach(dst);
-  finc_.tasks_shipped->fetch_add(1, std::memory_order_relaxed);
-  trace::emit(trace::Ev::kMsgSend,
-              static_cast<std::uint64_t>(x10rt::MsgType::kTask),
-              static_cast<std::uint64_t>(dst));
-  x10rt::Message m;
-  m.src = here();
-  m.type = x10rt::MsgType::kTask;
-  // Closure environments are not literally serialized in-process; account a
-  // nominal envelope so message-volume stats stay meaningful.
-  m.bytes = 64;
-  if (hist::enabled()) m.t_send_ns = hist::now_ns();
-  Runtime* rt = this;
-  m.run = [rt, body = std::move(body), key = ctx.key, mode = ctx.mode, credit,
-           span, parent_span]() mutable {
-    Activity act;
-    act.fin = fin_task_received(*rt, key, mode);
-    act.body = std::move(body);
-    act.credit = credit;
-    act.remote_origin = true;
-    act.span = span;
-    act.parent_span = parent_span;
-    rt->sched(here()).run_activity(act);
-  };
-  transport_->send(dst, std::move(m));
-}
-
-void Runtime::send_ctrl(int dst, std::function<void()> fn, std::size_t bytes) {
-  trace::emit(trace::Ev::kMsgSend,
-              static_cast<std::uint64_t>(x10rt::MsgType::kControl),
-              static_cast<std::uint64_t>(dst));
-  x10rt::Message m;
-  m.src = detail::tl_place;  // may be -1 (DMA completion threads)
-  m.type = x10rt::MsgType::kControl;
-  m.bytes = bytes;
-  m.run = std::move(fn);
-  transport_->send(dst, std::move(m));
 }
 
 bool Runtime::with_home_finish(FinishKey key,

@@ -149,42 +149,29 @@ class Runtime {
     return *fin_close_hist_[static_cast<std::size_t>(p)];
   }
 
-  /// Ships a task to place `dst` under the given finish context. `credit` is
-  /// the FINISH_HERE weight travelling with the task (0 for other protocols).
-  /// `span`/`parent_span` are the causal ids travelling with the task (0 =
-  /// untraced).
-  void send_task(int dst, std::function<void()> body, const FinCtx& ctx,
-                 std::uint64_t credit, std::uint64_t span = 0,
-                 std::uint64_t parent_span = 0);
-
-  /// Ships a *frame* task — a registered task-function id (task_registry.h)
-  /// plus serialized args — under the given finish context. The only spawn
-  /// path that crosses process boundaries; in-process it behaves exactly
-  /// like send_task. Ship-time is stamped inside the frame (the receiver's
-  /// clock differs across processes, so the sample lands in
-  /// task.ship_xproc_ns there — scheduler.h ship_latency_ns).
+  /// Ships a task — a registered task-function id (task_registry.h) plus
+  /// serialized args — to place `dst` under the given finish context: the
+  /// one remote-spawn path (closures use local_closure_fn()). `credit` is
+  /// the FINISH_HERE weight (0 for other protocols), `span`/`parent_span`
+  /// the causal ids (0 = untraced). The frame carries its ship-time, which
+  /// the receiver turns into one record_ship_latency sample.
   void send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
                        const FinCtx& ctx, std::uint64_t credit,
                        std::uint64_t span = 0, std::uint64_t parent_span = 0);
 
-  /// Sends a control-message closure (finish protocol traffic).
-  void send_ctrl(int dst, std::function<void()> fn, std::size_t bytes);
-
   /// Ships a fire-and-forget *frame* immediate — a registered task-function
   /// id plus serialized args, run inline by the receiver's poller outside
-  /// any finish scope. The wire twin of immediate_at (api.h): same
-  /// accounting (no tasks_shipped bump, no ship-latency sample), but the
-  /// payload is bytes instead of a closure, so it crosses process
-  /// boundaries. Always routes through the transport, even to self.
+  /// any finish scope: no tasks_shipped bump, no ship-latency sample.
+  /// Always routes through the transport, even to self.
   void send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
                             x10rt::MsgType type = x10rt::MsgType::kOther);
 
-  /// Aborts with the closure-cannot-cross-processes diagnostic when `dst`
-  /// lives in another process. Spawn sites call this *before* any finish
-  /// bookkeeping mutates (credit minting, remote_spawn) so the failure is
-  /// diagnosable pre-side-effect; send_task keeps the same check as a
-  /// backstop.
-  void check_closure_can_reach(int dst) const;
+  /// Aborts with the cannot-cross-processes diagnostic when `dst` lives in
+  /// another process; `what` names the operation whose message would carry
+  /// process-local pointers. Spawn sites call this *before* any finish
+  /// bookkeeping mutates, so the failure is diagnosable pre-side-effect.
+  void check_closure_can_reach(
+      int dst, const char* what = "closure spawn (asyncAt/at)") const;
 
   /// Records a frame task's ship->execute latency: in-process samples join
   /// task.ship_ns; cross-process ones are clamped into task.ship_xproc_ns
@@ -248,8 +235,7 @@ class Runtime {
   int am_shutdown_ = -1;
   int am_immediate_ = -1;
   int local_place_ = -1;  // >= 0 iff this process hosts exactly one place
-  // Ship-latency histograms for the frame-task path, resolved once (the
-  // closure path's live in Scheduler).
+  // Ship-latency histograms (record_ship_latency), resolved once.
   Histogram* hist_ship_frame_ = nullptr;
   Histogram* hist_ship_xproc_ = nullptr;
   Histogram* hist_ship_xproc_aligned_ = nullptr;
@@ -301,5 +287,15 @@ void wire_encode_exception(x10rt::ByteBuffer& b, const std::exception_ptr& ep);
 
 /// Reads [kind u8][what string]; returns a rebuilt exception_ptr.
 std::exception_ptr wire_decode_exception(x10rt::ByteBuffer& b);
+
+/// The in-process form, [0xff u8][exception_ptr* u64]: the original
+/// exception_ptr rides boxed, keeping the exact thrown type. The one
+/// dispatch of its message frees the box.
+void box_encode_exception(x10rt::ByteBuffer& b, std::exception_ptr ep);
+
+/// Aborts, naming the peer, when the message being dispatched came from
+/// another process: its payload claims to hold `what`, a process-local
+/// pointer. Handlers of in-process forms call this before the pointer.
+void require_local_origin(const char* what);
 
 }  // namespace apgas

@@ -4,7 +4,6 @@
 #include <string>
 #include <thread>
 
-#include "runtime/clocksync.h"
 #include "runtime/config.h"
 #include "runtime/finish.h"
 #include "runtime/runtime.h"
@@ -56,10 +55,6 @@ Scheduler::Scheduler(Runtime& rt, int place)
       overflow_drained_(rt.metrics().counter("sched.p" +
                                              std::to_string(place) +
                                              ".overflow")),
-      hist_ship_(rt.metrics().histogram("task.ship_ns")),
-      hist_ship_xproc_(rt.metrics().histogram("task.ship_xproc_ns")),
-      hist_ship_xproc_aligned_(
-          rt.metrics().histogram("task.ship_xproc_aligned_ns")),
       hist_exec_(rt.metrics().histogram("activity.exec_ns")) {
   for (int t = 0; t < x10rt::kNumMsgTypes; ++t) {
     msgs_by_type_[static_cast<std::size_t>(t)] = &rt.metrics().counter(
@@ -208,27 +203,7 @@ void Scheduler::consume_message(x10rt::Message& m) {
                  static_cast<std::uint64_t>(m.src));
   msgs_by_type_[static_cast<std::size_t>(m.type)]->fetch_add(
       1, std::memory_order_relaxed);
-  // Ship->execute latency: the sender stamped the message iff histograms
-  // were armed, so an unstamped message costs only this field test. A stamp
-  // minted in another process lands in task.ship_xproc_ns, clamped — its
-  // clock read races ours within granularity and the raw subtraction would
-  // wrap (ship_latency_ns in scheduler.h).
-  if (m.t_send_ns != 0) {
-    const std::uint64_t now = hist::now_ns();
-    const std::uint64_t lat = ship_latency_ns(now, m.t_send_ns);
-    if ((m.rflags & x10rt::kMsgXProc) != 0) {
-      hist_ship_xproc_.record(lat);
-      // With the launcher's clock offsets armed, also record the sample
-      // clock-corrected: both stamps mapped into the supervisor domain.
-      if (m.src >= 0 && clocksync::armed()) {
-        hist_ship_xproc_aligned_.record(
-            clocksync::aligned_ship_ns(now, place_, m.t_send_ns, m.src));
-      }
-    } else {
-      hist_ship_.record(lat);
-    }
-  }
-  m.run();
+  rt_.transport().dispatch(place_, m);
   messages_processed_.fetch_add(1, std::memory_order_relaxed);
 }
 

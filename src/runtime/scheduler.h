@@ -183,12 +183,8 @@ class Scheduler {
   MetricsRegistry::Counter& overflow_drained_;
   // Messages processed by class, shared across places ("sched.msgs.CLASS").
   std::array<MetricsRegistry::Counter*, x10rt::kNumMsgTypes> msgs_by_type_{};
-  // Latency histograms (shared across places), resolved once: task
-  // ship->execute (from Message::t_send_ns; cross-process samples routed to
-  // their own histogram — see consume_message) and activity body duration.
-  Histogram& hist_ship_;
-  Histogram& hist_ship_xproc_;
-  Histogram& hist_ship_xproc_aligned_;
+  // Activity body duration histogram (shared across places), resolved once.
+  // Task ship->execute latency is recorded by Runtime::record_ship_latency.
   Histogram& hist_exec_;
 };
 

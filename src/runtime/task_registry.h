@@ -29,4 +29,11 @@ const TaskFn& task_fn(int id);
 
 [[nodiscard]] int num_task_fns();
 
+/// The reserved "local closure" task function, through which closure
+/// asyncAt/at ship in-process. Its args (box_local_closure) are one boxed
+/// std::function pointer, freed by the one run; a frame from another process
+/// naming it is rejected as malformed.
+[[nodiscard]] int local_closure_fn();
+x10rt::ByteBuffer box_local_closure(std::function<void()> body);
+
 }  // namespace apgas

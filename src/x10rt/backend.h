@@ -5,7 +5,7 @@
 // frames between places. Two implementations exist:
 //
 //   * InProcBackend (default): all places share the process, messages hop
-//     between inboxes as closures and no frame is ever encoded. send_frame
+//     between inboxes as Message values and no frame is ever encoded. send_frame
 //     is unreachable by construction (Transport only encodes frames when the
 //     backend is multi_process), so the in-process fast path keeps its
 //     zero-overhead shape from before the interface existed.
@@ -14,7 +14,7 @@
 //
 // Delivery is push-based: start() hands the backend a sink, and the backend
 // invokes it (from its own I/O thread) once per complete frame. The sink —
-// Transport::deliver_frame — validates, reconstructs a Message, and enqueues
+// Transport::deliver_frame — validates, decodes the Message, and enqueues
 // it into the local inbox, so chaos injection and sleeper wakeups apply
 // identically on both backends.
 #pragma once
@@ -50,7 +50,7 @@ class Backend {
 
   virtual ~Backend() = default;
 
-  /// True when places live in separate processes (closures cannot cross).
+  /// True when places live in separate processes (pointers cannot cross).
   [[nodiscard]] virtual bool multi_process() const = 0;
   /// The one place this process hosts; -1 when all places are local.
   [[nodiscard]] virtual int local_place() const = 0;

@@ -1,12 +1,13 @@
 // Wire frame codec for multi-process backends.
 //
 // A frame is the unit a Backend ships between place processes: a 4-byte
-// length prefix, a fixed 44-byte header, and an opaque payload. The header
+// length prefix, a fixed 36-byte header, and an opaque payload. The header
 // carries exactly the Message fields that must survive a process boundary
-// (classification, reliability sequence/ack, the ship-time stamp) plus the
-// dispatch key: a registered AM handler id for single messages, or the
-// kEnvelope kind whose payload is a coalesced envelope train in the existing
-// envelope.h format. Closures never cross the wire.
+// (classification, reliability sequence/ack) plus the dispatch key: a
+// registered AM handler id for single messages, or the kEnvelope kind whose
+// payload is a coalesced envelope train in the existing envelope.h format.
+// A frame is the byte image of a Message (message.h), which has no other
+// form.
 //
 // Both ends of a socketpair mesh run on the same host, so fields are
 // native-endian; the magic word doubles as an endianness/garbage check.
@@ -34,15 +35,15 @@ enum class Kind : std::uint8_t {
 inline constexpr int kNumKinds = 3;
 
 inline constexpr std::uint32_t kMagic = 0x46475041u;  // "APGF"
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 
 /// Header byte layout (after the u32 length prefix, offsets in bytes):
-///   0  u32 magic        8  i32 src        16 u64 seq   32 u64 t_send_ns
-///   4  u8  kind         12 i32 handler    24 u64 ack   40 u32 payload_len
+///   0  u32 magic        8  i32 src        16 u64 seq   32 u32 payload_len
+///   4  u8  kind         12 i32 handler    24 u64 ack
 ///   5  u8  rflags
 ///   6  u8  type (MsgType)
 ///   7  u8  version
-inline constexpr std::size_t kHeaderBytes = 44;
+inline constexpr std::size_t kHeaderBytes = 36;
 inline constexpr std::size_t kLengthPrefixBytes = 4;
 
 /// Hard ceiling on (header + payload). Nothing legitimate approaches this —
@@ -58,7 +59,6 @@ struct Header {
   std::int32_t handler = -1;
   std::uint64_t seq = 0;
   std::uint64_t ack = 0;
-  std::uint64_t t_send_ns = 0;
   std::uint32_t payload_len = 0;
 };
 
@@ -93,8 +93,7 @@ inline std::vector<std::uint8_t> encode(const Header& h, const std::byte* payloa
   detail::store<std::int32_t>(p, 12, h.handler);
   detail::store<std::uint64_t>(p, 16, h.seq);
   detail::store<std::uint64_t>(p, 24, h.ack);
-  detail::store<std::uint64_t>(p, 32, h.t_send_ns);
-  detail::store<std::uint32_t>(p, 40, static_cast<std::uint32_t>(payload_len));
+  detail::store<std::uint32_t>(p, 32, static_cast<std::uint32_t>(payload_len));
   if (payload_len != 0) std::memcpy(p + kHeaderBytes, payload, payload_len);
   return out;
 }
@@ -109,8 +108,7 @@ inline Header decode_header(const std::uint8_t* data) {
   h.handler = detail::load<std::int32_t>(data, 12);
   h.seq = detail::load<std::uint64_t>(data, 16);
   h.ack = detail::load<std::uint64_t>(data, 24);
-  h.t_send_ns = detail::load<std::uint64_t>(data, 32);
-  h.payload_len = detail::load<std::uint32_t>(data, 40);
+  h.payload_len = detail::load<std::uint32_t>(data, 32);
   return h;
 }
 
@@ -132,7 +130,7 @@ inline const char* validate(const std::uint8_t* data, std::size_t len, int place
   }
   const auto src = detail::load<std::int32_t>(data, 8);
   if (src < 0 || src >= places) return "src place out of range";
-  const auto payload_len = detail::load<std::uint32_t>(data, 40);
+  const auto payload_len = detail::load<std::uint32_t>(data, 32);
   if (static_cast<std::size_t>(payload_len) != len - kHeaderBytes) {
     return "payload_len disagrees with frame length";
   }

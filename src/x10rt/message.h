@@ -1,9 +1,11 @@
-// Message envelope types for the X10RT transport.
+// The X10RT message (paper §3.3): an active message is a registered handler
+// id plus serialized payload bytes. That is the only form, whether the
+// message stays inside one process or crosses to another; the in-process and
+// socket backends differ only in the Backend that moves the bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -43,29 +45,23 @@ inline const char* msg_type_name(MsgType t) {
 /// layer is disabled.
 inline constexpr std::uint8_t kMsgHasAck = 1;  ///< `ack` field is valid
 inline constexpr std::uint8_t kMsgAckOnly = 2; ///< standalone ack, no body
-/// Wire payload is a coalesced envelope train (multi-process backends).
+/// Payload is a coalesced envelope train (envelope.h), not one handler's args.
 inline constexpr std::uint8_t kMsgEnvelope = 4;
-/// Crossed a process boundary: t_send_ns is from another clock domain, so
-/// latency consumers must clamp or bucket it separately (task.ship_xproc_ns).
+/// Arrived from another process; `src` is the peer (Transport::dispatch_peer).
 inline constexpr std::uint8_t kMsgXProc = 8;
 
-/// A message is a closure executed at the destination place by its scheduler,
-/// plus bookkeeping used by the transport layer (type, approximate payload
-/// size in wire bytes). Closures must capture by value only: once enqueued,
-/// the sender's stack is gone. Closures must also be *copyable* (which
-/// std::function already requires): the reliability sublayer retains a copy
-/// of every sequenced message for retransmission, and chaos duplication
-/// injects independent copies onto the wire.
+/// A registered active-message handler id (Transport::register_am) plus the
+/// payload bytes it is invoked with, and the header the transport keeps. The
+/// destination scheduler runs it with Transport::dispatch. Copies — the
+/// reliability layer's retained retransmit copy, chaos duplicates — share
+/// one payload, and dedup lets at most one of them be dispatched.
 struct Message {
-  std::function<void()> run;
+  int handler = -1;  // unused for envelopes and standalone acks
+  // Handler args, or the envelope train when rflags & kMsgEnvelope.
+  std::shared_ptr<std::vector<std::byte>> payload;
   MsgType type = MsgType::kOther;
   std::size_t bytes = 0;
   int src = -1;
-  // Monotonic send-time stamp (0 = unstamped). The runtime stamps task
-  // shipments when latency histograms are armed and the receiving scheduler
-  // turns the delta into ship->execute latency; the transport itself never
-  // reads it.
-  std::uint64_t t_send_ns = 0;
   // --- reliability header (docs/transport.md "Reliability") ----------------
   // Per-(src,dst) monotone sequence number, stamped by the transport when the
   // reliability sublayer is armed. 0 = unsequenced: the message bypasses
@@ -76,14 +72,6 @@ struct Message {
   // every sequence <= ack of dst's traffic". Valid iff rflags & kMsgHasAck.
   std::uint64_t ack = 0;
   std::uint8_t rflags = 0;  // kMsgHasAck | kMsgAckOnly | kMsgEnvelope | kMsgXProc
-  // --- wire form (multi-process backends) ----------------------------------
-  // A message can only leave the process if it has one: a registered AM
-  // (handler >= 0, `wire` = serialized args) or an envelope train
-  // (rflags & kMsgEnvelope, `wire` = the train). Closure-only messages abort
-  // loudly if routed to a remote place. Shared so the reliability layer's
-  // retained retransmit copy does not duplicate the payload bytes.
-  int handler = -1;
-  std::shared_ptr<const std::vector<std::byte>> wire;
 };
 
 }  // namespace x10rt

@@ -101,6 +101,9 @@ class ByteBuffer {
   }
 
   void get_raw(void* dst, std::size_t n) {
+    // memcpy's pointers must be valid even for n == 0, and an empty
+    // destination vector's data() may be null.
+    if (n == 0) return;
     check_remaining(n);
     std::memcpy(dst, data_.data() + cursor_, n);
     cursor_ += n;

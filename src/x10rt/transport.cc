@@ -20,6 +20,14 @@ std::uint64_t mono_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// Transport::dispatch_peer() for the handler running on this thread.
+thread_local int tl_dispatch_peer = -1;
+
+/// Wraps a payload so every copy of its Message shares one buffer.
+std::shared_ptr<std::vector<std::byte>> share(std::vector<std::byte> bytes) {
+  return std::make_shared<std::vector<std::byte>>(std::move(bytes));
+}
 }  // namespace
 
 Transport::Transport(TransportConfig cfg)
@@ -111,10 +119,6 @@ void Transport::count_logical(int src, int dst, MsgType type,
   }
 }
 
-void Transport::record(const Message& m, int dst) {
-  count_logical(m.src, dst, m.type, m.bytes);
-}
-
 void Transport::enqueue_locked(Inbox& box, Message&& m) {
   // Chaos dup injection: only sequenced messages (the reliability layer is
   // armed, so the receiver dedups one of the copies). The injected copy goes
@@ -180,7 +184,7 @@ void Transport::maybe_release_delayed_locked(Inbox& box) {
 }
 
 void Transport::send(int dst, Message m) {
-  record(m, dst);
+  count_logical(m.src, dst, m.type, m.bytes);
   send_unrecorded(dst, std::move(m));
 }
 
@@ -230,15 +234,9 @@ void Transport::ship_remote(int dst, Message&& m) {
     h.kind = frame::Kind::kAckOnly;
   } else if ((m.rflags & kMsgEnvelope) != 0) {
     h.kind = frame::Kind::kEnvelope;
-  } else if (m.handler >= 0) {
-    h.kind = frame::Kind::kAm;
   } else {
-    std::fprintf(stderr,
-                 "[x10rt] fatal: %s message to remote place %d has no wire "
-                 "form — closures cannot cross a process boundary (use "
-                 "registered AMs / asyncAtFrame)\n",
-                 msg_type_name(m.type), dst);
-    std::abort();
+    assert(m.handler >= 0 && "message without a handler");
+    h.kind = frame::Kind::kAm;
   }
   h.rflags = m.rflags;
   h.type = m.type;
@@ -246,12 +244,11 @@ void Transport::ship_remote(int dst, Message&& m) {
   h.handler = m.handler;
   h.seq = m.seq;
   h.ack = m.ack;
-  h.t_send_ns = m.t_send_ns;
   const std::byte* payload = nullptr;
   std::size_t n = 0;
-  if (m.wire) {
-    payload = m.wire->data();
-    n = m.wire->size();
+  if (m.payload) {
+    payload = m.payload->data();
+    n = m.payload->size();
   }
   backend_->send_frame(dst, frame::encode(h, payload, n));
 }
@@ -275,38 +272,15 @@ void Transport::deliver_frame(int peer, const std::uint8_t* data,
   m.src = h.src;
   m.seq = h.seq;
   m.ack = h.ack;
-  m.t_send_ns = h.t_send_ns;
   m.bytes = h.payload_len;
-  m.rflags = h.rflags | kMsgXProc;
-  switch (h.kind) {
-    case frame::Kind::kAckOnly:
-      m.run = [] {};
-      break;
-    case frame::Kind::kAm: {
-      std::vector<std::byte> payload(h.payload_len);
-      std::memcpy(payload.data(), data + frame::kHeaderBytes, h.payload_len);
-      const AmHandler* fn = &am_handlers_[static_cast<std::size_t>(h.handler)];
-      m.handler = h.handler;
-      // mutable + move: each chaos-dup copy of the Message deep-copies the
-      // closure (and its payload), so a single run consuming the storage
-      // is safe.
-      m.run = [this, fn, payload = std::move(payload)]() mutable {
-        ByteBuffer buf{std::move(payload)};
-        (*fn)(buf);
-        pool_.release(buf.take_data());
-      };
-      break;
-    }
-    case frame::Kind::kEnvelope: {
-      std::vector<std::byte> train(h.payload_len);
-      std::memcpy(train.data(), data + frame::kHeaderBytes, h.payload_len);
-      const int env_src = h.src;
-      const int env_dst = local_place_;
-      m.run = [this, env_src, env_dst, train = std::move(train)]() mutable {
-        deliver_envelope(env_src, env_dst, ByteBuffer{std::move(train)});
-      };
-      break;
-    }
+  // The frame kind alone decides whether the payload is an envelope train.
+  m.rflags = static_cast<std::uint8_t>((h.rflags & ~kMsgEnvelope) | kMsgXProc);
+  if (h.kind == frame::Kind::kEnvelope) m.rflags |= kMsgEnvelope;
+  if (h.kind == frame::Kind::kAm) m.handler = h.handler;
+  if (h.kind != frame::Kind::kAckOnly) {
+    const auto* body = reinterpret_cast<const std::byte*>(data) +
+                       frame::kHeaderBytes;
+    m.payload = share(std::vector<std::byte>(body, body + h.payload_len));
   }
   // Into the *local* inbox: chaos injection, dedup at poll, and sleeper
   // wakeup all apply exactly as for an in-process arrival.
@@ -517,7 +491,6 @@ std::size_t Transport::retx_pump(int place, bool force) {
                             cfg_.retx_ack_idle_us * 1000;
       if (!force && !aged) continue;
       Message a;
-      a.run = [] {};
       a.type = MsgType::kControl;
       a.src = place;
       a.ack = rp.cum;
@@ -584,47 +557,36 @@ std::vector<Transport::RetxDiag> Transport::retx_unacked(int src) const {
   return out;
 }
 
+void Transport::release_one_delayed_locked(Inbox& box) {
+  // Chaos must not withhold the last messages forever: once the queue runs
+  // dry, one parked message is released before anything is taken.
+  if (!box.queue.empty() || box.delayed.empty()) return;
+  std::uniform_int_distribution<std::size_t> pick(0, box.delayed.size() - 1);
+  const std::size_t j = pick(box.rng);
+  box.queue.push_back(std::move(box.delayed[j]));
+  box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
+}
+
+// With the reliability layer armed, admission (ack processing / dedup /
+// ack-only consumption) runs *outside* the inbox lock: it takes the
+// retx/recv shard locks, and a self-send from retx_pump otherwise forms an
+// inbox <-> shard ordering cycle. The time-gated pump is also lock-free to
+// enter.
+
 std::optional<Message> Transport::poll(int place) {
   auto& box = *inboxes_[static_cast<std::size_t>(place)];
-  if (!reliability_enabled()) {
-    std::scoped_lock lock(box.mu);
-    if (box.queue.empty() && !box.delayed.empty()) {
-      // Chaos must not withhold the last messages forever: drain one now.
-      std::uniform_int_distribution<std::size_t> pick(0,
-                                                      box.delayed.size() - 1);
-      const std::size_t j = pick(box.rng);
-      box.queue.push_back(std::move(box.delayed[j]));
-      box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
-    }
-    if (box.queue.empty()) return std::nullopt;
-    Message m = std::move(box.queue.front());
-    box.queue.pop_front();
-    return m;
-  }
-  // Reliability path. Admission (ack processing / dedup / ack-only
-  // consumption) runs *outside* the inbox lock: it takes the retx/recv shard
-  // locks, and a self-send from retx_pump otherwise forms an inbox <-> shard
-  // ordering cycle. The time-gated pump is also lock-free to enter.
-  retx_maybe_pump(place);
+  if (reliability_enabled()) retx_maybe_pump(place);
   for (;;) {
     std::optional<Message> m;
     {
       std::scoped_lock lock(box.mu);
-      if (box.queue.empty() && !box.delayed.empty()) {
-        std::uniform_int_distribution<std::size_t> pick(
-            0, box.delayed.size() - 1);
-        const std::size_t j = pick(box.rng);
-        box.queue.push_back(std::move(box.delayed[j]));
-        box.delayed.erase(box.delayed.begin() +
-                          static_cast<std::ptrdiff_t>(j));
-      }
+      release_one_delayed_locked(box);
       if (!box.queue.empty()) {
         m = std::move(box.queue.front());
         box.queue.pop_front();
       }
     }
-    if (!m) return std::nullopt;
-    if (retx_admit(place, *m)) return m;
+    if (!m || !reliability_enabled() || retx_admit(place, *m)) return m;
     // Duplicate or standalone ack: consumed here, try the next message.
   }
 }
@@ -640,59 +602,30 @@ std::size_t Transport::poll_batch(int place, std::deque<Message>& out,
     box.tick_polls.store(n + 1, std::memory_order_relaxed);
     if ((n & 63) == 0) cfg_.tick_hook(place);
   }
-  if (!reliability_enabled()) {
-    std::scoped_lock lock(box.mu);
-    if (box.queue.empty() && !box.delayed.empty()) {
-      // Chaos must not withhold the last messages forever: drain one now.
-      // (Release check before the batch is taken — identical to poll().)
-      std::uniform_int_distribution<std::size_t> pick(0,
-                                                      box.delayed.size() - 1);
-      const std::size_t j = pick(box.rng);
-      box.queue.push_back(std::move(box.delayed[j]));
-      box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
-    }
-    std::size_t n = 0;
-    while (n < max && !box.queue.empty()) {
-      out.push_back(std::move(box.queue.front()));
-      box.queue.pop_front();
-      ++n;
-    }
-    return n;
-  }
-  // Reliability path: take a raw batch under the lock, filter through
-  // admission outside it (same lock-ordering argument as poll()). Callers
-  // treat a zero return as "inbox empty", so a batch that admits nothing —
-  // a retransmit storm of duplicates, or standalone acks — must not end
-  // the call while raw messages remain queued: keep taking batches until
-  // something is admitted or the queue is actually drained.
-  retx_maybe_pump(place);
-  std::size_t n = 0;
+  if (reliability_enabled()) retx_maybe_pump(place);
+  // Callers treat a zero return as "inbox empty", so a batch that admits
+  // nothing — a retransmit storm of duplicates, or standalone acks — must
+  // not end the call while raw messages remain queued: keep taking batches
+  // until something is admitted or the queue is actually drained.
+  const std::size_t base = out.size();
   for (;;) {
-    std::deque<Message> raw;
     {
       std::scoped_lock lock(box.mu);
-      if (box.queue.empty() && !box.delayed.empty()) {
-        std::uniform_int_distribution<std::size_t> pick(0,
-                                                        box.delayed.size() - 1);
-        const std::size_t j = pick(box.rng);
-        box.queue.push_back(std::move(box.delayed[j]));
-        box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
-      }
-      std::size_t taken = 0;
-      while (taken < max && !box.queue.empty()) {
-        raw.push_back(std::move(box.queue.front()));
+      release_one_delayed_locked(box);
+      while (out.size() - base < max && !box.queue.empty()) {
+        out.push_back(std::move(box.queue.front()));
         box.queue.pop_front();
-        ++taken;
       }
     }
-    if (raw.empty()) return n;
-    for (auto& m : raw) {
-      if (retx_admit(place, m)) {
-        out.push_back(std::move(m));
-        ++n;
-      }
+    if (out.size() == base || !reliability_enabled()) return out.size() - base;
+    auto kept = out.begin() + static_cast<std::ptrdiff_t>(base);
+    for (auto it = kept; it != out.end(); ++it) {
+      if (!retx_admit(place, *it)) continue;
+      if (it != kept) *kept = std::move(*it);
+      ++kept;
     }
-    if (n > 0) return n;
+    out.erase(kept, out.end());
+    if (out.size() > base) return out.size() - base;
   }
 }
 
@@ -763,41 +696,44 @@ bool Transport::is_registered(int place, const void* addr,
   return false;
 }
 
-void Transport::submit_dma(DmaOp op, MsgType completion_type) {
+void Transport::complete_dma(DmaOp& op) {
+  std::memcpy(op.dst, op.src, op.n);
+  if (op.on_complete.handler < 0) return;
+  // A completion is a local event, not wire traffic: one kRdma message of
+  // 0 accounted bytes.
+  Message m;
+  m.handler = op.on_complete.handler;
+  m.payload = share(op.on_complete.payload.take_data());
+  m.type = MsgType::kRdma;
+  m.src = op.initiator;
+  send(op.initiator, std::move(m));
+}
+
+void Transport::submit_dma(DmaOp op) {
   rdma_ops_.fetch_add(1, std::memory_order_relaxed);
   rdma_bytes_.fetch_add(op.n, std::memory_order_relaxed);
   if (dma_workers_.empty()) {
-    // Synchronous fallback (dma_threads = 0).
-    std::memcpy(op.dst, op.src, op.n);
-    if (op.on_complete) {
-      send(op.initiator, Message{std::move(op.on_complete), completion_type,
-                                 0, op.initiator});
-    }
+    complete_dma(op);  // synchronous fallback (dma_threads = 0)
     return;
   }
   {
     std::scoped_lock lock(dma_mu_);
-    dma_queue_.emplace_back(std::move(op), completion_type);
+    dma_queue_.push_back(std::move(op));
   }
   dma_cv_.notify_one();
 }
 
 void Transport::dma_loop() {
   for (;;) {
-    std::pair<DmaOp, MsgType> item;
+    DmaOp op;
     {
       std::unique_lock lock(dma_mu_);
       dma_cv_.wait(lock, [this] { return dma_stop_ || !dma_queue_.empty(); });
       if (dma_queue_.empty()) return;  // stop requested and drained
-      item = std::move(dma_queue_.front());
+      op = std::move(dma_queue_.front());
       dma_queue_.pop_front();
     }
-    auto& [op, type] = item;
-    std::memcpy(op.dst, op.src, op.n);
-    if (op.on_complete) {
-      send(op.initiator, Message{std::move(op.on_complete), type, 0,
-                                 op.initiator});
-    }
+    complete_dma(op);
   }
 }
 
@@ -818,22 +754,20 @@ void require_local(bool multi_proc, int local_place, int dst,
 }  // namespace
 
 void Transport::put(int src, int dst, void* dst_addr, const void* src_addr,
-                    std::size_t n, std::function<void()> on_complete) {
+                    std::size_t n, Completion on_complete) {
   require_local(multi_proc_, local_place_, dst, "RDMA put");
   assert(is_registered(dst, dst_addr, n) &&
          "RDMA put target must be registered memory");
-  submit_dma(DmaOp{dst_addr, src_addr, n, src, std::move(on_complete)},
-             MsgType::kRdma);
+  submit_dma(DmaOp{dst_addr, src_addr, n, src, std::move(on_complete)});
 }
 
 void Transport::get(int src, int dst, void* local_addr,
                     const void* remote_addr, std::size_t n,
-                    std::function<void()> on_complete) {
+                    Completion on_complete) {
   require_local(multi_proc_, local_place_, dst, "RDMA get");
   assert(is_registered(dst, remote_addr, n) &&
          "RDMA get source must be registered memory");
-  submit_dma(DmaOp{local_addr, remote_addr, n, src, std::move(on_complete)},
-             MsgType::kRdma);
+  submit_dma(DmaOp{local_addr, remote_addr, n, src, std::move(on_complete)});
 }
 
 void Transport::remote_xor64(int src, int dst, std::uint64_t* dst_addr,
@@ -911,7 +845,7 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
         shard.active.push_back(dst);
         shard.open_ns[static_cast<std::size_t>(dst)] = mono_ns();
       }
-      w.append(handler, payload);
+      w.append(handler, payload, type);
       // The payload was copied into the envelope; park its storage in the
       // shard (lock already held) and recycle per envelope, not per record.
       shard.spare.push_back(payload.take_data());
@@ -962,24 +896,46 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
     }
   }
   Message m;
+  m.handler = handler;
+  m.payload = share(payload.take_data());
   m.src = src;
   m.type = type;
   m.bytes = wire;
-  if (multi_proc_ && dst != local_place_) {
-    // Wire form instead of a closure: handler id + serialized payload. The
-    // retained retransmit copy shares the payload through m.wire.
-    m.handler = handler;
-    m.wire = std::make_shared<const std::vector<std::byte>>(payload.take_data());
-    send(dst, std::move(m));
+  send(dst, std::move(m));
+}
+
+int Transport::dispatch_peer() { return tl_dispatch_peer; }
+
+void Transport::dispatch(int place, Message& m) {
+  // The payload moves into the handler's buffer when this message is its
+  // only holder; a retained retransmit copy or a chaos duplicate may still
+  // share it, and then the handler gets a copy (shared bytes are immutable).
+  ByteBuffer buf;
+  if (m.payload) {
+    if (m.payload.use_count() == 1) {
+      buf = ByteBuffer{std::move(*m.payload)};
+    } else {
+      std::vector<std::byte> copy = pool_.acquire();
+      copy.assign(m.payload->begin(), m.payload->end());
+      buf = ByteBuffer{std::move(copy)};
+    }
+    m.payload.reset();
+  }
+  if ((m.rflags & kMsgEnvelope) != 0) {
+    deliver_envelope(m, place, std::move(buf));
     return;
   }
-  const AmHandler* fn = &am_handlers_[static_cast<std::size_t>(handler)];
-  m.run = [this, fn, payload = std::move(payload)]() mutable {
-    payload.rewind();
-    (*fn)(payload);
-    pool_.release(payload.take_data());
-  };
-  send(dst, std::move(m));
+  assert(m.handler >= 0 && m.handler < static_cast<int>(am_handlers_.size()) &&
+         "dispatch of a message without a registered handler");
+  struct PeerScope {
+    int saved;
+    explicit PeerScope(int peer) : saved(tl_dispatch_peer) {
+      tl_dispatch_peer = peer;
+    }
+    ~PeerScope() { tl_dispatch_peer = saved; }
+  } scope((m.rflags & kMsgXProc) != 0 ? m.src : -1);
+  am_handlers_[static_cast<std::size_t>(m.handler)](buf);
+  pool_.release(buf.take_data());
 }
 
 void Transport::ship_envelope(int src, int dst, ByteBuffer env,
@@ -1004,20 +960,15 @@ void Transport::ship_envelope(int src, int dst, ByteBuffer env,
   m.src = src;
   m.type = MsgType::kControl;
   m.bytes = env.size();
-  if (multi_proc_ && dst != local_place_) {
-    m.rflags |= kMsgEnvelope;
-    m.wire = std::make_shared<const std::vector<std::byte>>(env.take_data());
-  } else {
-    m.run = [this, src, dst, env = std::move(env)]() mutable {
-      deliver_envelope(src, dst, std::move(env));
-    };
-  }
+  m.rflags = kMsgEnvelope;
+  m.payload = share(env.take_data());
   // The records were counted at send_am time; the envelope itself must not
   // inflate the per-class statistics.
   send_unrecorded(dst, std::move(m));
 }
 
-void Transport::deliver_envelope(int src, int dst, ByteBuffer env) {
+void Transport::deliver_envelope(const Message& env_msg, int dst,
+                                 ByteBuffer env) {
   // Each record becomes its own inbox message — running handlers inline
   // here would deadlock: a spawn record's activity body runs synchronously
   // (rt_am_spawn -> run_activity) and may block on a rendezvous whose reply
@@ -1027,31 +978,35 @@ void Transport::deliver_envelope(int src, int dst, ByteBuffer env) {
   // is behaviourally identical to the uncoalesced path. The records carry
   // no reliability sequence (the envelope itself was the sequenced wire
   // unit), so chaos drop/dup — which would be un-retransmittable here —
-  // never applies to them.
-  envelope::for_each_record(
-      env, [this, src, dst](int handler, ByteBuffer& buf, std::uint32_t len) {
-        assert(handler >= 0 &&
-               handler < static_cast<int>(am_handlers_.size()) &&
-               "envelope record names an unregistered handler");
-        // Copy the record out so the handler sees the exact contract of the
-        // direct path: a standalone ByteBuffer with cursor 0,
-        // size() == payload size.
-        std::vector<std::byte> storage = pool_.acquire();
-        storage.clear();
-        storage.resize(len);
-        buf.get_raw(storage.data(), len);
-        const AmHandler* fn = &am_handlers_[static_cast<std::size_t>(handler)];
-        Message m;
-        m.src = src;
-        m.type = MsgType::kControl;
-        m.bytes = len + sizeof(int);
-        m.run = [this, fn,
-                 payload = ByteBuffer{std::move(storage)}]() mutable {
-          (*fn)(payload);
-          pool_.release(payload.take_data());
-        };
-        wire_deliver(dst, std::move(m));
-      });
+  // never applies to them. Each keeps its own class, so per-class dequeue
+  // counts do not depend on whether the sender coalesced.
+  const std::uint8_t xproc = env_msg.rflags & kMsgXProc;
+  envelope::for_each_record(env, [&](int handler, MsgType type,
+                                     ByteBuffer& buf, std::uint32_t len) {
+    if (handler < 0 || handler >= static_cast<int>(am_handlers_.size()) ||
+        static_cast<int>(type) >= kNumMsgTypes) {
+      std::fprintf(stderr,
+                   "[x10rt] fatal: malformed envelope from place %d: record "
+                   "names handler %d, class %d\n",
+                   env_msg.src, handler, static_cast<int>(type));
+      std::abort();
+    }
+    // Copy the record out so the handler sees the exact contract of the
+    // direct path: a standalone ByteBuffer with cursor 0,
+    // size() == payload size.
+    std::vector<std::byte> storage = pool_.acquire();
+    storage.clear();
+    storage.resize(len);
+    buf.get_raw(storage.data(), len);
+    Message m;
+    m.handler = handler;
+    m.payload = share(std::move(storage));
+    m.src = env_msg.src;
+    m.type = type;
+    m.bytes = len + sizeof(int);
+    m.rflags = xproc;
+    wire_deliver(dst, std::move(m));
+  });
   pool_.release(env.take_data());
 }
 

@@ -4,7 +4,8 @@
 // implementation realizes the same API surface over shared memory: every
 // place owns a FIFO inbox of messages, and the only sanctioned way for places
 // to interact is
-//   * send()            — active messages (tasks, control, collectives, data)
+//   * send_am()         — active messages (tasks, control, collectives, data):
+//                         a registered handler id plus payload bytes
 //   * put()/get()       — one-sided RDMA on *registered* memory, executed by a
 //                         DMA engine thread, completion delivered to the
 //                         initiator's inbox (models Torrent RDMA)
@@ -44,13 +45,6 @@
 
 namespace x10rt {
 
-/// Feature gate for callers (benches) whose sources must also compile
-/// against the pre-batching transport.
-#define APGAS_HAVE_POLL_BATCH 1
-
-/// Feature gate for the sender-side coalescing layer (ISSUE 3).
-#define APGAS_HAVE_COALESCE 1
-
 /// Why a coalescing envelope left the sender (the flush-reason histogram in
 /// transport.coalesce.flush.*).
 enum class FlushReason : std::uint8_t {
@@ -74,13 +68,6 @@ inline const char* flush_reason_name(FlushReason r) {
   }
   return "?";
 }
-
-/// Feature gate for the reliability sublayer (ISSUE 5).
-#define APGAS_HAVE_RELIABILITY 1
-
-/// Feature gate for the adaptive-tuning mechanism (dynamic per-pair flush
-/// thresholds + adaptive retransmit timers; ISSUE 8).
-#define APGAS_HAVE_ADAPTIVE_TUNING 1
 
 /// Chaos injection: with probability `delay_prob` a message is parked in a
 /// side pool and released later in randomized order (delivery remains
@@ -172,6 +159,14 @@ struct TransportConfig {
       retx_acked_hook;
 };
 
+/// An RDMA completion (Transport::put/get): a registered handler plus its
+/// payload, posted to the initiator's inbox as one kRdma message; handler
+/// < 0 = none.
+struct Completion {
+  int handler = -1;
+  ByteBuffer payload;
+};
+
 /// Shared-memory X10RT transport. Thread-safe; one instance per "job".
 class Transport {
  public:
@@ -220,16 +215,16 @@ class Transport {
   /// debt). Trivially true when the reliability layer is off.
   [[nodiscard]] bool recv_all_acked(int place) const;
 
-  /// Enqueues an active message for place `dst`. `m.src` must be the sending
-  /// place (used for stats and chaos determinism).
+  /// Enqueues a ready-made message for place `dst`, bypassing coalescing.
+  /// `m.src` must be the sending place (used for stats and chaos
+  /// determinism).
   void send(int dst, Message m);
 
   // --- registered active-message handlers ----------------------------------
-  // The real X10RT model: a handler id plus a serialized payload, rather
-  // than a shipped closure. The runtime's control protocols (finish
-  // snapshots/completions/credits, team transfers) ride these, so their
-  // traffic is genuinely in wire form; a distributed port only has to
-  // re-implement send()/send_am(), not the protocols.
+  // The real X10RT model: a handler id plus a serialized payload. Every
+  // message is in this form (message.h) — task spawns, finish control,
+  // collectives, RDMA completions — so all traffic is genuinely in wire
+  // form and the backends differ only in how the bytes move.
 
   using AmHandler = std::function<void(ByteBuffer&)>;
 
@@ -249,6 +244,15 @@ class Transport {
   /// whether or not the wire batches them.
   void send_am(int src, int dst, int handler, ByteBuffer payload,
                MsgType type = MsgType::kControl);
+
+  /// Runs a message polled from `place`'s inbox: its handler with the
+  /// payload (cursor at 0), or an envelope unpacked into the inbox.
+  void dispatch(int place, Message& m);
+
+  /// Inside dispatch(): the *other process's* place the running handler's
+  /// message came from, or -1 if it was sent in this process. Handlers of
+  /// payloads holding process-local pointers reject wire input with it.
+  [[nodiscard]] static int dispatch_peer();
 
   /// Ships every pending envelope whose source place is `src`. Returns the
   /// number of envelopes sent. Cheap no-op when coalescing is off. Callers:
@@ -312,15 +316,15 @@ class Transport {
                                    std::size_t len) const;
 
   /// One-sided put: copies local memory into `dst_addr` at place `dst`
-  /// without involving the destination scheduler. `on_complete` is delivered
-  /// to the *initiator's* inbox once the transfer finishes. Both ends must be
-  /// registered (asserted), mirroring real RDMA constraints.
+  /// without involving the destination scheduler, then posts `on_complete`
+  /// to the *initiator's* inbox. Both ends must be registered (asserted),
+  /// mirroring real RDMA constraints.
   void put(int src, int dst, void* dst_addr, const void* src_addr,
-           std::size_t n, std::function<void()> on_complete);
+           std::size_t n, Completion on_complete = {});
 
   /// One-sided get: copies remote memory into a local buffer.
   void get(int src, int dst, void* local_addr, const void* remote_addr,
-           std::size_t n, std::function<void()> on_complete);
+           std::size_t n, Completion on_complete = {});
 
   /// Remote atomic XOR of a 64-bit word at place `dst` (the Torrent "GUPS"
   /// feature). Fire-and-forget, executed immediately on the caller thread —
@@ -515,7 +519,7 @@ class Transport {
     const void* src;
     std::size_t n;
     int initiator;
-    std::function<void()> on_complete;
+    Completion on_complete;
   };
 
   /// TTAS spin-then-yield lock for the coalescing shard. The critical
@@ -631,9 +635,10 @@ class Transport {
   /// copy (dup injection happens in enqueue_locked before this).
   void enqueue_copy_locked(Inbox& box, Message&& m);
   void maybe_release_delayed_locked(Inbox& box);
-  void record(const Message& m, int dst);
+  /// Moves one randomly chosen chaos-delayed message to an empty queue.
+  void release_one_delayed_locked(Inbox& box);
   /// The per-class / per-pair statistics bump shared by the direct path
-  /// (via record()) and the coalesced path (per logical record, at send_am
+  /// (send()) and the coalesced path (per logical record, at send_am
   /// time) — so control-volume metrics are comparable across modes.
   void count_logical(int src, int dst, MsgType type, std::size_t wire_bytes);
   /// send() minus the statistics: envelopes ride this so their records are
@@ -646,25 +651,27 @@ class Transport {
   /// Routes a post-stamping message: local places go through wire_deliver,
   /// remote places (multi-process backend) are encoded and shipped.
   void wire_or_remote(int dst, Message&& m);
-  /// Encodes `m` into a frame and hands it to the backend. Aborts loudly on
-  /// a message with no wire form (a closure cannot cross processes).
+  /// Encodes `m` into a frame and hands it to the backend.
   void ship_remote(int dst, Message&& m);
   /// Backend sink: validates an inbound frame (abort on malformed input —
-  /// the wire is untrusted), reconstructs the Message, and enqueues it into
-  /// the local inbox. Runs on the backend's I/O thread.
+  /// the wire is untrusted), decodes the Message, and enqueues it into the
+  /// local inbox. Runs on the backend's I/O thread.
   void deliver_frame(int peer, const std::uint8_t* data, std::size_t len);
   /// Accounts a sealed envelope, fires cfg_.flush_hook, and enqueues it.
   /// `open_ns` is the CoalesceShard::open_ns stamp taken when the envelope
   /// was opened (0 = unknown, reports residency 0).
   void ship_envelope(int src, int dst, ByteBuffer env, std::uint32_t records,
                      FlushReason reason, std::uint64_t open_ns);
-  /// Receiver side: unpack an envelope into one inbox message per record.
+  /// Receiver side: unpack an envelope into one inbox message per record,
+  /// each keeping its record's class and the envelope's kMsgXProc flag.
   /// Records are NOT run inline: a spawn record's activity may block (a
   /// Team rendezvous, a GLB steal wait) with later records of the same
   /// train still unread — trapped on the delivering thread's stack where
   /// the blocked activity's nested inbox pump can never reach them.
-  void deliver_envelope(int src, int dst, ByteBuffer env);
-  void submit_dma(DmaOp op, MsgType completion_type);
+  void deliver_envelope(const Message& env_msg, int dst, ByteBuffer env);
+  /// Posts a finished DMA op's completion to its initiator's inbox.
+  void complete_dma(DmaOp& op);
+  void submit_dma(DmaOp op);
   void dma_loop();
 
   TransportConfig cfg_;
@@ -712,7 +719,7 @@ class Transport {
   // DMA engine.
   std::mutex dma_mu_;
   std::condition_variable dma_cv_;
-  std::deque<std::pair<DmaOp, MsgType>> dma_queue_;
+  std::deque<DmaOp> dma_queue_;
   bool dma_stop_ = false;
   std::vector<std::thread> dma_workers_;
 };

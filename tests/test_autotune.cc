@@ -245,7 +245,7 @@ struct BareHarness {
   std::size_t drain(int place) {
     std::size_t n = 0;
     while (auto m = tr->poll(place)) {
-      m->run();
+      tr->dispatch(place, *m);
       ++n;
     }
     return n;

@@ -147,14 +147,20 @@ TEST(Hardening, ChaosIsDeterministicPerSeed) {
     cfg.chaos.seed = seed;
     x10rt::Transport tr(cfg);
     std::vector<int> order;
+    const int h = tr.register_am(
+        [&order](x10rt::ByteBuffer& buf) { order.push_back(buf.get<int>()); });
     for (int i = 0; i < 50; ++i) {
+      x10rt::ByteBuffer payload;
+      payload.put(i);
       x10rt::Message m;
       m.src = 0;
-      m.run = [&order, i] { order.push_back(i); };
+      m.handler = h;
+      m.payload =
+          std::make_shared<std::vector<std::byte>>(payload.take_data());
       tr.send(1, std::move(m));
     }
     while (order.size() < 50) {
-      if (auto m = tr.poll(1)) m->run();
+      if (auto m = tr.poll(1)) tr.dispatch(1, *m);
     }
     return order;
   };

@@ -111,8 +111,10 @@ std::vector<FlowEvent> scrape_flows(const std::string& json) {
 }
 
 TEST(Launcher, RunsUtsAcrossFourPlaceProcesses) {
-  // The partitioned traversal must count exactly the sequential node total —
-  // bench_uts exits nonzero (and prints "NO") if any subtree went missing.
+  // Lifeline GLB across place processes: UtsBags ride the wire through their
+  // Ser hooks, steals and lifeline resuscitations cross process boundaries,
+  // and the node count must match the sequential traversal exactly —
+  // bench_uts exits nonzero (and prints "NO") otherwise.
   const RunResult r =
       run(kLaunch + " -n 4 " + kUts);
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -122,34 +124,11 @@ TEST(Launcher, RunsUtsAcrossFourPlaceProcesses) {
 
 TEST(Launcher, SurvivesLossyChaosWithExactCounts) {
   // Drop + dup + delay armed: reliability retransmits and dedups under the
-  // socket backend, and the node count must still be exact.
+  // socket backend, and GLB's steal/lifeline protocol rides it like the
+  // finish protocol does — the node count must still be exact.
   const RunResult r = run(kLaunch +
                           " -n 4 --chaos-drop 0.05 --chaos-dup 0.02 "
                           "--chaos-delay 0.3 --seed 7 " +
-                          kUts);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_EQ(r.output.find("NO"), std::string::npos) << r.output;
-}
-
-TEST(Launcher, GlbUtsRunsAcrossFourPlaceProcesses) {
-  // APGAS_UTS_GLB=1 swaps the static frontier partitioning for the real
-  // lifeline GLB: UtsBags ride the wire through their Ser hooks, steals and
-  // lifeline resuscitations cross process boundaries, and the node count
-  // must still match the sequential traversal exactly.
-  const RunResult r = run("APGAS_UTS_GLB=1 " + kLaunch + " -n 4 " + kUts);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("lifeline GLB"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("verified"), std::string::npos) << r.output;
-  EXPECT_EQ(r.output.find("NO"), std::string::npos) << r.output;
-}
-
-TEST(Launcher, GlbUtsSurvivesLossyChaosWithExactCounts) {
-  // GLB's steal/lifeline protocol rides the same reliability layer as the
-  // finish protocol: with drop + dup + delay armed the traversal must still
-  // count every node exactly once.
-  const RunResult r = run("APGAS_UTS_GLB=1 " + kLaunch +
-                          " -n 4 --chaos-drop 0.05 --chaos-dup 0.02 "
-                          "--chaos-delay 0.3 --seed 11 " +
                           kUts);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_EQ(r.output.find("NO"), std::string::npos) << r.output;

@@ -249,6 +249,70 @@ TEST(FrameCursorParity, LocalAndWirePathsSeeTheSameBytes) {
   });
 }
 
+// --- in-process forms: boxed closures and boxed exceptions -------------------
+//
+// Closure asyncAt/at box the closure into the args of the reserved
+// local-closure task function, and in-process finish exceptions box the
+// exception_ptr into an am_exception frame. Both boxes are freed by the one
+// dispatch of their message; retained retransmit copies and chaos duplicates
+// share the bytes and must never run (or free) them.
+
+TEST(ClosureBoundary, LossyChaosRunsEveryBoxedClosureExactlyOnce) {
+  constexpr int kSpawns = 2000;
+  Config cfg;
+  cfg.places = 4;
+  cfg.chaos.delay_prob = 0.3;
+  cfg.chaos.drop_prob = 0.05;
+  cfg.chaos.dup_prob = 0.05;
+  cfg.chaos.seed = 0xc105eULL;
+  cfg.retx_timeout_us = 300;
+  std::vector<std::atomic<int>> runs(kSpawns);
+  Runtime::run(cfg, [&runs] {
+    finish([&runs] {
+      for (int i = 0; i < kSpawns; ++i) {
+        asyncAt(1 + i % 3, [&runs, i] { runs[i].fetch_add(1); });
+      }
+    });
+  });
+  int wrong = 0;
+  for (int i = 0; i < kSpawns; ++i) {
+    if (runs[i].load() != 1) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0) << "closure bodies not run exactly once";
+  // The adversary really did drop and duplicate sequenced spawns.
+  const auto& m = last_run_metrics();
+  EXPECT_GT(m.at("transport.chaos.dropped"), 0u);
+  EXPECT_GT(m.at("transport.chaos.duped"), 0u);
+  EXPECT_GT(m.at("transport.retx.dups_dropped"), 0u);
+  EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("sched.msgs.task"));
+}
+
+struct UserError {
+  int code;
+  std::string where;
+};
+
+TEST(ClosureBoundary, UserExceptionTypeSurvivesRemoteFinish) {
+  // No std::exception ancestry: the wire codec could only degrade this to
+  // std::runtime_error, so catching the exact type proves the in-process
+  // path shipped the original exception_ptr.
+  Config cfg;
+  cfg.places = 3;
+  Runtime::run(cfg, [] {
+    bool caught = false;
+    try {
+      finish([] {
+        asyncAt(2, [] { throw UserError{42, "place 2"}; });
+      });
+    } catch (const UserError& e) {
+      caught = true;
+      EXPECT_EQ(e.code, 42);
+      EXPECT_EQ(e.where, "place 2");
+    }
+    EXPECT_TRUE(caught);
+  });
+}
+
 // --- closure-boundary abort (satellite a) ------------------------------------
 //
 // Closures cannot cross a process boundary; the check now runs BEFORE any

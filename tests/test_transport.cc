@@ -6,8 +6,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <deque>
+#include <functional>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
@@ -33,10 +38,52 @@ TransportConfig make_cfg(int places, bool count_pairs = false,
   return cfg;
 }
 
+// Test-side closures in the one message form: make_msg parks a body in a
+// table owned by this test binary and builds a message for handler
+// kRunClosure whose payload is the body's index. Transports carrying
+// make_msg traffic are ClosureTransports, which register that handler first
+// so its id is kRunClosure. Like the runtime's boxed closures, the handler
+// refuses a message from another process: the index means nothing there.
+constexpr int kRunClosure = 0;
+
+std::mutex g_bodies_mu;
+std::deque<std::function<void()>> g_bodies;  // push_back keeps references
+
+void run_closure(x10rt::ByteBuffer& buf) {
+  const int peer = Transport::dispatch_peer();
+  if (peer >= 0) {
+    std::fprintf(stderr,
+                 "closure from place %d cannot cross a process boundary\n",
+                 peer);
+    std::abort();
+  }
+  const auto idx = buf.get<std::uint64_t>();
+  std::function<void()>* body;
+  {
+    std::scoped_lock lock(g_bodies_mu);
+    body = &g_bodies[idx];
+  }
+  (*body)();
+}
+
+struct ClosureTransport : Transport {
+  explicit ClosureTransport(TransportConfig cfg) : Transport(std::move(cfg)) {
+    const int h = register_am(&run_closure);
+    EXPECT_EQ(h, kRunClosure);
+  }
+};
+
 Message make_msg(int src, std::function<void()> fn,
                  MsgType t = MsgType::kOther, std::size_t bytes = 0) {
+  x10rt::ByteBuffer payload;
+  {
+    std::scoped_lock lock(g_bodies_mu);
+    payload.put(static_cast<std::uint64_t>(g_bodies.size()));
+    g_bodies.push_back(std::move(fn));
+  }
   Message m;
-  m.run = std::move(fn);
+  m.handler = kRunClosure;
+  m.payload = std::make_shared<std::vector<std::byte>>(payload.take_data());
   m.type = t;
   m.bytes = bytes;
   m.src = src;
@@ -44,26 +91,26 @@ Message make_msg(int src, std::function<void()> fn,
 }
 
 TEST(Transport, DeliversInFifoOrderWithoutChaos) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::vector<int> seen;
   for (int i = 0; i < 10; ++i) {
     tr.send(1, make_msg(0, [&seen, i] { seen.push_back(i); }));
   }
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   std::vector<int> expect(10);
   std::iota(expect.begin(), expect.end(), 0);
   EXPECT_EQ(seen, expect);
 }
 
 TEST(Transport, PollEmptyReturnsNullopt) {
-  Transport tr(make_cfg(1));
+  ClosureTransport tr(make_cfg(1));
   EXPECT_FALSE(tr.poll(0).has_value());
 }
 
 TEST(Transport, ChaosDeliversEverythingEventually) {
   TransportConfig cfg = make_cfg(2);
   cfg.chaos.delay_prob = 0.7;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   std::set<int> seen;
   constexpr int kN = 200;
   for (int i = 0; i < kN; ++i) {
@@ -71,7 +118,7 @@ TEST(Transport, ChaosDeliversEverythingEventually) {
   }
   // Polling drains both the queue and, when empty, the delayed pool.
   for (int guard = 0; guard < 100000 && seen.size() < kN; ++guard) {
-    if (auto m = tr.poll(1)) m->run();
+    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kN));
 }
@@ -79,13 +126,13 @@ TEST(Transport, ChaosDeliversEverythingEventually) {
 TEST(Transport, ChaosActuallyReorders) {
   TransportConfig cfg = make_cfg(2);
   cfg.chaos.delay_prob = 0.7;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   std::vector<int> order;
   for (int i = 0; i < 100; ++i) {
     tr.send(1, make_msg(0, [&order, i] { order.push_back(i); }));
   }
   while (order.size() < 100) {
-    if (auto m = tr.poll(1)) m->run();
+    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
   }
   std::vector<int> sorted = order;
   std::sort(sorted.begin(), sorted.end());
@@ -93,7 +140,7 @@ TEST(Transport, ChaosActuallyReorders) {
 }
 
 TEST(Transport, CountsMessagesByType) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   tr.send(1, make_msg(0, [] {}, MsgType::kControl, 16));
   tr.send(1, make_msg(0, [] {}, MsgType::kControl, 24));
   tr.send(1, make_msg(0, [] {}, MsgType::kTask, 64));
@@ -107,7 +154,7 @@ TEST(Transport, CountsMessagesByType) {
 
 TEST(Transport, PairCountsAndOutDegree) {
   TransportConfig cfg = make_cfg(4, /*count_pairs=*/true);
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   tr.send(1, make_msg(0, [] {}));
   tr.send(2, make_msg(0, [] {}));
   tr.send(2, make_msg(0, [] {}));
@@ -119,7 +166,7 @@ TEST(Transport, PairCountsAndOutDegree) {
 }
 
 TEST(Transport, RegisteredMemoryChecks) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::vector<std::uint64_t> table(8, 0);
   tr.register_range(1, table.data(), table.size() * sizeof(std::uint64_t));
   EXPECT_TRUE(tr.is_registered(1, table.data(), 8));
@@ -129,21 +176,22 @@ TEST(Transport, RegisteredMemoryChecks) {
 }
 
 TEST(Transport, RdmaPutCopiesAndNotifiesInitiator) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::vector<double> dst(16, 0.0);
   std::vector<double> src(16);
   std::iota(src.begin(), src.end(), 1.0);
   tr.register_range(1, dst.data(), dst.size() * sizeof(double));
 
   std::atomic<bool> completed{false};
-  tr.put(0, 1, dst.data(), src.data(), 16 * sizeof(double),
-         [&completed] { completed.store(true); });
+  const int done = tr.register_am(
+      [&completed](x10rt::ByteBuffer&) { completed.store(true); });
+  tr.put(0, 1, dst.data(), src.data(), 16 * sizeof(double), {done, {}});
 
   // The completion message lands in the initiator's (place 0's) inbox.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (!completed.load() && std::chrono::steady_clock::now() < deadline) {
-    if (auto m = tr.poll(0)) m->run();
+    if (auto m = tr.poll(0)) tr.dispatch(0, *m);
   }
   EXPECT_TRUE(completed.load());
   EXPECT_EQ(dst, src);
@@ -152,20 +200,20 @@ TEST(Transport, RdmaPutCopiesAndNotifiesInitiator) {
 }
 
 TEST(Transport, RdmaGetReadsRemote) {
-  Transport tr(make_cfg(2, false, /*dma_threads=*/0));
+  ClosureTransport tr(make_cfg(2, false, /*dma_threads=*/0));
   std::vector<int> remote(4, 9);
   std::vector<int> local(4, 0);
   tr.register_range(1, remote.data(), remote.size() * sizeof(int));
   bool done = false;
-  tr.get(0, 1, local.data(), remote.data(), 4 * sizeof(int),
-         [&done] { done = true; });
-  while (auto m = tr.poll(0)) m->run();
+  const int h = tr.register_am([&done](x10rt::ByteBuffer&) { done = true; });
+  tr.get(0, 1, local.data(), remote.data(), 4 * sizeof(int), {h, {}});
+  while (auto m = tr.poll(0)) tr.dispatch(0, *m);
   EXPECT_TRUE(done);
   EXPECT_EQ(local, remote);
 }
 
 TEST(Transport, GupsRemoteXorIsImmediateAndAtomic) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::uint64_t word = 0xff00ff00ff00ff00ULL;
   tr.register_range(1, &word, sizeof(word));
   tr.remote_xor64(0, 1, &word, 0x0ff00ff00ff00ff0ULL);
@@ -173,7 +221,7 @@ TEST(Transport, GupsRemoteXorIsImmediateAndAtomic) {
 }
 
 TEST(Transport, RemoteAddAccumulates) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::uint64_t word = 5;
   tr.register_range(1, &word, sizeof(word));
   tr.remote_add64(0, 1, &word, 37);
@@ -181,7 +229,7 @@ TEST(Transport, RemoteAddAccumulates) {
 }
 
 TEST(Transport, AmHandlersDispatchWithPayload) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::vector<std::pair<int, std::string>> seen;
   const int h1 = tr.register_am([&seen](x10rt::ByteBuffer& buf) {
     const int v = buf.get<int>();
@@ -200,7 +248,7 @@ TEST(Transport, AmHandlersDispatchWithPayload) {
   b2.put(9);
   tr.send_am(0, 1, h2, std::move(b2), MsgType::kSteal);
 
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<int, std::string>{7, "hello"}));
   EXPECT_EQ(seen[1].first, -9);
@@ -212,7 +260,7 @@ TEST(Transport, AmHandlersDispatchWithPayload) {
 TEST(Transport, AmPayloadSurvivesChaosReordering) {
   TransportConfig cfg = make_cfg(2);
   cfg.chaos.delay_prob = 0.6;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   std::multiset<int> seen;
   const int h = tr.register_am(
       [&seen](x10rt::ByteBuffer& buf) { seen.insert(buf.get<int>()); });
@@ -224,13 +272,13 @@ TEST(Transport, AmPayloadSurvivesChaosReordering) {
     expect.insert(i * 3);
   }
   while (seen.size() < 100) {
-    if (auto m = tr.poll(1)) m->run();
+    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
   }
   EXPECT_EQ(seen, expect);
 }
 
 TEST(Transport, WaitNonemptyWakesOnSend) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   std::thread sender([&tr] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     tr.send(0, make_msg(1, [] {}));
@@ -261,7 +309,7 @@ x10rt::ByteBuffer int_payload(int v) {
 }
 
 TEST(TransportCoalesce, ParksUntilExplicitFlush) {
-  Transport tr(coalesce_cfg(2, 1u << 12, 64));
+  ClosureTransport tr(coalesce_cfg(2, 1u << 12, 64));
   std::vector<int> seen;
   const int h = tr.register_am(
       [&seen](x10rt::ByteBuffer& buf) { seen.push_back(buf.get<int>()); });
@@ -271,7 +319,7 @@ TEST(TransportCoalesce, ParksUntilExplicitFlush) {
   // …but the logical sends are already accounted.
   EXPECT_EQ(tr.count(MsgType::kControl), 5u);
   ASSERT_EQ(tr.flush_coalesced(0, x10rt::FlushReason::kIdle), 1u);
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(tr.coalesce_envelopes(), 1u);
   EXPECT_EQ(tr.coalesce_records(), 5u);
@@ -279,17 +327,17 @@ TEST(TransportCoalesce, ParksUntilExplicitFlush) {
 }
 
 TEST(TransportCoalesce, RecordCountThresholdAutoFlushes) {
-  Transport tr(coalesce_cfg(2, 1u << 12, 4));
+  ClosureTransport tr(coalesce_cfg(2, 1u << 12, 4));
   std::vector<int> seen;
   const int h = tr.register_am(
       [&seen](x10rt::ByteBuffer& buf) { seen.push_back(buf.get<int>()); });
   for (int i = 0; i < 9; ++i) tr.send_am(0, 1, h, int_payload(i));
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   // Two full envelopes of 4 shipped themselves; the 9th record is parked.
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(tr.coalesce_flushes(x10rt::FlushReason::kCount), 2u);
   EXPECT_EQ(tr.flush_coalesced(0), 1u);
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   EXPECT_EQ(seen.size(), 9u);
   EXPECT_EQ(tr.coalesce_records(), 9u);
 }
@@ -299,19 +347,19 @@ TEST(TransportCoalesce, SizeThresholdAutoFlushes) {
   const std::size_t threshold = x10rt::envelope::kHeaderBytes +
                                 2 * (x10rt::envelope::kRecordHeaderBytes +
                                      sizeof(int));
-  Transport tr(coalesce_cfg(2, threshold, 64));
+  ClosureTransport tr(coalesce_cfg(2, threshold, 64));
   int seen = 0;
   const int h = tr.register_am([&seen](x10rt::ByteBuffer&) { ++seen; });
   tr.send_am(0, 1, h, int_payload(1));
   EXPECT_FALSE(tr.poll(1).has_value());
   tr.send_am(0, 1, h, int_payload(2));
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(tr.coalesce_flushes(x10rt::FlushReason::kSize), 1u);
 }
 
 TEST(TransportCoalesce, OversizePayloadBypassesAggregation) {
-  Transport tr(coalesce_cfg(2, 64, 64));
+  ClosureTransport tr(coalesce_cfg(2, 64, 64));
   std::size_t got = 0;
   const int h = tr.register_am(
       [&got](x10rt::ByteBuffer& buf) { got = buf.size(); });
@@ -322,14 +370,14 @@ TEST(TransportCoalesce, OversizePayloadBypassesAggregation) {
   // Shipped directly — no flush needed.
   auto m = tr.poll(1);
   ASSERT_TRUE(m.has_value());
-  m->run();
+  tr.dispatch(1, *m);
   EXPECT_EQ(got, sizeof(std::uint32_t) + 32 * sizeof(std::uint64_t));
   EXPECT_EQ(tr.coalesce_bypass(), 1u);
   EXPECT_EQ(tr.coalesce_envelopes(), 0u);
 }
 
 TEST(TransportCoalesce, PerDestinationEnvelopesStaySeparate) {
-  Transport tr(coalesce_cfg(3, 1u << 12, 64));
+  ClosureTransport tr(coalesce_cfg(3, 1u << 12, 64));
   std::vector<int> seen;
   const int h = tr.register_am(
       [&seen](x10rt::ByteBuffer& buf) { seen.push_back(buf.get<int>()); });
@@ -339,29 +387,29 @@ TEST(TransportCoalesce, PerDestinationEnvelopesStaySeparate) {
   }
   // One envelope per destination with a partial train.
   EXPECT_EQ(tr.flush_coalesced(0), 2u);
-  while (auto m = tr.poll(1)) m->run();
+  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
   seen.clear();
-  while (auto m = tr.poll(2)) m->run();
+  while (auto m = tr.poll(2)) tr.dispatch(2, *m);
   EXPECT_EQ(seen, (std::vector<int>{100, 101, 102}));
 }
 
 TEST(TransportCoalesce, FlushOnEmptyShardIsANoOp) {
-  Transport tr(coalesce_cfg(2, 1u << 12, 64));
+  ClosureTransport tr(coalesce_cfg(2, 1u << 12, 64));
   EXPECT_EQ(tr.flush_coalesced(0), 0u);
   EXPECT_EQ(tr.flush_coalesced(1, x10rt::FlushReason::kQuiesce), 0u);
   EXPECT_EQ(tr.coalesce_envelopes(), 0u);
 }
 
 TEST(TransportCoalesce, DisabledByDefaultShipsImmediately) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   EXPECT_FALSE(tr.coalescing_enabled());
   int seen = 0;
   const int h = tr.register_am([&seen](x10rt::ByteBuffer&) { ++seen; });
   tr.send_am(0, 1, h, int_payload(1));
   auto m = tr.poll(1);
   ASSERT_TRUE(m.has_value());
-  m->run();
+  tr.dispatch(1, *m);
   EXPECT_EQ(seen, 1);
   EXPECT_EQ(tr.flush_coalesced(0), 0u);
   EXPECT_EQ(tr.coalesce_envelopes(), 0u);
@@ -370,7 +418,7 @@ TEST(TransportCoalesce, DisabledByDefaultShipsImmediately) {
 TEST(TransportCoalesce, PairCountsTallyLogicalRecords) {
   TransportConfig cfg = coalesce_cfg(2, 1u << 12, 64);
   cfg.count_pairs = true;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   const int h = tr.register_am([](x10rt::ByteBuffer&) {});
   for (int i = 0; i < 4; ++i) tr.send_am(0, 1, h, int_payload(i));
   tr.flush_coalesced(0);
@@ -390,7 +438,7 @@ TEST(TransportCoalesce, FlushHookReportsEveryEnvelope) {
     hooks.emplace_back(src, dst, records, reason);
     residencies.push_back(residency_ns);
   };
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   const int h = tr.register_am([](x10rt::ByteBuffer&) {});
   for (int i = 0; i < 3; ++i) tr.send_am(0, 1, h, int_payload(i));
   tr.flush_coalesced(0, x10rt::FlushReason::kQuiesce);
@@ -407,7 +455,7 @@ TEST(TransportCoalesce, FlushHookReportsEveryEnvelope) {
 TEST(TransportCoalesce, ChaosDeliversEveryCoalescedRecord) {
   TransportConfig cfg = coalesce_cfg(2, 256, 8);
   cfg.chaos.delay_prob = 0.6;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   std::multiset<int> seen;
   const int h = tr.register_am(
       [&seen](x10rt::ByteBuffer& buf) { seen.insert(buf.get<int>()); });
@@ -418,14 +466,14 @@ TEST(TransportCoalesce, ChaosDeliversEveryCoalescedRecord) {
   }
   tr.flush_coalesced(0, x10rt::FlushReason::kQuiesce);
   while (seen.size() < 100) {
-    if (auto m = tr.poll(1)) m->run();
+    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
   }
   EXPECT_EQ(seen, expect);
   EXPECT_EQ(tr.coalesce_records(), 100u);
 }
 
 TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
-  Transport tr(coalesce_cfg(2, 256, 8));
+  ClosureTransport tr(coalesce_cfg(2, 256, 8));
   const int h = tr.register_am([](x10rt::ByteBuffer&) {});
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 20; ++i) {
@@ -434,7 +482,7 @@ TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
       tr.send_am(0, 1, h, std::move(b));
     }
     tr.flush_coalesced(0);
-    while (auto m = tr.poll(1)) m->run();
+    while (auto m = tr.poll(1)) tr.dispatch(1, *m);
   }
   // After warm-up the freelist serves payloads, envelopes, and receive-side
   // record copies.
@@ -456,14 +504,14 @@ TransportConfig retx_cfg(int places, std::uint64_t timeout_us = 100'000) {
 std::size_t drain(Transport& tr, int place) {
   std::size_t n = 0;
   while (auto m = tr.poll(place)) {
-    m->run();
+    tr.dispatch(place, *m);
     ++n;
   }
   return n;
 }
 
 TEST(TransportRetx, DisabledLayerIsPassthrough) {
-  Transport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(2));
   EXPECT_FALSE(tr.reliability_enabled());
   int ran = 0;
   tr.send(1, make_msg(0, [&ran] { ++ran; }));
@@ -471,7 +519,7 @@ TEST(TransportRetx, DisabledLayerIsPassthrough) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->seq, 0u);       // unsequenced: no reliability header
   EXPECT_EQ(m->rflags, 0u);
-  m->run();
+  tr.dispatch(1, *m);
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(tr.retx_sent(), 0u);
   EXPECT_EQ(tr.retx_pump(0, /*force=*/true), 0u);  // cheap no-op
@@ -479,7 +527,7 @@ TEST(TransportRetx, DisabledLayerIsPassthrough) {
 }
 
 TEST(TransportRetx, StampsMonotoneSequencesPerPair) {
-  Transport tr(retx_cfg(3));
+  ClosureTransport tr(retx_cfg(3));
   EXPECT_TRUE(tr.reliability_enabled());
   for (int i = 0; i < 4; ++i) tr.send(1, make_msg(0, [] {}));
   tr.send(2, make_msg(0, [] {}));  // independent (src,dst) stream
@@ -496,7 +544,7 @@ TEST(TransportRetx, StampsMonotoneSequencesPerPair) {
 }
 
 TEST(TransportRetx, AcksDrainTheRetransmitQueue) {
-  Transport tr(retx_cfg(2));
+  ClosureTransport tr(retx_cfg(2));
   for (int i = 0; i < 3; ++i) tr.send(1, make_msg(0, [] {}));
   EXPECT_EQ(drain(tr, 1), 3u);
   EXPECT_FALSE(tr.retx_quiescent());  // delivered, but the sender can't know
@@ -511,7 +559,7 @@ TEST(TransportRetx, AcksDrainTheRetransmitQueue) {
 }
 
 TEST(TransportRetx, PiggybackAcksRideReverseTraffic) {
-  Transport tr(retx_cfg(2));
+  ClosureTransport tr(retx_cfg(2));
   tr.send(1, make_msg(0, [] {}));
   EXPECT_EQ(drain(tr, 1), 1u);
   // Reverse traffic 1 -> 0 carries the cumulative ack; no standalone needed.
@@ -545,7 +593,7 @@ TEST(TransportRetx, TimeoutRetransmitsAndReceiverDedups) {
     acked_latency = latency_ns;
     acked_attempts = attempts;
   };
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   int ran = 0;
   tr.send(1, make_msg(0, [&ran] { ++ran; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(2));  // > timeout
@@ -568,7 +616,7 @@ TEST(TransportRetx, TimeoutRetransmitsAndReceiverDedups) {
 TEST(TransportRetx, ChaosDropIsSurvivedByRetransmission) {
   TransportConfig cfg = retx_cfg(2);
   cfg.chaos.drop_prob = 0.5;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   std::set<int> seen;
   constexpr int kN = 100;
   for (int i = 0; i < kN; ++i) {
@@ -593,7 +641,7 @@ TEST(TransportRetx, ChaosDropIsSurvivedByRetransmission) {
 TEST(TransportRetx, ChaosDupIsDeliveredExactlyOnce) {
   TransportConfig cfg = retx_cfg(2);
   cfg.chaos.dup_prob = 1.0;  // every sequenced message gets a wire twin
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   int ran = 0;
   constexpr int kN = 50;
   for (int i = 0; i < kN; ++i) tr.send(1, make_msg(0, [&ran] { ++ran; }));
@@ -613,7 +661,7 @@ TEST(TransportRetx, ReorderedDeliveryFillsTheDedupGap) {
   TransportConfig cfg = retx_cfg(2);
   cfg.chaos.delay_prob = 0.5;
   cfg.chaos.drop_prob = 0.3;
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   std::set<int> seen;
   constexpr int kN = 100;
   for (int i = 0; i < kN; ++i) {
@@ -632,7 +680,7 @@ TEST(TransportRetx, ReorderedDeliveryFillsTheDedupGap) {
 TEST(TransportRetx, StandaloneAcksAreNeverDroppedOrCounted) {
   TransportConfig cfg = retx_cfg(2);
   cfg.chaos.drop_prob = 1.0;  // drops every *sequenced* message at the wire
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   tr.send(1, make_msg(0, [] {}, MsgType::kControl, 8));
   const std::uint64_t before = tr.total_messages();
   EXPECT_EQ(drain(tr, 1), 0u);  // the original was dropped
@@ -655,7 +703,7 @@ TEST(TransportRetx, PollBatchDrainsPastADuplicateStorm) {
   // queued behind them while the caller concluded there was nothing to do
   // (and a drain loop would re-trigger the storm it was stuck behind).
   TransportConfig cfg = retx_cfg(2);
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   int ran = 0;
   constexpr int kN = 200;
   for (int i = 0; i < kN; ++i) tr.send(1, make_msg(0, [] {}));
@@ -668,7 +716,7 @@ TEST(TransportRetx, PollBatchDrainsPastADuplicateStorm) {
   // batch and deliver the fresh message rather than reporting "empty".
   EXPECT_EQ(tr.poll_batch(1, out, 64), 1u);
   ASSERT_EQ(out.size(), 1u);
-  out.front().run();
+  tr.dispatch(1, out.front());
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(tr.retx_dups_dropped(), static_cast<std::uint64_t>(kN));
 }
@@ -677,7 +725,7 @@ TEST(TransportRetx, ChaosBypassCountsSaturatedDelayPool) {
   TransportConfig cfg = make_cfg(2);
   cfg.chaos.delay_prob = 1.0;  // park everything...
   cfg.chaos.max_delayed = 1;   // ...in a pool that holds a single message
-  Transport tr(cfg);
+  ClosureTransport tr(cfg);
   for (int i = 0; i < 64; ++i) tr.send(1, make_msg(0, [] {}));
   EXPECT_GT(tr.chaos_bypass(), 0u);
 }
@@ -729,7 +777,7 @@ TEST(BufferPool, DropsOversizeAndSurplus) {
 /// like forked children executing the same constructor (the wire carries
 /// handler *ids*).
 struct WirePair {
-  Transport t0, t1;
+  ClosureTransport t0, t1;
   WirePair(TransportConfig cfg0, TransportConfig cfg1)
       : t0(std::move(cfg0)), t1(std::move(cfg1)) {}
 
@@ -749,8 +797,8 @@ struct WirePair {
   /// One scheduler-less progress step for both ends: run whatever arrived,
   /// drive retransmit/ack timers.
   void pump() {
-    while (auto m = t0.poll(0)) m->run();
-    while (auto m = t1.poll(1)) m->run();
+    while (auto m = t0.poll(0)) t0.dispatch(0, *m);
+    while (auto m = t1.poll(1)) t1.dispatch(1, *m);
     t0.retx_pump(0);
     t1.retx_pump(1);
   }
@@ -804,7 +852,7 @@ TEST(SocketTransport, RetransmitsThroughHeavyReceiverLoss) {
   constexpr int kMessages = 50;
   std::set<int> seen;
   std::atomic<int> deliveries{0};
-  (void)w.t0.register_am([](x10rt::ByteBuffer&) {});
+  const int h = w.t0.register_am([](x10rt::ByteBuffer&) {});
   (void)w.t1.register_am([&](x10rt::ByteBuffer& buf) {
     seen.insert(buf.get<std::int32_t>());
     deliveries.fetch_add(1);
@@ -813,7 +861,7 @@ TEST(SocketTransport, RetransmitsThroughHeavyReceiverLoss) {
   for (int i = 0; i < kMessages; ++i) {
     x10rt::ByteBuffer b;
     b.put<std::int32_t>(i);
-    w.t0.send_am(0, 1, 0, std::move(b), MsgType::kControl);
+    w.t0.send_am(0, 1, h, std::move(b), MsgType::kControl);
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -828,6 +876,10 @@ TEST(SocketTransport, RetransmitsThroughHeavyReceiverLoss) {
 }
 
 TEST(SocketTransportDeath, ClosureToRemoteProcessAborts) {
+  // The frame itself is well formed — a registered handler plus bytes — but
+  // its payload names a body in the sender's address space. The receiving
+  // handler sees the message came from another process
+  // (Transport::dispatch_peer) and aborts, naming the sender.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -836,7 +888,7 @@ TEST(SocketTransportDeath, ClosureToRemoteProcessAborts) {
         w.t0.send(1, make_msg(0, [] {}));
         for (;;) w.pump();
       },
-      "closures cannot cross a process boundary");
+      "closure from place 0 cannot cross a process boundary");
 }
 
 TEST(SocketTransportDeath, MultiProcessBackendRequiresReliability) {

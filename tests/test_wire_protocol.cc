@@ -179,7 +179,8 @@ TEST(Envelope, UnderReadingHandlerCannotOverrunIntoNextRecord) {
   x10rt::ByteBuffer env = w.close();
   std::vector<std::string> seen;
   x10rt::envelope::for_each_record(
-      env, [&seen](int handler, x10rt::ByteBuffer& buf, std::uint32_t len) {
+      env, [&seen](int handler, x10rt::MsgType, x10rt::ByteBuffer& buf,
+                   std::uint32_t len) {
         (void)len;
         // Read only one byte of each 4-byte payload; the bracket seek must
         // still land the cursor at the next record's header.
@@ -203,7 +204,8 @@ TEST(Envelope, TruncatedTrainThrowsBeforeInvokingHandlers) {
   bool invoked = false;
   EXPECT_THROW(x10rt::envelope::for_each_record(
                    truncated,
-                   [&invoked](int, x10rt::ByteBuffer&, std::uint32_t) {
+                   [&invoked](int, x10rt::MsgType, x10rt::ByteBuffer&,
+                              std::uint32_t) {
                      invoked = true;
                    }),
                std::out_of_range);
@@ -295,7 +297,6 @@ std::vector<std::uint8_t> good_frame(const std::string& payload = "args") {
   h.handler = 3;
   h.seq = 42;
   h.ack = 17;
-  h.t_send_ns = 1234;
   return frm::encode(h, reinterpret_cast<const std::byte*>(payload.data()),
                      payload.size());
 }
@@ -319,7 +320,6 @@ TEST(FrameCodec, RoundTripPreservesEveryHeaderField) {
   EXPECT_EQ(h.handler, 3);
   EXPECT_EQ(h.seq, 42u);
   EXPECT_EQ(h.ack, 17u);
-  EXPECT_EQ(h.t_send_ns, 1234u);
   EXPECT_EQ(h.payload_len, 13u);
   EXPECT_EQ(std::memcmp(wire.data() + frm::kLengthPrefixBytes +
                             frm::kHeaderBytes,
@@ -370,7 +370,7 @@ TEST(FrameAdversarial, HeaderFieldCorruptionsAreEachRejected) {
   EXPECT_STREQ(check(corrupt(8, 4)), "src place out of range");      // src == places
   EXPECT_STREQ(check(corrupt(12, 0xff)), "AM handler id out of range");
   EXPECT_STREQ(check(corrupt(12, 8)), "AM handler id out of range");
-  EXPECT_STREQ(check(corrupt(40, 0xff)),
+  EXPECT_STREQ(check(corrupt(32, 0xff)),
                "payload_len disagrees with frame length");
 }
 
@@ -399,7 +399,7 @@ TEST(FrameAdversarial, AckOnlyFramingRulesAreEnforced) {
 
 TEST(FrameAdversarial, HeaderBitFlipSweepNeverCrashesAndGuardsReject) {
   // Flip every bit of the header, one at a time. Most single-bit flips land
-  // in don't-care width (seq, ack, timestamps) and may legitimately pass —
+  // in don't-care width (seq, ack) and may legitimately pass —
   // the property under test is that validate() always *returns* (no crash,
   // no OOB) and that the integrity fields (magic, version) catch every flip.
   const auto pristine = good_frame("xyz");
@@ -424,6 +424,66 @@ TEST(FrameAdversarial, HeaderBitFlipSweepNeverCrashesAndGuardsReject) {
         static_cast<std::uint8_t>(1u << bit);
     EXPECT_EQ(check(wire), nullptr);
   }
+}
+
+// Frames whose payload holds a process-local pointer. Each is well formed at
+// the frame layer — a registered handler plus bytes — so validate() accepts
+// it; the handler must see that it came from another process and abort,
+// naming the peer, before it touches the pointer.
+
+/// Runs at place 1: hand-builds the am_spawn frame a closure spawn carries
+/// (the local-closure task id plus a "boxed closure" pointer) and sends it
+/// to place 0. The payload's src field even claims place 0; the check must
+/// trust the transport's arrival socket, not the payload.
+void forge_closure_spawn(x10rt::ByteBuffer&) {
+  Runtime& rt = Runtime::get();
+  x10rt::ByteBuffer f;
+  f.put<std::int32_t>(0);        // finish home
+  f.put<std::uint64_t>(1);       // finish seq
+  f.put<std::uint8_t>(0);        // pragma
+  f.put<std::uint64_t>(0);       // credit
+  f.put<std::uint64_t>(0);       // span
+  f.put<std::uint64_t>(0);       // parent span
+  f.put<std::int32_t>(0);        // claimed source place
+  f.put<std::uint64_t>(0);       // ship stamp
+  f.put<std::int32_t>(local_closure_fn());
+  f.put<std::uint64_t>(0xdeadbeefULL);  // a pointer from this address space
+  rt.transport().send_am(here(), 0, rt.am_spawn(), std::move(f),
+                         x10rt::MsgType::kTask);
+}
+const int kForgeClosureSpawn = register_task_fn(&forge_closure_spawn);
+
+/// Runs at place 1: sends place 0 an am_exception frame in the boxed
+/// (in-process) form.
+void forge_boxed_exception(x10rt::ByteBuffer&) {
+  Runtime& rt = Runtime::get();
+  x10rt::ByteBuffer f;
+  f.put<std::int32_t>(0);               // finish home
+  f.put<std::uint64_t>(1);              // finish seq
+  f.put<std::uint8_t>(0xff);            // the boxed form's kind byte
+  f.put<std::uint64_t>(0xdeadbeefULL);  // "exception_ptr*"
+  rt.transport().send_am(here(), 0, rt.am_exception(), std::move(f),
+                         x10rt::MsgType::kControl);
+}
+const int kForgeBoxedException = register_task_fn(&forge_boxed_exception);
+
+void run_socket_pair_forging(int fn_id) {
+  Config cfg;
+  cfg.places = 2;
+  cfg.backend = BackendKind::kSocket;
+  Runtime::run(cfg, [fn_id] { finish([fn_id] { asyncAtFrame(1, fn_id); }); });
+}
+
+TEST(FrameAdversarialDeath, LocalClosureSpawnFromAnotherProcessAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_socket_pair_forging(kForgeClosureSpawn),
+               "malformed frame from place 1: it carries a boxed closure");
+}
+
+TEST(FrameAdversarialDeath, BoxedExceptionFromAnotherProcessAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_socket_pair_forging(kForgeBoxedException),
+               "malformed frame from place 1: it carries a boxed exception");
 }
 
 TEST(ShipLatency, CrossProcessClockSkewClampsToOneNanosecond) {
