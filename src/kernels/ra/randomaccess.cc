@@ -20,9 +20,8 @@ struct Shared {
   int log2_per_place = 0;
 };
 
-void do_updates(const Shared& sh, bool verify_pass) {
+void do_updates(const Shared& sh) {
   using namespace apgas;
-  auto& space = Runtime::get().congruent();
   const int p = here();
   // Each place generates its slice of the global update stream via the
   // HPCC jump-ahead, then fires one-sided XORs at whoever owns the index.
@@ -33,8 +32,6 @@ void do_updates(const Shared& sh, bool verify_pass) {
   for (int q = 0; q < num_places(); ++q) {
     rails[static_cast<std::size_t>(q)] = global_rail(sh.table, q);
   }
-  (void)space;
-  (void)verify_pass;
   for (std::uint64_t i = 0; i < sh.updates_per_place; ++i) {
     ran = hpcc_next(ran);
     const std::uint64_t idx = ran & (sh.total - 1);
@@ -73,7 +70,7 @@ RaResult randomaccess_run(const RaParams& params) {
   PlaceGroup::world().broadcast([&sh] {
     Team team = Team::world();
     team.barrier();
-    do_updates(sh, false);
+    do_updates(sh);
     team.barrier();
   });
   const auto t1 = std::chrono::steady_clock::now();
@@ -83,7 +80,7 @@ RaResult randomaccess_run(const RaParams& params) {
   PlaceGroup::world().broadcast([&sh] {
     Team team = Team::world();
     team.barrier();
-    do_updates(sh, true);
+    do_updates(sh);
     team.barrier();
   });
   std::uint64_t errors = 0;

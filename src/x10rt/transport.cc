@@ -33,7 +33,8 @@ std::shared_ptr<std::vector<std::byte>> share(std::vector<std::byte> bytes) {
 Transport::Transport(TransportConfig cfg)
     : cfg_(cfg),
       backend_(std::make_unique<InProcBackend>()),
-      ranges_(static_cast<std::size_t>(cfg.places)) {
+      ranges_(static_cast<std::size_t>(cfg.places)),
+      rdma_(static_cast<std::size_t>(cfg.places)) {
   assert(cfg_.places >= 1);
   if (cfg_.chaos.lossy() && !reliability_enabled()) {
     // A lost message with no retransmit layer wedges every finish protocol
@@ -681,19 +682,55 @@ void Transport::notify_if_sleeping(int place) {
 }
 
 void Transport::register_range(int place, const void* base, std::size_t len) {
-  std::unique_lock lock(reg_mu_);
-  ranges_[static_cast<std::size_t>(place)].emplace_back(
-      static_cast<const std::byte*>(base), len);
+  std::scoped_lock lock(reg_mu_);
+  RangeTable& table = ranges_[static_cast<std::size_t>(place)];
+  const std::size_t n = table.count.load(std::memory_order_relaxed);
+  if (n == kMaxRangesPerPlace) {
+    std::fprintf(stderr,
+                 "[x10rt] fatal: place %d cannot register another memory "
+                 "range (table full at %zu ranges)\n",
+                 place, kMaxRangesPerPlace);
+    std::abort();
+  }
+  table.slots[n] = {reinterpret_cast<std::uintptr_t>(base), len};
+  table.count.store(n + 1, std::memory_order_release);
 }
 
 bool Transport::is_registered(int place, const void* addr,
                               std::size_t len) const {
-  std::shared_lock lock(reg_mu_);
-  const auto* a = static_cast<const std::byte*>(addr);
-  for (const auto& [base, n] : ranges_[static_cast<std::size_t>(place)]) {
-    if (a >= base && a + len <= base + n) return true;
+  const RangeTable& table = ranges_[static_cast<std::size_t>(place)];
+  const std::size_t n = table.count.load(std::memory_order_acquire);
+  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& r = table.slots[i];
+    if (a >= r.base && a - r.base <= r.len && len <= r.len - (a - r.base)) {
+      return true;
+    }
   }
   return false;
+}
+
+void Transport::count_rdma(int src, std::size_t n) {
+  assert(src >= 0 && src < cfg_.places && "RDMA initiator out of range");
+  RdmaSlot& slot = rdma_[static_cast<std::size_t>(src)];
+  slot.ops.fetch_add(1, std::memory_order_relaxed);
+  slot.bytes.fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t Transport::rdma_ops() const {
+  std::uint64_t sum = 0;
+  for (const auto& slot : rdma_) {
+    sum += slot.ops.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+std::uint64_t Transport::rdma_bytes() const {
+  std::uint64_t sum = 0;
+  for (const auto& slot : rdma_) {
+    sum += slot.bytes.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 void Transport::complete_dma(DmaOp& op) {
@@ -710,8 +747,7 @@ void Transport::complete_dma(DmaOp& op) {
 }
 
 void Transport::submit_dma(DmaOp op) {
-  rdma_ops_.fetch_add(1, std::memory_order_relaxed);
-  rdma_bytes_.fetch_add(op.n, std::memory_order_relaxed);
+  count_rdma(op.initiator, op.n);
   if (dma_workers_.empty()) {
     complete_dma(op);  // synchronous fallback (dma_threads = 0)
     return;
@@ -772,22 +808,18 @@ void Transport::get(int src, int dst, void* local_addr,
 
 void Transport::remote_xor64(int src, int dst, std::uint64_t* dst_addr,
                              std::uint64_t val) {
-  (void)src;
   require_local(multi_proc_, local_place_, dst, "remote_xor64");
   assert(is_registered(dst, dst_addr, sizeof(std::uint64_t)));
-  rdma_ops_.fetch_add(1, std::memory_order_relaxed);
-  rdma_bytes_.fetch_add(sizeof(std::uint64_t), std::memory_order_relaxed);
+  count_rdma(src, sizeof(std::uint64_t));
   std::atomic_ref<std::uint64_t>(*dst_addr)
       .fetch_xor(val, std::memory_order_relaxed);
 }
 
 void Transport::remote_add64(int src, int dst, std::uint64_t* dst_addr,
                              std::uint64_t val) {
-  (void)src;
   require_local(multi_proc_, local_place_, dst, "remote_add64");
   assert(is_registered(dst, dst_addr, sizeof(std::uint64_t)));
-  rdma_ops_.fetch_add(1, std::memory_order_relaxed);
-  rdma_bytes_.fetch_add(sizeof(std::uint64_t), std::memory_order_relaxed);
+  count_rdma(src, sizeof(std::uint64_t));
   std::atomic_ref<std::uint64_t>(*dst_addr)
       .fetch_add(val, std::memory_order_relaxed);
 }
@@ -1174,8 +1206,10 @@ std::size_t Transport::coalesce_open_envelopes(int src) const {
 void Transport::reset_stats() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   for (auto& b : bytes_) b.store(0, std::memory_order_relaxed);
-  rdma_ops_.store(0);
-  rdma_bytes_.store(0);
+  for (auto& slot : rdma_) {
+    slot.ops.store(0, std::memory_order_relaxed);
+    slot.bytes.store(0, std::memory_order_relaxed);
+  }
   coalesce_envelopes_.store(0, std::memory_order_relaxed);
   coalesce_records_.store(0, std::memory_order_relaxed);
   coalesce_wire_bytes_.store(0, std::memory_order_relaxed);

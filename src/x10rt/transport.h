@@ -21,6 +21,7 @@
 // communication-graph out-degree — the metrics §3.1 argues about.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,7 +34,6 @@
 #include <optional>
 #include <random>
 #include <set>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -308,10 +308,17 @@ class Transport {
 
   // --- Registered memory + one-sided operations (paper §3.3) --------------
 
+  /// Ranges one place can register; register_range aborts, naming the
+  /// place, past this. The congruent allocator registers one per place.
+  static constexpr std::size_t kMaxRangesPerPlace = 16;
+
   /// Registers [base, base+len) at `place` as RDMA-eligible. Congruent
-  /// allocator arenas are registered wholesale at startup.
+  /// allocator arenas are registered wholesale at startup. Ranges are never
+  /// unregistered.
   void register_range(int place, const void* base, std::size_t len);
 
+  /// Whether [addr, addr+len) lies inside one range registered at `place`.
+  /// Takes no lock and writes nothing: every one-sided op runs it.
   [[nodiscard]] bool is_registered(int place, const void* addr,
                                    std::size_t len) const;
 
@@ -341,8 +348,9 @@ class Transport {
   [[nodiscard]] std::uint64_t count(MsgType t) const;
   [[nodiscard]] std::uint64_t bytes(MsgType t) const;
   [[nodiscard]] std::uint64_t total_messages() const;
-  [[nodiscard]] std::uint64_t rdma_ops() const { return rdma_ops_.load(); }
-  [[nodiscard]] std::uint64_t rdma_bytes() const { return rdma_bytes_.load(); }
+  /// One-sided ops and bytes, summed over every initiator.
+  [[nodiscard]] std::uint64_t rdma_ops() const;
+  [[nodiscard]] std::uint64_t rdma_bytes() const;
 
   /// Per-pair message count; requires cfg.count_pairs.
   [[nodiscard]] std::uint64_t pair_count(int src, int dst) const;
@@ -672,6 +680,8 @@ class Transport {
   /// Posts a finished DMA op's completion to its initiator's inbox.
   void complete_dma(DmaOp& op);
   void submit_dma(DmaOp op);
+  /// Counts one one-sided op of `n` bytes in initiator `src`'s slot.
+  void count_rdma(int src, std::size_t n);
   void dma_loop();
 
   TransportConfig cfg_;
@@ -690,16 +700,32 @@ class Transport {
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> retx_next_pump_;
   std::uint64_t retx_pump_interval_ns_ = 0;
 
-  // Registered memory ranges per place (read-mostly: every one-sided op
-  // validates against them, so reads take a shared lock).
-  mutable std::shared_mutex reg_mu_;
-  std::vector<std::vector<std::pair<const std::byte*, std::size_t>>> ranges_;
+  // Registered memory ranges per place. Every one-sided op validates
+  // against them, so readers take no lock: a table is append-only, and
+  // register_range fills slot `count` before publishing it with a release
+  // store of count + 1. reg_mu_ serializes writers only.
+  struct RangeTable {
+    struct Range {
+      std::uintptr_t base = 0;
+      std::size_t len = 0;
+    };
+    std::array<Range, kMaxRangesPerPlace> slots{};
+    std::atomic<std::size_t> count{0};
+  };
+  std::mutex reg_mu_;
+  std::vector<RangeTable> ranges_;
+
+  // One-sided op counters, one cache line per initiator place, so an update
+  // writes no line that other places' updates also write.
+  struct alignas(64) RdmaSlot {
+    std::atomic<std::uint64_t> ops{0};
+    std::atomic<std::uint64_t> bytes{0};
+  };
+  std::vector<RdmaSlot> rdma_;
 
   // Stats.
   std::atomic<std::uint64_t> counts_[kNumMsgTypes] = {};
   std::atomic<std::uint64_t> bytes_[kNumMsgTypes] = {};
-  std::atomic<std::uint64_t> rdma_ops_{0};
-  std::atomic<std::uint64_t> rdma_bytes_{0};
   std::atomic<std::uint64_t> coalesce_envelopes_{0};
   std::atomic<std::uint64_t> coalesce_records_{0};
   std::atomic<std::uint64_t> coalesce_wire_bytes_{0};

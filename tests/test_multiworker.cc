@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 namespace {
@@ -101,6 +103,112 @@ TEST_P(WorkerCounts, RemoteOpsFromParallelWorkers) {
       }
     });
     EXPECT_EQ(*space.at_place(1, cell), 400u);
+  });
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+TEST(RemoteAtomics, EveryWorkerOfEveryPlaceMatchesSequentialReplay) {
+  // Every worker of every place fires remote XORs and adds at random words
+  // of two tables spread over all places — the RandomAccess pattern — while
+  // another activity registers new ranges. The RDMA counters must come out
+  // exact and each table must equal a sequential replay of the streams
+  // (XOR and add each commute, so the order of updates cannot matter).
+  constexpr int kPlaces = 4;
+  constexpr int kWorkers = 2;
+  constexpr std::size_t kWords = 64;
+  constexpr int kOps = 2000;
+  constexpr int kFreshPerPlace = 2;
+  Config cfg = cfg_w(kPlaces, kWorkers);
+  cfg.congruent_bytes = 1u << 20;
+  Runtime::run(cfg, [&] {
+    auto& space = Runtime::get().congruent();
+    auto& tr = Runtime::get().transport();
+    const auto xors = space.alloc<std::uint64_t>(kWords);
+    const auto adds = space.alloc<std::uint64_t>(kWords);
+    for (int q = 0; q < kPlaces; ++q) {
+      std::fill_n(space.at_place(q, xors), kWords, 0);
+      std::fill_n(space.at_place(q, adds), kWords, 0);
+    }
+    std::vector<std::uint64_t> fresh(kPlaces * kFreshPerPlace, 0);
+    std::atomic<int> published{0};
+    const std::uint64_t ops0 = tr.rdma_ops();
+    const std::uint64_t bytes0 = tr.rdma_bytes();
+    finish([&] {
+      async([&] {
+        for (int i = 0; i < kPlaces * kFreshPerPlace; ++i) {
+          tr.register_range(i % kPlaces, &fresh[static_cast<std::size_t>(i)],
+                            sizeof(std::uint64_t));
+          published.store(i + 1, std::memory_order_release);
+        }
+      });
+      for (int p = 0; p < kPlaces; ++p) {
+        for (int w = 0; w < kWorkers; ++w) {
+          const auto seed = static_cast<std::uint64_t>(p * kWorkers + w);
+          asyncAt(p, [&, seed] {
+            const std::uint64_t unregistered = 0;
+            std::uint64_t rng = seed;
+            for (int i = 0; i < kOps; ++i) {
+              const std::uint64_t r = splitmix64(rng);
+              const auto dst = static_cast<int>(r % kPlaces);
+              const std::size_t word = (r >> 8) % kWords;
+              if ((r >> 32) & 1) {
+                remote_xor(global_rail(xors, dst), word, r);
+              } else {
+                remote_add(global_rail(adds, dst), word, r);
+              }
+              // A miss scans every slot published so far, including one
+              // the registering activity may be filling right now.
+              EXPECT_FALSE(tr.is_registered(dst, &unregistered,
+                                            sizeof(unregistered)));
+              // A range whose registration this reader has seen published
+              // must be visible to it.
+              const int seen = published.load(std::memory_order_acquire);
+              if (seen > 0) {
+                const int k = i % seen;
+                EXPECT_TRUE(tr.is_registered(
+                    k % kPlaces, &fresh[static_cast<std::size_t>(k)],
+                    sizeof(std::uint64_t)));
+              }
+            }
+          });
+        }
+      }
+    });
+    const std::uint64_t total = std::uint64_t{kPlaces} * kWorkers * kOps;
+    EXPECT_EQ(tr.rdma_ops() - ops0, total);
+    EXPECT_EQ(tr.rdma_bytes() - bytes0, total * sizeof(std::uint64_t));
+
+    std::vector<std::uint64_t> want_xor(kPlaces * kWords, 0);
+    std::vector<std::uint64_t> want_add(kPlaces * kWords, 0);
+    for (int s = 0; s < kPlaces * kWorkers; ++s) {
+      std::uint64_t rng = static_cast<std::uint64_t>(s);
+      for (int i = 0; i < kOps; ++i) {
+        const std::uint64_t r = splitmix64(rng);
+        const std::size_t slot = (r % kPlaces) * kWords + (r >> 8) % kWords;
+        if ((r >> 32) & 1) {
+          want_xor[slot] ^= r;
+        } else {
+          want_add[slot] += r;
+        }
+      }
+    }
+    for (int q = 0; q < kPlaces; ++q) {
+      const auto off = static_cast<std::size_t>(q) * kWords;
+      EXPECT_TRUE(std::equal(want_xor.begin() + off,
+                             want_xor.begin() + off + kWords,
+                             space.at_place(q, xors)))
+          << "XOR table differs at place " << q;
+      EXPECT_TRUE(std::equal(want_add.begin() + off,
+                             want_add.begin() + off + kWords,
+                             space.at_place(q, adds)))
+          << "add table differs at place " << q;
+    }
   });
 }
 

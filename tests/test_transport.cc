@@ -166,13 +166,66 @@ TEST(Transport, PairCountsAndOutDegree) {
 }
 
 TEST(Transport, RegisteredMemoryChecks) {
-  ClosureTransport tr(make_cfg(2));
+  ClosureTransport tr(make_cfg(3));
   std::vector<std::uint64_t> table(8, 0);
   tr.register_range(1, table.data(), table.size() * sizeof(std::uint64_t));
   EXPECT_TRUE(tr.is_registered(1, table.data(), 8));
   EXPECT_TRUE(tr.is_registered(1, &table[7], sizeof(std::uint64_t)));
   EXPECT_FALSE(tr.is_registered(0, table.data(), 8));
   EXPECT_FALSE(tr.is_registered(1, table.data(), 1000));
+
+  // The last byte of a range is in; one byte past it is out, alone or as
+  // the tail of an access that starts inside.
+  const auto* bytes = reinterpret_cast<const std::byte*>(table.data());
+  const std::size_t n = table.size() * sizeof(std::uint64_t);
+  EXPECT_TRUE(tr.is_registered(1, bytes + n - 1, 1));
+  EXPECT_FALSE(tr.is_registered(1, bytes + n, 1));
+  EXPECT_FALSE(tr.is_registered(1, bytes + n - 1, 2));
+  EXPECT_FALSE(tr.is_registered(1, bytes - 1, 1));
+
+  // A second range at the same place works alongside the first; a range
+  // registered at another place matches only there.
+  std::vector<std::uint64_t> second(4, 0);
+  std::vector<std::uint64_t> elsewhere(4, 0);
+  tr.register_range(1, second.data(), second.size() * sizeof(std::uint64_t));
+  tr.register_range(2, elsewhere.data(),
+                    elsewhere.size() * sizeof(std::uint64_t));
+  EXPECT_TRUE(tr.is_registered(1, table.data(), n));
+  EXPECT_TRUE(tr.is_registered(1, &second[3], sizeof(std::uint64_t)));
+  EXPECT_FALSE(tr.is_registered(1, elsewhere.data(), sizeof(std::uint64_t)));
+  EXPECT_TRUE(tr.is_registered(2, elsewhere.data(), sizeof(std::uint64_t)));
+  EXPECT_FALSE(tr.is_registered(2, table.data(), sizeof(std::uint64_t)));
+}
+
+TEST(Transport, ResetStatsZeroesRdmaCountsOfEveryInitiator) {
+  ClosureTransport tr(make_cfg(4, false, /*dma_threads=*/0));
+  std::vector<std::uint64_t> words(4, 0);
+  tr.register_range(3, words.data(), words.size() * sizeof(std::uint64_t));
+  for (int src = 0; src < 4; ++src) {
+    tr.remote_xor64(src, 3, &words[static_cast<std::size_t>(src)], 1);
+    tr.remote_add64(src, 3, &words[static_cast<std::size_t>(src)], 1);
+  }
+  std::uint64_t local[2] = {7, 9};
+  tr.put(2, 3, words.data(), local, sizeof(local));
+  tr.get(1, 3, local, words.data(), sizeof(local));
+  EXPECT_EQ(tr.rdma_ops(), 10u);
+  EXPECT_EQ(tr.rdma_bytes(), 8 * sizeof(std::uint64_t) + 2 * sizeof(local));
+  tr.reset_stats();
+  EXPECT_EQ(tr.rdma_ops(), 0u);
+  EXPECT_EQ(tr.rdma_bytes(), 0u);
+  tr.remote_xor64(1, 3, &words[0], 1);
+  EXPECT_EQ(tr.rdma_ops(), 1u);
+  EXPECT_EQ(tr.rdma_bytes(), sizeof(std::uint64_t));
+}
+
+TEST(TransportDeathTest, RegisterRangePastCapacityNamesThePlace) {
+  std::vector<std::uint64_t> words(Transport::kMaxRangesPerPlace + 1, 0);
+  EXPECT_DEATH(
+      {
+        Transport tr(make_cfg(2, false, /*dma_threads=*/0));
+        for (auto& w : words) tr.register_range(1, &w, sizeof(w));
+      },
+      "place 1 cannot register another memory range");
 }
 
 TEST(Transport, RdmaPutCopiesAndNotifiesInitiator) {
