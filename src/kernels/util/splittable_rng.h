@@ -15,8 +15,8 @@ namespace kernels {
 struct UtsNodeState {
   Sha1Digest digest;
 
-  /// Root state from an integer seed (matches uts.c rng_init: the seed is
-  /// hashed as a 4-byte big-endian word... we hash the bytes of the seed).
+  /// Root state from an integer seed: SHA-1 of the seed as a 4-byte
+  /// big-endian word.
   static UtsNodeState root(std::uint32_t seed) {
     std::uint8_t buf[4] = {
         static_cast<std::uint8_t>(seed >> 24),
@@ -30,13 +30,7 @@ struct UtsNodeState {
   /// Child i's state; one SHA-1 evaluation (the unit the paper's "17 trillion
   /// hashes" counts).
   [[nodiscard]] UtsNodeState spawn(std::uint32_t i) const {
-    std::uint8_t buf[24];
-    for (int b = 0; b < 20; ++b) buf[b] = digest[static_cast<std::size_t>(b)];
-    buf[20] = static_cast<std::uint8_t>(i >> 24);
-    buf[21] = static_cast<std::uint8_t>(i >> 16);
-    buf[22] = static_cast<std::uint8_t>(i >> 8);
-    buf[23] = static_cast<std::uint8_t>(i);
-    return UtsNodeState{sha1(buf, sizeof(buf))};
+    return UtsNodeState{sha1_spawn(digest, i)};
   }
 
   /// A positive 31-bit random value from the state (uts.c rng_rand).
@@ -54,17 +48,23 @@ struct UtsNodeState {
   }
 };
 
+/// log(1 - p) for the geometric child-count distribution with mean ~b0
+/// (p = 1 / (1 + b0)): constant for a tree shape, so callers compute it once.
+inline double uts_geo_log_q(double b0) {
+  const double p = 1.0 / (1.0 + b0);
+  return std::log(1.0 - p);
+}
+
 /// Number of children of a node in a *geometric* UTS tree with fixed
 /// branching parameter b0 and depth cut-off d (uts.c GEO_FIXED): beyond the
 /// cut-off the tree stops; otherwise the child count follows the geometric
 /// distribution with mean ~b0 — the long tail is what makes the tree
-/// unbalanced.
-inline int uts_geo_children(const UtsNodeState& s, int depth, double b0,
+/// unbalanced. `log_q` is uts_geo_log_q(b0).
+inline int uts_geo_children(const UtsNodeState& s, int depth, double log_q,
                             int max_depth) {
   if (depth >= max_depth) return 0;
-  const double p = 1.0 / (1.0 + b0);
   const double u = s.to_prob();
-  return static_cast<int>(std::floor(std::log(1.0 - u) / std::log(1.0 - p)));
+  return static_cast<int>(std::floor(std::log(1.0 - u) / log_q));
 }
 
 /// Number of children in a *binomial* UTS tree (uts.c BIN): the root has b0

@@ -8,14 +8,14 @@ namespace kernels {
 
 int UtsBag::num_children(const UtsNodeState& s, int depth) const {
   if (tree_.shape == UtsShape::kGeometric) {
-    return uts_geo_children(s, depth, tree_.b0, tree_.max_depth);
+    return uts_geo_children(s, depth, tree_.geo_log_q, tree_.max_depth);
   }
   return uts_bin_children(s, depth, tree_.bin_root, tree_.bin_m, tree_.bin_q);
 }
 
 UtsBag::UtsBag(const UtsParams& params, bool with_root) {
   tree_.shape = params.shape;
-  tree_.b0 = params.b0;
+  tree_.geo_log_q = uts_geo_log_q(params.b0);
   tree_.max_depth = params.depth;
   tree_.bin_root = params.bin_root;
   tree_.bin_m = params.bin_m;

@@ -90,7 +90,7 @@ class UtsBag {
   };
   struct TreeShape {
     UtsShape shape = UtsShape::kGeometric;
-    double b0 = 4.0;
+    double geo_log_q = 0.0;  ///< uts_geo_log_q(b0), once per tree
     int max_depth = 0;
     int bin_root = 0;
     int bin_m = 0;
