@@ -7,6 +7,7 @@
 #include <chrono>
 
 #include "bench_common.h"
+#include "kernels/util/sha1.h"
 #include "kernels/uts/uts.h"
 #include "runtime/api.h"
 
@@ -79,6 +80,7 @@ int main() {
     return run_socket_uts();
   }
   bench::header("UTS sequential traversal — the per-core node rate");
+  bench::row("spawn path (CPUID): %s", kernels::sha1_spawn_path());
   bench::row("%6s %14s %14s", "depth", "nodes", "Mnodes/s");
   for (int depth : {10, 11}) {
     kernels::UtsParams p;
@@ -92,7 +94,8 @@ int main() {
                static_cast<unsigned long long>(best.nodes),
                best.mnodes_per_sec);
   }
-  bench::row("(paper: 10.929 Mnodes/s on one Power7 core, native C SHA-1)");
+  bench::row("(paper: 10.929 Mnodes/s on one Power7 core, native C SHA-1, "
+             "one hash at a time)");
 
   bench::header("Figure 1 / UTS on geometric trees — weak scaling");
   bench::row("%8s %6s %14s %14s %16s %12s %10s", "places", "depth", "nodes",

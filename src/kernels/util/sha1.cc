@@ -130,7 +130,61 @@ KERNELS_SHA_NI void compress_shani(std::uint32_t h[5],
 
 #undef KERNELS_SHA_NI
 
+// Sixteen spawn hashes at once: lane k of every vector is lane k of the
+// batch. Written with GCC/Clang vector extensions; under the AVX-512F
+// target the compiler maps the shifts, rotates and boolean functions onto
+// 512-bit instructions. The vector type stays inside this function, so no
+// signature changes ABI with the target (-Wpsabi).
+__attribute__((target("avx512f"))) void spawn_batch_avx512(
+    Sha1SpawnBatch& batch, int /*n: all 16 lanes are hashed*/) {
+  using V = std::uint32_t __attribute__((vector_size(64)));
+  V w[16] = {};
+  for (int t = 0; t < 5; ++t) std::memcpy(&w[t], batch.parent[t], sizeof(V));
+  std::memcpy(&w[5], batch.index, sizeof(V));
+  w[6] += 0x80000000u;
+  w[15] += 24 * 8;
+  V a = V{} + kInit[0], b = V{} + kInit[1], c = V{} + kInit[2],
+    d = V{} + kInit[3], e = V{} + kInit[4];
+#pragma GCC unroll 80
+  for (int t = 0; t < 80; ++t) {
+    if (t >= 16) {
+      const V x = w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^
+                  w[t & 15];
+      w[t & 15] = (x << 1) | (x >> 31);
+    }
+    V f = b ^ c ^ d;
+    std::uint32_t k = t < 40 ? 0x6ED9EBA1u : 0xCA62C1D6u;
+    if (t < 20) {
+      f = d ^ (b & (c ^ d));
+      k = 0x5A827999u;
+    } else if (t >= 40 && t < 60) {
+      f = (b & c) | (d & (b | c));
+      k = 0x8F1BBCDCu;
+    }
+    const V next = ((a << 5) | (a >> 27)) + f + e + k + w[t & 15];
+    e = d;
+    d = c;
+    c = (b << 30) | (b >> 2);
+    b = a;
+    a = next;
+  }
+  const V out[5] = {a + kInit[0], b + kInit[1], c + kInit[2], d + kInit[3],
+                    e + kInit[4]};
+  for (int t = 0; t < 5; ++t) std::memcpy(batch.child[t], &out[t], sizeof(V));
+}
+
 #endif  // __x86_64__
+
+// The spawn message (parent words, index) as its one padded block: 24
+// message bytes, then 0x80, zeros and the bit length 192.
+void spawn_hash(detail::Sha1Compress compress, const std::uint32_t parent[5],
+                std::uint32_t i, std::uint32_t h[5]) {
+  std::uint32_t w[16] = {parent[0], parent[1], parent[2], parent[3], parent[4],
+                         i, 0x80000000u};
+  w[15] = 24 * 8;
+  for (int k = 0; k < 5; ++k) h[k] = kInit[k];
+  compress(h, w);
+}
 
 }  // namespace
 
@@ -193,15 +247,38 @@ Sha1Digest sha1_with(Sha1Compress compress, const void* data,
 
 Sha1Digest sha1_spawn_with(Sha1Compress compress, const Sha1Digest& parent,
                            std::uint32_t i) {
-  // 24 message bytes, then 0x80, zeros and the bit length 192: one block.
-  std::uint32_t w[16] = {};
-  for (int k = 0; k < 5; ++k) w[k] = load_be(&parent[4 * k]);
-  w[5] = i;
-  w[6] = 0x80000000u;
-  w[15] = 24 * 8;
-  std::uint32_t h[5] = {kInit[0], kInit[1], kInit[2], kInit[3], kInit[4]};
-  compress(h, w);
+  std::uint32_t p[5] = {};
+  for (int k = 0; k < 5; ++k) p[k] = load_be(&parent[4 * k]);
+  std::uint32_t h[5] = {};
+  spawn_hash(compress, p, i, h);
   return digest_of(h);
+}
+
+Sha1SpawnBatchFn sha1_spawn_batch_avx512() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return &spawn_batch_avx512;
+#endif
+  return nullptr;
+}
+
+void sha1_spawn_batch_scalar(Sha1SpawnBatch& batch, int n) {
+  const Sha1Compress compress = sha1_compress_selected();
+  for (int k = 0; k < n; ++k) {
+    std::uint32_t p[5] = {};
+    for (int t = 0; t < 5; ++t) p[t] = batch.parent[t][k];
+    std::uint32_t h[5] = {};
+    spawn_hash(compress, p, batch.index[k], h);
+    for (int t = 0; t < 5; ++t) batch.child[t][k] = h[t];
+  }
+}
+
+Sha1SpawnBatchFn sha1_spawn_batch_selected() {
+  static const Sha1SpawnBatchFn chosen = [] {
+    const Sha1SpawnBatchFn wide = sha1_spawn_batch_avx512();
+    return wide != nullptr ? wide : &sha1_spawn_batch_scalar;
+  }();
+  return chosen;
 }
 
 }  // namespace detail
@@ -212,6 +289,19 @@ Sha1Digest sha1(const void* data, std::size_t len) {
 
 Sha1Digest sha1_spawn(const Sha1Digest& parent, std::uint32_t i) {
   return detail::sha1_spawn_with(detail::sha1_compress_selected(), parent, i);
+}
+
+void sha1_spawn_batch(Sha1SpawnBatch& batch, int n) {
+  detail::sha1_spawn_batch_selected()(batch, n);
+}
+
+const char* sha1_spawn_path() {
+  if (detail::sha1_spawn_batch_selected() != &detail::sha1_spawn_batch_scalar) {
+    return "avx512x16";
+  }
+  return detail::sha1_compress_selected() == &detail::sha1_compress_portable
+             ? "portable"
+             : "sha-ni";
 }
 
 std::string sha1_hex(const Sha1Digest& d) {

@@ -43,8 +43,12 @@ struct UtsNodeState {
   }
 
   /// Uniform in [0, 1) (uts.c rng_toProb).
-  [[nodiscard]] double to_prob() const {
-    return static_cast<double>(rand31()) / 2147483648.0;
+  [[nodiscard]] double to_prob() const { return prob_of(rand31()); }
+
+  /// to_prob() of a state whose last digest word (bytes 16..19, read
+  /// big-endian) is `last_word`: batched hashing yields the word directly.
+  static double prob_of(std::uint32_t last_word) {
+    return static_cast<double>(last_word & 0x7fffffffu) / 2147483648.0;
   }
 };
 
@@ -59,11 +63,10 @@ inline double uts_geo_log_q(double b0) {
 /// branching parameter b0 and depth cut-off d (uts.c GEO_FIXED): beyond the
 /// cut-off the tree stops; otherwise the child count follows the geometric
 /// distribution with mean ~b0 — the long tail is what makes the tree
-/// unbalanced. `log_q` is uts_geo_log_q(b0).
-inline int uts_geo_children(const UtsNodeState& s, int depth, double log_q,
+/// unbalanced. `u` is the node's to_prob(); `log_q` is uts_geo_log_q(b0).
+inline int uts_geo_children(double u, int depth, double log_q,
                             int max_depth) {
   if (depth >= max_depth) return 0;
-  const double u = s.to_prob();
   return static_cast<int>(std::floor(std::log(1.0 - u) / log_q));
 }
 
@@ -71,11 +74,12 @@ inline int uts_geo_children(const UtsNodeState& s, int depth, double log_q,
 /// children; every other node has m children with probability q and none
 /// otherwise. With m*q < 1 the tree is finite with expected size
 /// b0/(1 - m*q); the variance is enormous, making it the "deep and narrow"
-/// shape the paper contrasts with shallow geometric trees (§6.1).
-inline int uts_bin_children(const UtsNodeState& s, int depth, int root_b0,
-                            int m, double q) {
+/// shape the paper contrasts with shallow geometric trees (§6.1). `u` is the
+/// node's to_prob().
+inline int uts_bin_children(double u, int depth, int root_b0, int m,
+                            double q) {
   if (depth == 0) return root_b0;
-  return s.to_prob() < q ? m : 0;
+  return u < q ? m : 0;
 }
 
 }  // namespace kernels

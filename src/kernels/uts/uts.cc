@@ -1,16 +1,17 @@
 #include "kernels/uts/uts.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "runtime/api.h"
 
 namespace kernels {
 
-int UtsBag::num_children(const UtsNodeState& s, int depth) const {
+int UtsBag::num_children(double u, int depth) const {
   if (tree_.shape == UtsShape::kGeometric) {
-    return uts_geo_children(s, depth, tree_.geo_log_q, tree_.max_depth);
+    return uts_geo_children(u, depth, tree_.geo_log_q, tree_.max_depth);
   }
-  return uts_bin_children(s, depth, tree_.bin_root, tree_.bin_m, tree_.bin_q);
+  return uts_bin_children(u, depth, tree_.bin_root, tree_.bin_m, tree_.bin_q);
 }
 
 UtsBag::UtsBag(const UtsParams& params, bool with_root) {
@@ -24,7 +25,7 @@ UtsBag::UtsBag(const UtsParams& params, bool with_root) {
   if (with_root) {
     const UtsNodeState root = UtsNodeState::root(params.seed);
     nodes_ = 1;  // the root itself
-    const int children = num_children(root, 0);
+    const int children = num_children(root.to_prob(), 0);
     if (children > 0) {
       frames_.push_back(Frame{root, 0, 0, static_cast<std::uint32_t>(children)});
     }
@@ -32,22 +33,44 @@ UtsBag::UtsBag(const UtsParams& params, bool with_root) {
 }
 
 std::size_t UtsBag::process(std::size_t n) {
+  // One SHA-1 per node generated (the paper's hash count). The hashes of
+  // pending children are independent, so each round gathers up to kLanes of
+  // them from the top of the frame stack: whole top frames, popped, then
+  // part of the last frame reached. One sha1_spawn_batch call hashes them
+  // all, then every child that has children gets a frame. Taking from the
+  // top keeps the traversal depth-first and the frame list short.
+  Sha1SpawnBatch batch;
+  int depth[Sha1SpawnBatch::kLanes] = {};
   std::size_t done = 0;
   while (done < n && !frames_.empty()) {
-    Frame& f = frames_.back();
-    // Expand one child: one SHA-1 per node generated (the paper's hash
-    // count), depth-first so the frame list stays short.
-    const UtsNodeState child = f.state.spawn(f.lo);
-    ++hashes_;
-    ++nodes_;
-    const int depth = f.depth + 1;
-    if (++f.lo >= f.hi) frames_.pop_back();
-    const int children = num_children(child, depth);
-    if (children > 0) {
-      frames_.push_back(
-          Frame{child, depth, 0, static_cast<std::uint32_t>(children)});
+    const int want = static_cast<int>(
+        std::min<std::size_t>(Sha1SpawnBatch::kLanes, n - done));
+    int lanes = 0;
+    while (lanes < want && !frames_.empty()) {
+      Frame& f = frames_.back();
+      const std::uint32_t take =
+          std::min<std::uint32_t>(want - lanes, f.hi - f.lo);
+      for (std::uint32_t i = 0; i < take; ++i, ++lanes) {
+        batch.set(lanes, f.state.digest, f.lo + i);
+        depth[lanes] = f.depth + 1;
+      }
+      f.lo += take;
+      if (f.lo == f.hi) frames_.pop_back();
     }
-    ++done;
+    sha1_spawn_batch(batch, lanes);
+    for (int k = 0; k < lanes; ++k) {
+      // Most children are leaves: count from the last digest word alone and
+      // build the full digest only for a frame.
+      const int children =
+          num_children(UtsNodeState::prob_of(batch.child[4][k]), depth[k]);
+      if (children > 0) {
+        frames_.push_back(Frame{UtsNodeState{batch.digest(k)}, depth[k], 0,
+                                static_cast<std::uint32_t>(children)});
+      }
+    }
+    hashes_ += lanes;
+    nodes_ += lanes;
+    done += lanes;
   }
   return done;
 }

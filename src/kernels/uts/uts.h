@@ -48,6 +48,10 @@ class UtsBag {
   UtsBag() = default;
   UtsBag(const UtsParams& params, bool with_root);
 
+  /// Generates up to `n` nodes and returns how many: min(n, nodes still
+  /// pending). Spawn hashes run up to Sha1SpawnBatch::kLanes at a time, so
+  /// the visiting order is not the one-node-at-a-time depth-first order;
+  /// the tree, and so every count, is a pure function of the root seed.
   std::size_t process(std::size_t n);
   UtsBag split();
   void merge(UtsBag&& other);
@@ -96,7 +100,8 @@ class UtsBag {
     int bin_m = 0;
     double bin_q = 0.0;
   };
-  [[nodiscard]] int num_children(const UtsNodeState& s, int depth) const;
+  /// Child count of a node at `depth` whose to_prob() is `u`.
+  [[nodiscard]] int num_children(double u, int depth) const;
 
   std::vector<Frame> frames_;
   TreeShape tree_;

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace {
 
 using namespace apgas;
@@ -208,8 +211,19 @@ TEST(SchedulerStats, CountsActivitiesAndMessages) {
   Runtime::run(cfg_n(3), [&] {
     auto& rt = Runtime::get();
     const auto before = rt.sched(1).activities_executed();
+    const auto idle_before = rt.sched(0).idle_transitions();
     finish([&] {
       for (int i = 0; i < 50; ++i) asyncAt(1, [] {});
+      // Place 0 goes idle by construction: this finish cannot close until
+      // place 0's idle counter moves (or 10 s pass and the check fails).
+      asyncAt(1, [&rt, idle_before] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (rt.sched(0).idle_transitions() == idle_before &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
     });
     EXPECT_GE(rt.sched(1).activities_executed(), before + 50);
     EXPECT_GT(rt.sched(1).messages_processed(), 0u);

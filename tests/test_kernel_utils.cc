@@ -14,6 +14,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -243,6 +244,109 @@ TEST(Sha1, SpawnChainPortableMatchesShaNi) {
   }
 }
 
+// --- Batched spawn ---------------------------------------------------------------
+
+// The UtsRng.GoldenDigests children of root(19) (Python hashlib).
+const std::pair<std::uint32_t, const char*> kGoldenChildren[] = {
+    {0u, "d97552852c71ea21d84bcea8c928f2a750929d72"},
+    {1u, "2f04c0c48b23582afec1a28e37cfbe18818f9931"},
+    {7u, "7063f9698304a43865b3ed182c2143fe03909730"},
+    {0xFFFFFFFFu, "5957231ba02de641fcf34c4984a7c186b26ae0c8"},
+};
+
+Sha1Digest random_digest(std::mt19937& rng) {
+  Sha1Digest d;
+  for (auto& byte : d) byte = static_cast<std::uint8_t>(rng());
+  return d;
+}
+
+// Every golden child in every lane, the other lanes junk, through full
+// batches and through partial ones that end at that lane.
+void expect_golden_in_every_lane(detail::Sha1SpawnBatchFn fn) {
+  const Sha1Digest root = UtsNodeState::root(19).digest;
+  std::mt19937 rng(42);
+  for (const auto& [i, hex] : kGoldenChildren) {
+    for (int lane = 0; lane < Sha1SpawnBatch::kLanes; ++lane) {
+      for (const int n : {Sha1SpawnBatch::kLanes, lane + 1}) {
+        Sha1SpawnBatch batch;
+        for (int k = 0; k < Sha1SpawnBatch::kLanes; ++k) {
+          batch.set(k, random_digest(rng), static_cast<std::uint32_t>(rng()));
+        }
+        batch.set(lane, root, i);
+        fn(batch, n);
+        EXPECT_EQ(sha1_hex(batch.digest(lane)), hex)
+            << "child " << i << " in lane " << lane << " of " << n;
+      }
+    }
+  }
+}
+
+// `pairs` random (parent, index) lanes in partial batches of 1-16 lanes,
+// junk beyond the batch, each lane checked against every compression
+// function's sha1_spawn.
+void expect_batch_matches_scalar(detail::Sha1SpawnBatchFn fn,
+                                 std::uint32_t seed, int pairs) {
+  std::mt19937 rng(seed);
+  Sha1SpawnBatch batch;
+  Sha1Digest parents[Sha1SpawnBatch::kLanes];
+  for (int done = 0; done < pairs;) {
+    const int n = 1 + static_cast<int>(rng() % Sha1SpawnBatch::kLanes);
+    for (int k = 0; k < Sha1SpawnBatch::kLanes; ++k) {
+      parents[k] = random_digest(rng);
+      batch.set(k, parents[k], static_cast<std::uint32_t>(rng()));
+    }
+    fn(batch, n);
+    for (int k = 0; k < n; ++k, ++done) {
+      for (const auto& [name, compress] : compressors()) {
+        ASSERT_EQ(batch.digest(k), detail::sha1_spawn_with(compress, parents[k],
+                                                           batch.index[k]))
+            << name << ", seed " << seed << ", pair " << done << " (lane " << k
+            << " of " << n << ")";
+      }
+    }
+  }
+}
+
+TEST(Sha1, SpawnBatchSelectionPrefersAvx512) {
+  const auto wide = detail::sha1_spawn_batch_avx512();
+  EXPECT_EQ(detail::sha1_spawn_batch_selected(),
+            wide != nullptr ? wide : &detail::sha1_spawn_batch_scalar);
+  const std::string path = sha1_spawn_path();
+  if (wide != nullptr) {
+    EXPECT_EQ(path, "avx512x16");
+  } else if (detail::sha1_compress_shani() != nullptr) {
+    EXPECT_EQ(path, "sha-ni");
+  } else {
+    EXPECT_EQ(path, "portable");
+  }
+}
+
+TEST(Sha1, SpawnBatchScalarGoldenInEveryLane) {
+  expect_golden_in_every_lane(&detail::sha1_spawn_batch_scalar);
+}
+
+TEST(Sha1, SpawnBatchScalarMatchesSpawn) {
+  expect_batch_matches_scalar(&detail::sha1_spawn_batch_scalar, 7, 100000);
+}
+
+TEST(Sha1, SpawnBatchAvx512GoldenInEveryLane) {
+  const auto wide = detail::sha1_spawn_batch_avx512();
+  if (wide == nullptr) {
+    GTEST_SKIP() << "CPUID reports no AVX-512F; the 16-lane batch cannot run "
+                    "here (the scalar batch is tested on its own)";
+  }
+  expect_golden_in_every_lane(wide);
+}
+
+TEST(Sha1, SpawnBatchAvx512MatchesPortableAndShaNi) {
+  const auto wide = detail::sha1_spawn_batch_avx512();
+  if (wide == nullptr) {
+    GTEST_SKIP() << "CPUID reports no AVX-512F; the 16-lane batch cannot run "
+                    "here (the scalar batch is tested on its own)";
+  }
+  expect_batch_matches_scalar(wide, 19, 1000000);
+}
+
 // --- UTS splittable stream -----------------------------------------------------
 
 TEST(UtsRng, DeterministicTreeShape) {
@@ -257,13 +361,7 @@ TEST(UtsRng, GoldenDigests) {
   // Python hashlib: sha1(pack(">I", 19)) and sha1(root + pack(">I", i)).
   const auto root = UtsNodeState::root(19);
   EXPECT_EQ(sha1_hex(root.digest), "57eaa9251a33407fcc82545443a8f191b9bd84be");
-  const std::pair<std::uint32_t, const char*> kChildren[] = {
-      {0u, "d97552852c71ea21d84bcea8c928f2a750929d72"},
-      {1u, "2f04c0c48b23582afec1a28e37cfbe18818f9931"},
-      {7u, "7063f9698304a43865b3ed182c2143fe03909730"},
-      {0xFFFFFFFFu, "5957231ba02de641fcf34c4984a7c186b26ae0c8"},
-  };
-  for (const auto& [i, hex] : kChildren) {
+  for (const auto& [i, hex] : kGoldenChildren) {
     EXPECT_EQ(sha1_hex(root.spawn(i).digest), hex) << "child " << i;
     for (const auto& [name, compress] : compressors()) {
       EXPECT_EQ(sha1_hex(detail::sha1_spawn_with(compress, root.digest, i)),
@@ -290,7 +388,8 @@ TEST(UtsRng, GeometricMeanNearB0) {
   double total = 0;
   constexpr int kSamples = 5000;
   for (std::uint32_t i = 0; i < kSamples; ++i) {
-    total += uts_geo_children(s.spawn(i), 0, uts_geo_log_q(b0), 100);
+    total +=
+        uts_geo_children(s.spawn(i).to_prob(), 0, uts_geo_log_q(b0), 100);
   }
   const double mean = total / kSamples;
   EXPECT_NEAR(mean, b0, 0.35);
@@ -298,8 +397,8 @@ TEST(UtsRng, GeometricMeanNearB0) {
 
 TEST(UtsRng, DepthCutoffStopsGrowth) {
   auto s = UtsNodeState::root(19);
-  EXPECT_EQ(uts_geo_children(s, 5, uts_geo_log_q(4.0), 5), 0);
-  EXPECT_EQ(uts_geo_children(s, 6, uts_geo_log_q(4.0), 5), 0);
+  EXPECT_EQ(uts_geo_children(s.to_prob(), 5, uts_geo_log_q(4.0), 5), 0);
+  EXPECT_EQ(uts_geo_children(s.to_prob(), 6, uts_geo_log_q(4.0), 5), 0);
 }
 
 // --- dgemm / dtrsm --------------------------------------------------------------

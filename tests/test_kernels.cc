@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -212,6 +213,57 @@ TEST(UtsKernel, WorkIsActuallyDistributed) {
     auto r = uts_run(p);
     EXPECT_GT(r.resuscitations + r.steal_attempts, 0u);
   });
+}
+
+// --- UtsBag batching -------------------------------------------------------------
+
+TEST(UtsBag, ProcessReturnsMinOfRequestAndRemaining) {
+  // Depth 8 of the golden geometric tree: 18,796 nodes, the root included.
+  UtsParams p;
+  p.depth = 8;
+  for (const std::size_t n : {1u, 7u, 15u, 16u, 17u, 128u}) {
+    UtsBag bag(p, /*with_root=*/true);
+    std::uint64_t remaining = 18796 - 1;
+    std::uint64_t returned = 0;
+    for (;;) {
+      const std::size_t done = bag.process(n);
+      ASSERT_EQ(done, std::min<std::uint64_t>(n, remaining)) << "n = " << n;
+      if (done == 0) break;
+      remaining -= done;
+      returned += done;
+    }
+    EXPECT_TRUE(bag.empty()) << "n = " << n;
+    EXPECT_EQ(bag.nodes(), 1 + returned) << "n = " << n;
+    EXPECT_EQ(bag.hashes(), bag.nodes() - 1) << "n = " << n;
+  }
+}
+
+// Two bags trade work the way GLB places do: after every process(17) each
+// bag hands a split() of itself to the other.
+std::uint64_t split_merge_traversal(const UtsParams& p) {
+  UtsBag bags[2] = {UtsBag(p, /*with_root=*/true), UtsBag(p, false)};
+  while (!bags[0].empty() || !bags[1].empty()) {
+    for (int b = 0; b < 2; ++b) {
+      bags[b].process(17);
+      bags[1 - b].merge(bags[b].split());
+    }
+  }
+  EXPECT_EQ(bags[0].hashes() + bags[1].hashes(),
+            bags[0].nodes() + bags[1].nodes() - 1);
+  return bags[0].nodes() + bags[1].nodes();
+}
+
+TEST(UtsBag, SplitMergeAfterEveryProcessKeepsGoldenCounts) {
+  for (const bool legacy : {false, true}) {
+    UtsParams geo;
+    geo.depth = 8;
+    geo.glb.legacy = legacy;
+    EXPECT_EQ(split_merge_traversal(geo), 18796u) << "legacy " << legacy;
+    UtsParams bin;
+    bin.shape = UtsShape::kBinomial;
+    bin.glb.legacy = legacy;
+    EXPECT_EQ(split_merge_traversal(bin), 313u) << "legacy " << legacy;
+  }
 }
 
 // --- FFT -------------------------------------------------------------------------
