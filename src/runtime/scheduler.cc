@@ -286,10 +286,13 @@ void Scheduler::run_until(const std::function<bool()>& done) {
         park_ceiling_us_.load(std::memory_order_relaxed));
     if (park > ceiling) park = ceiling;
     rt_.transport().enter_idle(place_);
-    if (done() || step()) {
+    if (done()) {
+      rt_.transport().exit_idle(place_);
+      return;
+    }
+    if (step()) {
       rt_.transport().exit_idle(place_);
       idle_rounds = 0;
-      if (done()) return;
       continue;
     }
     rt_.transport().wait_nonempty(place_, park);

@@ -66,7 +66,9 @@ class Scheduler {
 
   /// Pumps until `done()` holds; spins then parks on the transport inbox
   /// with exponential backoff when idle. Re-entrant: blocked activities call
-  /// this recursively and keep helping (and stealing).
+  /// this recursively and keep helping (and stealing). Returns on the call
+  /// that saw `done()` true and never calls it again, so `done()` may
+  /// consume what it waits for (Team::recv_bytes takes its mail).
   void run_until(const std::function<bool()>& done);
 
   /// Runs `act` to completion on the calling thread with correct

@@ -289,6 +289,27 @@ TEST(RuntimeCore, MultipleWorkersPerPlace) {
   EXPECT_EQ(count.load(), 60);
 }
 
+TEST(RuntimeCore, RunUntilNeverCallsASatisfiedPredicateAgain) {
+  // A predicate may consume what it waits for (Team::recv_bytes takes its
+  // mail), so run_until must return on the call that saw it true: a second
+  // call would find nothing and wait forever. The sweep moves the first true
+  // call across the spin rounds and into the park path.
+  Runtime::run(small_cfg(1), [] {
+    for (int n = 1; n <= 64; ++n) {
+      int calls = 0;
+      int calls_after_true = 0;
+      Runtime::get().sched(here()).run_until([&] {
+        if (calls >= n) {
+          ++calls_after_true;
+          return true;
+        }
+        return ++calls == n;
+      });
+      EXPECT_EQ(calls_after_true, 0) << "first true on call " << n;
+    }
+  });
+}
+
 TEST(RuntimeCore, BackToBackRuntimes) {
   for (int i = 0; i < 3; ++i) {
     std::atomic<int> n{0};
