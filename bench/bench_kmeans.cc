@@ -8,6 +8,7 @@
 int main() {
   using namespace apgas;
   bench::header("Figure 1 / K-Means — weak scaling (5 iterations)");
+  bench::row("simd path (CPUID): %s", kernels::kmeans_simd_path());
   bench::row("%8s %12s %14s %12s %10s", "places", "time (s)", "efficiency",
              "inertia", "verified");
   double base = 0;
@@ -23,7 +24,7 @@ int main() {
       p.iterations = 5;
       auto r = kernels::kmeans_run(p);
       if (places == 1) base = r.seconds;
-      bench::row("%8d %12.3f %13.0f%% %12.1f %10s", places, r.seconds,
+      bench::row("%8d %12.5f %13.0f%% %12.1f %10s", places, r.seconds,
                  100.0 * base / r.seconds, r.inertia_per_iter.back(),
                  r.verified ? "yes" : "NO");
     });

@@ -8,6 +8,7 @@
 int main() {
   using namespace apgas;
   bench::header("Figure 1 / Smith-Waterman — weak scaling");
+  bench::row("simd path (CPUID): %s", kernels::sw_simd_path());
   bench::row("%8s %12s %14s %12s %14s", "places", "time (s)", "efficiency",
              "best", "Mcells/s");
   double base = 0;
@@ -21,7 +22,7 @@ int main() {
       p.long_per_place = 20000;
       auto r = kernels::smith_waterman_run(p);
       if (places == 1) base = r.seconds;
-      bench::row("%8d %12.3f %13.0f%% %12d %14.1f", places, r.seconds,
+      bench::row("%8d %12.5f %13.0f%% %12d %14.1f", places, r.seconds,
                  100.0 * base / r.seconds, r.best_score,
                  r.cells_per_sec / 1e6);
     });

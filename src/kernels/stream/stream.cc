@@ -72,10 +72,15 @@ StreamResult stream_run(const StreamParams& params) {
       b = heap_b.data();
       c = heap_c.data();
     }
+    // b[i] = 1 + i % 7 and c[i] = 2 + i % 3, from running residues.
+    int mod7 = 0;
+    int mod3 = 0;
     for (std::size_t i = 0; i < n; ++i) {
       a[i] = 0.0;
-      b[i] = 1.0 + static_cast<double>(i % 7);
-      c[i] = 2.0 + static_cast<double>(i % 3);
+      b[i] = 1.0 + mod7;
+      c[i] = 2.0 + mod3;
+      if (++mod7 == 7) mod7 = 0;
+      if (++mod3 == 3) mod3 = 0;
     }
 
     Team team = Team::world();

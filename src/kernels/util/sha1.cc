@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "kernels/util/cpu.h"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -256,8 +258,7 @@ Sha1Digest sha1_spawn_with(Sha1Compress compress, const Sha1Digest& parent,
 
 Sha1SpawnBatchFn sha1_spawn_batch_avx512() {
 #if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return &spawn_batch_avx512;
+  if (cpu_has_avx512f()) return &spawn_batch_avx512;
 #endif
   return nullptr;
 }
