@@ -13,9 +13,7 @@
 //                       in-group fan-out: one mail delivery per leaf group
 //                       instead of one per member.
 // Honors the bench_common observability env (APGAS_TRACE / APGAS_METRICS /
-// APGAS_* knobs incl. APGAS_PLACES_PER_NODE and APGAS_TEAM_*). Writes
-// machine-readable JSON (BENCH_collectives.json, override with
-// APGAS_BENCH_OUT).
+// APGAS_* knobs incl. APGAS_PLACES_PER_NODE and APGAS_TEAM_*).
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -90,13 +88,6 @@ void small_op_bench(int places, TeamMode mode, double& barrier_us,
                             mode_name(mode) + ".p" + std::to_string(places));
 }
 
-struct PayloadRow {
-  std::string op;    // "bcast" | "allreduce"
-  std::string mode;  // mode_name(...)
-  std::size_t bytes = 0;
-  double usec = 0;   // per-op wall time at rank 0
-  double mbps = 0;   // payload MB per second
-};
 
 /// One (op, mode, payload) cell: SPMD loop at `places` places, `rounds`
 /// timed repetitions after one warm-up op (the warm-up also builds and
@@ -151,19 +142,11 @@ int main() {
       "§3.3 — Team collectives: emulated vs native vs hierarchical (us/op)");
   bench::row("%8s %14s %12s %12s %12s %12s", "places", "mode", "barrier",
              "allreduce", "alltoall", "coll msgs");
-  struct SmallRow {
-    int places;
-    std::string mode;
-    double barrier_us, allreduce_us, alltoall_us;
-    std::uint64_t msgs;
-  };
-  std::vector<SmallRow> small;
   for (int places : bench::sweep_places(16)) {
     for (TeamMode mode : kModes) {
       double b, ar, aa;
       std::uint64_t msgs;
       small_op_bench(places, mode, b, ar, aa, msgs);
-      small.push_back({places, mode_name(mode), b, ar, aa, msgs});
       bench::row("%8d %14s %12.1f %12.1f %12.1f %12llu", places,
                  mode_name(mode), b, ar, aa,
                  static_cast<unsigned long long>(msgs));
@@ -178,15 +161,12 @@ int main() {
                 std::to_string(sweep_places) + " places (us/op)");
   bench::row("%10s %10s %14s %14s %14s %10s", "op", "KiB", "emulated",
              "native", "hierarchical", "hier_x");
-  std::vector<PayloadRow> payload;
-  double bcast_1mb_speedup = 0;
   for (bool bcast_op : {true, false}) {
     for (std::size_t kib : {4u, 32u, 256u, 1024u, 4096u}) {
       const std::size_t bytes = kib * 1024;
-      // Interleaved min-of-reps (same rationale as bench_transport): on a
-      // loaded single-core host the noise has longer periods than one cell,
-      // so the modes alternate within each rep and each reports its best —
-      // the ratio of bests is the stable signal.
+      // Interleaved min-of-reps: on a loaded host the noise has longer
+      // periods than one cell, so the modes alternate within each rep and
+      // each reports its best — the ratio of bests is the stable signal.
       constexpr int kReps = 3;
       double cell[3] = {1e30, 1e30, 1e30};
       for (int rep = 0; rep < kReps; ++rep) {
@@ -195,13 +175,7 @@ int main() {
               cell[m], payload_bench(sweep_places, kModes[m], bcast_op, bytes));
         }
       }
-      for (int m = 0; m < 3; ++m) {
-        payload.push_back({bcast_op ? "bcast" : "allreduce",
-                           mode_name(kModes[m]), bytes, cell[m],
-                           static_cast<double>(bytes) / cell[m]});
-      }
       const double hier_x = cell[0] / cell[2];
-      if (bcast_op && kib == 1024) bcast_1mb_speedup = hier_x;
       bench::row("%10s %10zu %14.1f %14.1f %14.1f %9.2fx",
                  bcast_op ? "bcast" : "allreduce", kib, cell[0], cell[1],
                  cell[2], hier_x);
@@ -241,38 +215,5 @@ int main() {
       });
     }
   }
-
-  const char* out = std::getenv("APGAS_BENCH_OUT");
-  const std::string path = out != nullptr ? out : "BENCH_collectives.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"collectives\",\n  \"small_ops\": [\n");
-  for (std::size_t i = 0; i < small.size(); ++i) {
-    const auto& r = small[i];
-    std::fprintf(f,
-                 "    {\"places\": %d, \"mode\": \"%s\", \"barrier_us\": "
-                 "%.1f, \"allreduce_us\": %.1f, \"alltoall_us\": %.1f, "
-                 "\"coll_msgs\": %llu}%s\n",
-                 r.places, r.mode.c_str(), r.barrier_us, r.allreduce_us,
-                 r.alltoall_us, static_cast<unsigned long long>(r.msgs),
-                 i + 1 < small.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"payload_places\": %d,\n  \"payload_sweep\": [\n",
-               sweep_places);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    const auto& r = payload[i];
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"mode\": \"%s\", \"bytes\": %zu, "
-                 "\"usec\": %.1f, \"mb_per_s\": %.1f}%s\n",
-                 r.op.c_str(), r.mode.c_str(), r.bytes, r.usec, r.mbps,
-                 i + 1 < payload.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"bcast_1mb_hier_speedup\": %.2f\n}\n",
-               bcast_1mb_speedup);
-  std::fclose(f);
-  std::printf("\n[wrote %s]\n", path.c_str());
   return 0;
 }

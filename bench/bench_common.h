@@ -3,11 +3,13 @@
 // counts and printing the same rows/series the paper reports.
 //
 // Scale note: the paper sweeps 1..55,680 cores of a Power 775; we sweep
-// 1..N places (threads) on one machine. Wall-clock columns reflect
-// oversubscription beyond the core count; protocol columns (message counts,
-// out-degree, balance quality) are exact and hardware-independent.
+// 1..N places (threads) on one machine. Wall-clock panels stop at the
+// hardware thread count (core_sweep) and report the median of kRepeats runs;
+// protocol columns (message counts, out-degree, balance quality) are exact
+// and hardware-independent, so those benches sweep past the cores.
 #pragma once
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +19,9 @@
 #include <vector>
 
 #include "runtime/config.h"
+#include "runtime/congruent.h"
 #include "runtime/metrics.h"
+#include "runtime/runtime.h"
 
 namespace bench {
 
@@ -39,7 +43,7 @@ inline std::string per_run_path(const std::string& path, int run) {
 ///   APGAS_TRACE_CAP=<n>    per-place ring capacity in events (default 2^16)
 ///   APGAS_METRICS=<path>   write metrics at teardown (.json => JSON,
 ///                          anything else => key=value text)
-/// plus the APGAS_* perf knobs (poll_batch, coalesce_bytes/msgs, places,
+/// plus the APGAS_* perf knobs (coalesce_bytes/msgs, places,
 /// workers_per_place) via Config::apply_env — note benches that sweep
 /// `cfg.places` themselves overwrite an APGAS_PLACES override afterwards.
 ///
@@ -98,6 +102,42 @@ inline std::vector<int> sweep_places(int max_places = 16) {
   std::vector<int> out;
   for (int p = 1; p <= max_places; p *= 2) out.push_back(p);
   return out;
+}
+
+/// Hardware threads of this machine (at least 1).
+inline int cores() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// sweep_places capped at the hardware thread count: the sweep of the
+/// wall-clock panels, whose rows never oversubscribe the cores.
+inline std::vector<int> core_sweep(int max_places = 16) {
+  return sweep_places(std::min(max_places, cores()));
+}
+
+/// Runs per sweep point of the wall-clock panels (the paper's
+/// Smith-Waterman iteration count).
+constexpr int kRepeats = 5;
+
+/// Median and range of one sweep point's runs.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// Calls `measure` kRepeats times and summarises the value it returns
+/// (seconds or a rate). Inside a Runtime::run the congruent arena is
+/// released before each call, so every run allocates afresh.
+template <typename Measure>
+Spread repeat(Measure&& measure) {
+  std::vector<double> v;
+  for (int i = 0; i < kRepeats; ++i) {
+    if (apgas::Runtime::active()) apgas::Runtime::get().congruent().reset();
+    v.push_back(measure());
+  }
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
 }
 
 inline void header(const std::string& title) {

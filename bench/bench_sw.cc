@@ -1,6 +1,7 @@
 // Figure 1 "Smith-Waterman" (paper §7): weak-scaling time for aligning the
 // short query against a long sequence that grows with the place count
-// (overlapping fragments, best-of-bests All-Reduce).
+// (overlapping fragments, best-of-bests All-Reduce). Each row is the median
+// of bench::kRepeats runs, with their range.
 #include "bench_common.h"
 #include "kernels/sw/smith_waterman.h"
 #include "runtime/api.h"
@@ -9,10 +10,10 @@ int main() {
   using namespace apgas;
   bench::header("Figure 1 / Smith-Waterman — weak scaling");
   bench::row("simd path (CPUID): %s", kernels::sw_simd_path());
-  bench::row("%8s %12s %14s %12s %14s", "places", "time (s)", "efficiency",
-             "best", "Mcells/s");
+  bench::row("%8s %12s %20s %12s %8s %12s %10s", "places", "time (s)",
+             "min-max (s)", "efficiency", "best", "Mcells/s", "verified");
   double base = 0;
-  for (int places : bench::sweep_places()) {
+  for (int places : bench::core_sweep()) {
     Config cfg;
     cfg.places = places;
     cfg.places_per_node = 8;
@@ -20,11 +21,19 @@ int main() {
       kernels::SwParams p;
       p.short_len = 200;
       p.long_per_place = 20000;
-      auto r = kernels::smith_waterman_run(p);
-      if (places == 1) base = r.seconds;
-      bench::row("%8d %12.5f %13.0f%% %12d %14.1f", places, r.seconds,
-                 100.0 * base / r.seconds, r.best_score,
-                 r.cells_per_sec / 1e6);
+      kernels::SwResult r;
+      bool verified = true;
+      const bench::Spread t = bench::repeat([&] {
+        r = kernels::smith_waterman_run(p, /*verify=*/true);
+        verified = verified && r.verified;
+        return r.seconds;
+      });
+      if (places == 1) base = t.median;
+      const double cells = r.cells_per_sec * r.seconds;
+      bench::row("%8d %12.5f %9.5f-%-10.5f %11.0f%% %8d %12.1f %10s", places,
+                 t.median, t.min, t.max, 100.0 * base / t.median,
+                 r.best_score, cells / t.median / 1e6,
+                 verified ? "yes" : "NO");
     });
   }
   bench::row("(paper: 8.61s 1 place, 12.68s 1 host, 12.87s at 47,040 cores;"

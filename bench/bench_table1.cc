@@ -3,13 +3,13 @@
 // runs; our stand-in baseline is a "direct" implementation of each kernel —
 // plain single-core loops with no runtime, no transport, no termination
 // detection (DESIGN.md §2). Reported: per-place rate of the distributed
-// run at scale as a fraction of the direct single-core rate.
+// run at scale (as many places as the machine has hardware threads, at most
+// 8) as a fraction of the direct single-core rate. Both sides are the median
+// of bench::kRepeats runs.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
-
-#include <algorithm>
-#include <thread>
 
 #include "bench_common.h"
 #include "kernels/fft/fft.h"
@@ -44,11 +44,10 @@ double direct_stream_gbs() {
   return 3.0 * sizeof(double) * kN * kIters / secs / 1e9;
 }
 
-double direct_ra_gups() {
-  // Comparable baseline: same *total* table as the 8-place distributed run
-  // and atomic updates (the distributed path pays atomicity too).
-  constexpr int kLog2 = 18;  // 8 places x 2^15
-  constexpr std::uint64_t kTable = 1ull << kLog2;
+double direct_ra_gups(int log2_table) {
+  // Comparable baseline: same *total* table as the distributed run and
+  // atomic updates (the distributed path pays atomicity too).
+  const std::uint64_t kTable = 1ull << log2_table;
   std::vector<std::uint64_t> table(kTable);
   std::iota(table.begin(), table.end(), 0);
   std::uint64_t ran = kernels::hpcc_starts(0);
@@ -120,81 +119,72 @@ double direct_hpl_gflops() {
 }  // namespace
 
 int main() {
-  constexpr int kPlaces = 8;
+  const int kPlaces = bench::core_sweep(8).back();  // a power of two
+  int log2_places = 0;
+  while ((1 << log2_places) < kPlaces) ++log2_places;
   bench::header("Table 1 — APGAS runs vs direct (no-runtime) baselines");
-  const double cores = std::thread::hardware_concurrency();
-  const double adj = kPlaces / std::min<double>(kPlaces, cores);
-  bench::row("%-18s %10s %20s %22s %10s %10s", "benchmark", "places",
-             "APGAS (per place)", "direct (single core)", "ratio",
-             "core-adj");
+  bench::row("%-18s %10s %20s %22s %10s", "benchmark", "places",
+             "APGAS (per place)", "direct (single core)", "ratio");
+
+  // Median per-place rate of `measure` run at kPlaces places.
+  const auto apgas_median = [kPlaces](const char* label, auto measure) {
+    double rate = 0;
+    Config cfg;
+    cfg.places = kPlaces;
+    Runtime::run(bench::observe(cfg),
+                 [&] { rate = bench::repeat(measure).median; });
+    bench::maybe_emit_metrics(label);
+    return rate;
+  };
 
   // Stream.
   {
-    const double direct = direct_stream_gbs();
-    double apgas_rate = 0;
-    Config cfg;
-    cfg.places = kPlaces;
-    cfg.congruent_bytes = 16u << 20;
-    Runtime::run(bench::observe(cfg), [&] {
+    const double direct = bench::repeat(direct_stream_gbs).median;
+    const double apgas_rate = apgas_median("stream", [] {
       kernels::StreamParams p;
       p.elements_per_place = 1u << 18;
       p.iterations = 5;
-      apgas_rate = kernels::stream_run(p).gb_per_sec_per_place;
+      return kernels::stream_run(p).gb_per_sec_per_place;
     });
-    bench::maybe_emit_metrics("stream");
-    bench::row("%-18s %10d %17.2f GB/s %19.2f GB/s %9.0f%% %9.0f%%",
-               "EP Stream", kPlaces, apgas_rate, direct,
-               100 * apgas_rate / direct, 100 * adj * apgas_rate / direct);
+    bench::row("%-18s %10d %17.2f GB/s %19.2f GB/s %9.0f%%", "EP Stream",
+               kPlaces, apgas_rate, direct, 100 * apgas_rate / direct);
   }
-  // RandomAccess.
+  // RandomAccess: 2^15 table entries per place.
   {
-    const double direct = direct_ra_gups();
-    double apgas_rate = 0;
-    Config cfg;
-    cfg.places = kPlaces;
-    cfg.congruent_bytes = 8u << 20;
-    Runtime::run(bench::observe(cfg), [&] {
+    const double direct =
+        bench::repeat([&] { return direct_ra_gups(15 + log2_places); }).median;
+    const double apgas_rate = apgas_median("randomaccess", [] {
       kernels::RaParams p;
       p.log2_table_per_place = 15;
-      apgas_rate = kernels::randomaccess_run(p).gups_per_place;
+      return kernels::randomaccess_run(p).gups_per_place;
     });
-    bench::maybe_emit_metrics("randomaccess");
-    bench::row("%-18s %10d %16.4f GUP/s %18.4f GUP/s %9.0f%% %9.0f%%",
-               "RandomAccess", kPlaces, apgas_rate, direct,
-               100 * apgas_rate / direct, 100 * adj * apgas_rate / direct);
+    bench::row("%-18s %10d %16.4f GUP/s %18.4f GUP/s %9.0f%%", "RandomAccess",
+               kPlaces, apgas_rate, direct, 100 * apgas_rate / direct);
   }
-  // FFT.
+  // FFT: the direct baseline's 2^16 elements per place.
   {
-    const double direct = direct_fft_gflops();
-    double apgas_rate = 0;
-    Config cfg;
-    cfg.places = kPlaces;
-    Runtime::run(bench::observe(cfg), [&] {
+    const double direct = bench::repeat(direct_fft_gflops).median;
+    const double apgas_rate = apgas_median("fft", [&] {
       kernels::FftParams p;
-      p.log2_size = 19;  // same 2^16 elements per place
-      apgas_rate = kernels::fft_run(p).gflops_per_place;
+      p.log2_size = 16 + log2_places;
+      return kernels::fft_run(p).gflops_per_place;
     });
-    bench::maybe_emit_metrics("fft");
-    bench::row("%-18s %10d %14.3f Gflop/s %16.3f Gflop/s %9.0f%% %9.0f%%",
+    bench::row("%-18s %10d %14.3f Gflop/s %16.3f Gflop/s %9.0f%%",
                "Global FFT", kPlaces, apgas_rate, direct,
-               100 * apgas_rate / direct, 100 * adj * apgas_rate / direct);
+               100 * apgas_rate / direct);
   }
   // HPL.
   {
-    const double direct = direct_hpl_gflops();
-    double apgas_rate = 0;
-    Config cfg;
-    cfg.places = kPlaces;
-    Runtime::run(bench::observe(cfg), [&] {
+    const double direct = bench::repeat(direct_hpl_gflops).median;
+    const double apgas_rate = apgas_median("hpl", [] {
       kernels::HplParams p;
       p.n = 512;
       p.nb = 32;
-      apgas_rate = kernels::hpl_run(p).gflops_per_place;
+      return kernels::hpl_run(p).gflops_per_place;
     });
-    bench::maybe_emit_metrics("hpl");
-    bench::row("%-18s %10d %14.3f Gflop/s %16.3f Gflop/s %9.0f%% %9.0f%%",
+    bench::row("%-18s %10d %14.3f Gflop/s %16.3f Gflop/s %9.0f%%",
                "Global HPL", kPlaces, apgas_rate, direct,
-               100 * apgas_rate / direct, 100 * adj * apgas_rate / direct);
+               100 * apgas_rate / direct);
   }
   bench::row("(paper's Table 1 ratios vs hand-tuned Class 1 runs: HPL 85%%,"
              " RandomAccess 81%%, FFT 41%%, Stream 87%%)");

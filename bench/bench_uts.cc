@@ -100,7 +100,7 @@ int main() {
   bench::header("Figure 1 / UTS on geometric trees — weak scaling");
   bench::row("%8s %6s %14s %14s %16s %12s %10s", "places", "depth", "nodes",
              "Mnodes/s", "Mnodes/s/place", "imbalance", "verified");
-  for (int places : bench::sweep_places()) {
+  for (int places : bench::core_sweep()) {
     Config cfg;
     cfg.places = places;
     cfg.places_per_node = 8;
@@ -143,6 +143,7 @@ int main() {
   bench::row("%8s %14s %14s %12s %10s", "places", "nodes", "Mnodes/s",
              "imbalance", "verified");
   for (int places : {1, 4, 8}) {
+    if (places > bench::cores()) break;
     Config cfg;
     cfg.places = places;
     cfg.places_per_node = 8;

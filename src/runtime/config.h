@@ -47,13 +47,6 @@ struct Config {
   /// Track per-(src,dst) message counts — needed by out-degree benches.
   bool count_pairs = false;
 
-  /// RDMA engine threads (0 = synchronous copies on the initiating thread).
-  int dma_threads = 1;
-
-  /// Messages a worker drains from its place's transport inbox per lock
-  /// acquisition (the batched fast path; 1 reproduces per-message polling).
-  int poll_batch = 32;
-
   /// Sender-side coalescing: envelope flush threshold in wire bytes
   /// (docs/transport.md). 0 disables the aggregation layer — the default,
   /// so every send_am ships its own message exactly as before ISSUE 3.
@@ -209,7 +202,6 @@ struct Config {
   ///   APGAS_PLACES             places
   ///   APGAS_PLACES_PER_NODE    places_per_node
   ///   APGAS_WORKERS_PER_PLACE  workers_per_place
-  ///   APGAS_POLL_BATCH         poll_batch
   ///   APGAS_TEAM_PLACES_PER_OCTANT     team_places_per_octant (0 = no topology)
   ///   APGAS_TEAM_OCTANTS_PER_DRAWER    team_octants_per_drawer
   ///   APGAS_TEAM_DRAWERS_PER_SUPERNODE team_drawers_per_supernode
@@ -285,7 +277,6 @@ struct Config {
     read("APGAS_PLACES", cfg.places);
     read("APGAS_PLACES_PER_NODE", cfg.places_per_node);
     read("APGAS_WORKERS_PER_PLACE", cfg.workers_per_place);
-    read("APGAS_POLL_BATCH", cfg.poll_batch);
     read("APGAS_TEAM_PLACES_PER_OCTANT", cfg.team_places_per_octant);
     read("APGAS_TEAM_OCTANTS_PER_DRAWER", cfg.team_octants_per_drawer);
     read("APGAS_TEAM_DRAWERS_PER_SUPERNODE", cfg.team_drawers_per_supernode);

@@ -319,7 +319,6 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
   tc.places = cfg_.places;
   tc.chaos = cfg_.chaos;
   tc.count_pairs = cfg_.count_pairs;
-  tc.dma_threads = cfg_.dma_threads;
   tc.coalesce_bytes = cfg_.coalesce_bytes;
   tc.coalesce_msgs = cfg_.coalesce_msgs;
   // Online tuning controller (docs/transport.md "Adaptive tuning"), built

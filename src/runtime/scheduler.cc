@@ -18,6 +18,10 @@ namespace {
 thread_local Scheduler* tl_bound_sched = nullptr;
 thread_local void* tl_bound_worker = nullptr;
 
+/// Messages a worker drains from its place's transport inbox per lock
+/// acquisition (the batched fast path).
+constexpr std::size_t kPollBatch = 32;
+
 /// splitmix64 step — cheap per-worker randomness for steal victim order.
 inline std::uint64_t next_rand(std::uint64_t& s) {
   s += 0x9e3779b97f4a7c15ULL;
@@ -32,9 +36,6 @@ inline std::uint64_t next_rand(std::uint64_t& s) {
 Scheduler::Scheduler(Runtime& rt, int place)
     : rt_(rt),
       place_(place),
-      poll_batch_(rt.config().poll_batch < 1
-                      ? 1
-                      : static_cast<std::size_t>(rt.config().poll_batch)),
       park_min_us_(rt.config().park_backoff_min_us < 1
                        ? 1
                        : rt.config().park_backoff_min_us),
@@ -216,7 +217,7 @@ bool Scheduler::step() {
   Worker* w = local_worker();
   if (w != nullptr) {
     if (w->batch.empty()) {
-      rt_.transport().poll_batch(place_, w->batch, poll_batch_);
+      rt_.transport().poll_batch(place_, w->batch, kPollBatch);
     }
     if (!w->batch.empty()) {
       x10rt::Message m = std::move(w->batch.front());

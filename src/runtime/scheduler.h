@@ -154,7 +154,6 @@ class Scheduler {
 
   Runtime& rt_;
   int place_;
-  std::size_t poll_batch_;
 
   // Park-backoff band (paper §3.1 idle protocol). The minimum seeds the
   // exponential ramp; the ceiling caps it and is the only adaptively moved

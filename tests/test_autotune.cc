@@ -3,8 +3,8 @@
 // The decision rules are pure functions in the `tune` namespace, so the bulk
 // of this suite is deterministic arithmetic with no runtime at all. The
 // integration half drives an Autotune against a bare x10rt::Transport with
-// forced ticks — exactly the harness bench_transport uses — and one
-// end-to-end test runs a real Runtime with APGAS_AUTOTUNE semantics armed.
+// forced ticks, and one end-to-end test runs a real Runtime with
+// APGAS_AUTOTUNE semantics armed.
 #include "runtime/autotune.h"
 
 #include <gtest/gtest.h>
@@ -403,6 +403,50 @@ TEST(AutotuneTransport, AdjustHookSeesEveryAdjustment) {
   }
   EXPECT_EQ(values, (std::vector<std::uint64_t>{2048, 1024, 512}));
   h.drain(1);
+}
+
+TEST(AutotuneTransport, MixedPhasesLoseNothingWhileThresholdMoves) {
+  // Alternating flood bursts and window-1 round trips: the pingpong phase
+  // collapses the pair's threshold and later floods run against the moved
+  // one. Every flood record and every reply must arrive across each move.
+  BareHarness h(coalesce_knobs(1'000'000, 1), 4096);
+  long floods = 0;
+  long pongs = 0;
+  const int am_flood =
+      h.tr->register_am([&floods](x10rt::ByteBuffer&) { ++floods; });
+  const int am_pong =
+      h.tr->register_am([&pongs](x10rt::ByteBuffer&) { ++pongs; });
+  x10rt::Transport& tr = *h.tr;
+  const int am_ping = tr.register_am([&tr, am_pong](x10rt::ByteBuffer& buf) {
+    x10rt::ByteBuffer b;
+    b.put(buf.get<std::uint64_t>());
+    tr.send_am(1, 0, am_pong, std::move(b));
+  });
+  constexpr int kCycles = 3, kFlood = 2000, kPings = 200;
+  for (int c = 0; c < kCycles; ++c) {
+    for (int i = 0; i < kFlood; ++i) {
+      x10rt::ByteBuffer b;
+      b.put(static_cast<std::uint64_t>(i));
+      tr.send_am(0, 1, am_flood, std::move(b));
+    }
+    tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
+    h.drain(1);
+    h.at->tick(0);
+    for (int i = 0; i < kPings; ++i) {
+      x10rt::ByteBuffer b;
+      b.put(static_cast<std::uint64_t>(i));
+      tr.send_am(0, 1, am_ping, std::move(b));
+      tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
+      h.drain(1);
+      tr.flush_coalesced(1, x10rt::FlushReason::kIdle);
+      h.drain(0);
+    }
+    h.at->tick(0);
+    h.at->tick(1);
+  }
+  EXPECT_EQ(floods, long{kCycles} * kFlood);
+  EXPECT_EQ(pongs, long{kCycles} * kPings);
+  EXPECT_GT(h.at->adjust_down(), 0u);
 }
 
 TEST(AutotuneTransport, MaybeTickIsTimeGated) {

@@ -359,7 +359,7 @@ class ConfigEnv : public ::testing::Test {
   }
   static constexpr const char* kVars[] = {
       "APGAS_PLACES",          "APGAS_WORKERS_PER_PLACE",
-      "APGAS_POLL_BATCH",      "APGAS_COALESCE_BYTES",
+      "APGAS_PLACES_PER_NODE", "APGAS_COALESCE_BYTES",
       "APGAS_COALESCE_MSGS",   "APGAS_AUTOTUNE",
       "APGAS_AUTOTUNE_RESIDENCY_BUDGET_US", "APGAS_PARK_BACKOFF_MIN_US",
       "APGAS_PARK_BACKOFF_MAX_US", "APGAS_CHAOS_DROP"};
@@ -373,7 +373,7 @@ TEST_F(ConfigEnv, UnsetVariablesLeaveDefaults) {
   const Config cfg = Config::from_env();
   EXPECT_EQ(cfg.places, defaults.places);
   EXPECT_EQ(cfg.workers_per_place, defaults.workers_per_place);
-  EXPECT_EQ(cfg.poll_batch, defaults.poll_batch);
+  EXPECT_EQ(cfg.places_per_node, defaults.places_per_node);
   EXPECT_EQ(cfg.coalesce_bytes, defaults.coalesce_bytes);
   EXPECT_EQ(cfg.coalesce_msgs, defaults.coalesce_msgs);
 }
@@ -381,13 +381,13 @@ TEST_F(ConfigEnv, UnsetVariablesLeaveDefaults) {
 TEST_F(ConfigEnv, OverridesEveryPerfKnob) {
   ::setenv("APGAS_PLACES", "6", 1);
   ::setenv("APGAS_WORKERS_PER_PLACE", "2", 1);
-  ::setenv("APGAS_POLL_BATCH", "7", 1);
+  ::setenv("APGAS_PLACES_PER_NODE", "7", 1);
   ::setenv("APGAS_COALESCE_BYTES", "2048", 1);
   ::setenv("APGAS_COALESCE_MSGS", "16", 1);
   const Config cfg = Config::from_env();
   EXPECT_EQ(cfg.places, 6);
   EXPECT_EQ(cfg.workers_per_place, 2);
-  EXPECT_EQ(cfg.poll_batch, 7);
+  EXPECT_EQ(cfg.places_per_node, 7);
   EXPECT_EQ(cfg.coalesce_bytes, 2048u);
   EXPECT_EQ(cfg.coalesce_msgs, 16);
 }
@@ -396,11 +396,11 @@ TEST_F(ConfigEnv, AppliesOnTopOfExistingConfig) {
   ::setenv("APGAS_COALESCE_BYTES", "512", 1);
   Config cfg;
   cfg.places = 3;
-  cfg.poll_batch = 5;
+  cfg.places_per_node = 5;
   Config::apply_env(cfg);
   EXPECT_EQ(cfg.coalesce_bytes, 512u);  // overridden
   EXPECT_EQ(cfg.places, 3);             // untouched
-  EXPECT_EQ(cfg.poll_batch, 5);
+  EXPECT_EQ(cfg.places_per_node, 5);
 }
 
 // A set-but-malformed variable is a misconfiguration, not a default: the
@@ -409,8 +409,8 @@ TEST_F(ConfigEnv, AppliesOnTopOfExistingConfig) {
 using ConfigEnvDeath = ConfigEnv;
 
 TEST_F(ConfigEnvDeath, AbortsOnNonNumeric) {
-  ::setenv("APGAS_POLL_BATCH", "not-a-number", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_POLL_BATCH");
+  ::setenv("APGAS_PLACES_PER_NODE", "not-a-number", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_PLACES_PER_NODE");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnNegative) {

@@ -543,6 +543,79 @@ TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
   EXPECT_GT(tr.pool().recycled(), 0u);
 }
 
+/// Drains `place` with poll_batch in chunks of `max` until it reports empty.
+void drain_batched(Transport& tr, int place, std::size_t max) {
+  std::deque<Message> batch;
+  while (tr.poll_batch(place, batch, max) > 0) {
+    while (!batch.empty()) {
+      tr.dispatch(place, batch.front());
+      batch.pop_front();
+    }
+  }
+}
+
+TEST(TransportCoalesce, BatchedDrainOfAFloodLosesNothing) {
+  // A one-way burst many batches deep, direct and coalesced: every record
+  // arrives once whether the receiver drains between sends or only after
+  // the sender's idle flush.
+  constexpr int kN = 5000;
+  for (bool coalesce : {false, true}) {
+    SCOPED_TRACE(coalesce ? "coalesced" : "direct");
+    ClosureTransport tr(coalesce ? coalesce_cfg(2, 4096, 128) : make_cfg(2));
+    long received = 0;
+    std::uint64_t sum = 0;
+    const int h = tr.register_am([&](x10rt::ByteBuffer& buf) {
+      sum += buf.get<std::uint64_t>();
+      ++received;
+    });
+    for (int i = 0; i < kN; ++i) {
+      x10rt::ByteBuffer b = tr.acquire_buffer();
+      b.put(static_cast<std::uint64_t>(i));
+      tr.send_am(0, 1, h, std::move(b));
+      if (i % 1000 == 999) drain_batched(tr, 1, 32);
+    }
+    tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
+    drain_batched(tr, 1, 64);
+    EXPECT_EQ(received, kN);
+    EXPECT_EQ(sum, std::uint64_t{kN} * (kN - 1) / 2);
+    if (coalesce) {
+      EXPECT_GT(tr.coalesce_records(), tr.coalesce_envelopes());
+    }
+  }
+}
+
+TEST(TransportCoalesce, HandlerRepliesAllArrive) {
+  // Request/response bursts, the shape of finish control traffic: the
+  // handler at place 1 answers every request from inside dispatch, and the
+  // replies park (coalesced) or ship (direct) behind the requests.
+  constexpr int kPairs = 2000;
+  for (bool coalesce : {false, true}) {
+    SCOPED_TRACE(coalesce ? "coalesced" : "direct");
+    ClosureTransport tr(coalesce ? coalesce_cfg(2, 4096, 128) : make_cfg(2));
+    long replies = 0;
+    const int pong = tr.register_am([&replies](x10rt::ByteBuffer&) {
+      ++replies;
+    });
+    const int ping = tr.register_am([&tr, pong](x10rt::ByteBuffer& buf) {
+      x10rt::ByteBuffer b = tr.acquire_buffer();
+      b.put(buf.get<std::uint64_t>());
+      tr.send_am(1, 0, pong, std::move(b));
+    });
+    for (int i = 0; i < kPairs; i += 32) {
+      for (int j = i; j < i + 32 && j < kPairs; ++j) {
+        x10rt::ByteBuffer b = tr.acquire_buffer();
+        b.put(static_cast<std::uint64_t>(j));
+        tr.send_am(0, 1, ping, std::move(b));
+      }
+      tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
+      drain_batched(tr, 1, 64);
+      tr.flush_coalesced(1, x10rt::FlushReason::kIdle);
+      drain_batched(tr, 0, 64);
+    }
+    EXPECT_EQ(replies, kPairs);
+  }
+}
+
 // --- reliability sublayer (ISSUE 5) -----------------------------------------
 
 TransportConfig retx_cfg(int places, std::uint64_t timeout_us = 100'000) {
