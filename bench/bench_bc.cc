@@ -2,18 +2,49 @@
 // place counts, including the paper's instance switch to a larger graph at
 // the threshold (their 2,048-place switch from 2^18/2^21 to 2^20/2^23 causes
 // the visible drop), plus the static-vs-GLB comparison from [43].
+//
+// Every row is verified outside the timed region: the centralities are
+// recomputed sequentially with brandes_source over the same sources and
+// must match to a relative 1e-9 (the tolerance perfbench uses). A mismatch
+// prints "NO" in the verified column and makes the bench exit 1.
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
 #include "bench_common.h"
 #include "kernels/bc/bc.h"
 #include "runtime/api.h"
 
+namespace {
+
+/// Sequential Brandes over bc_run's own sources, compared element-wise.
+bool centrality_matches(const kernels::BcParams& p,
+                        const std::vector<double>& got) {
+  const kernels::CsrGraph g = kernels::rmat_generate(p.graph);
+  std::vector<double> want(static_cast<std::size_t>(g.num_vertices), 0.0);
+  for (std::int32_t s : kernels::bc_sources(p, g.num_vertices)) {
+    kernels::brandes_source(g, s, want);
+  }
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::abs(got[i] - want[i]) > 1e-9 * std::max(1.0, std::abs(want[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int main() {
   using namespace apgas;
   bench::header("Figure 1 / Betweenness Centrality — weak scaling");
-  bench::row("%8s %8s %12s %16s %18s", "places", "scale", "Medges/s",
-             "Medges/s/place", "mode");
+  bench::row("%8s %8s %12s %16s %18s %9s", "places", "scale", "Medges/s",
+             "Medges/s/place", "mode", "verified");
   // The paper switches instances at 2,048 places; here at the last row of
   // a 4-core sweep.
   constexpr int kSwitch = 4;
+  int failed = 0;
   for (bool use_glb : {false, true}) {
     for (int places : bench::core_sweep()) {
       Config cfg;
@@ -27,14 +58,20 @@ int main() {
                          // places grow, exposing imbalance (paper §7)
         p.use_glb = use_glb;
         auto r = kernels::bc_run(p);
-        bench::row("%8d %8d %12.3f %16.4f %18s", places, p.graph.scale,
+        const bool ok = r.verified && centrality_matches(p, r.centrality);
+        if (!ok) ++failed;
+        bench::row("%8d %8d %12.3f %16.4f %18s %9s", places, p.graph.scale,
                    r.medges_per_sec, r.medges_per_sec_per_place,
-                   use_glb ? "GLB [43]" : "static");
+                   use_glb ? "GLB [43]" : "static", ok ? "yes" : "NO");
       });
     }
   }
   bench::row("(paper: 11.59 Medges/s/place at 32 places -> 10.67 at 2,048;"
              " instance switch drops it to 6.23, 5.21 at 47,040 = 45%% raw /"
              " 77%% corrected efficiency; GLB variant improves it)");
+  if (failed > 0) {
+    std::fprintf(stderr, "bench_bc: %d row(s) failed verification\n", failed);
+    return 1;
+  }
   return 0;
 }

@@ -12,8 +12,14 @@
 //                       the hierarchical win comes from the single-copy
 //                       in-group fan-out: one mail delivery per leaf group
 //                       instead of one per member.
+// After every timed loop each rank runs one untimed barrier, allreduce,
+// alltoall and bcast on fresh small-integer inputs (exact in double) and
+// checks them against a sequential fold; the "verified" column reports it
+// and any mismatch makes the bench exit 1.
 // Honors the bench_common observability env (APGAS_TRACE / APGAS_METRICS /
 // APGAS_* knobs incl. APGAS_PLACES_PER_NODE and APGAS_TEAM_*).
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -47,16 +53,88 @@ apgas::Config bench_cfg(int places) {
   return cfg;
 }
 
-void small_op_bench(int places, TeamMode mode, double& barrier_us,
+/// The value rank `r` contributes at element `i` of a check: a small integer,
+/// so every sum below is exact in double and order-independent.
+double check_input(int r, std::size_t i) {
+  return static_cast<double>(r * 100 + static_cast<int>(i % 97) + 1);
+}
+
+/// One untimed round of barrier, allreduce(sum), alltoall and bcast on fresh
+/// inputs, run by every rank of `t`; `arrived` is zero on entry and shared
+/// by all ranks. Returns whether this rank saw the right results.
+bool verify_round(Team& t, std::atomic<int>& arrived) {
+  const int size = t.size();
+  const int rank = t.rank();
+  bool ok = true;
+
+  // Barrier: nobody leaves before every rank has arrived.
+  arrived.fetch_add(1);
+  t.barrier();
+  ok = ok && arrived.load() == size;
+
+  // Allreduce against a sequential fold over the ranks' inputs.
+  constexpr std::size_t kN = 64;
+  std::vector<double> v(kN);
+  for (std::size_t i = 0; i < kN; ++i) v[i] = check_input(rank, i);
+  t.allreduce(v.data(), kN, ReduceOp::kSum);
+  for (std::size_t i = 0; i < kN; ++i) {
+    double fold = 0;
+    for (int r = 0; r < size; ++r) fold += check_input(r, i);
+    ok = ok && v[i] == fold;
+  }
+
+  // Alltoall: slot j of block s holds what rank s wrote for this rank.
+  constexpr std::size_t kBlock = 16;
+  const auto block = [](int from, int to, std::size_t j) {
+    return check_input(from, static_cast<std::size_t>(to) * kBlock + j);
+  };
+  std::vector<double> send(static_cast<std::size_t>(size) * kBlock);
+  std::vector<double> recv(send.size(), -1.0);
+  for (int d = 0; d < size; ++d) {
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      send[static_cast<std::size_t>(d) * kBlock + j] = block(rank, d, j);
+    }
+  }
+  t.alltoall(send.data(), recv.data(), kBlock);
+  for (int s = 0; s < size; ++s) {
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      ok = ok && recv[static_cast<std::size_t>(s) * kBlock + j] ==
+                     block(s, rank, j);
+    }
+  }
+
+  // Bcast from the last rank.
+  std::vector<double> b(kN, -1.0);
+  if (rank == size - 1) {
+    for (std::size_t i = 0; i < kN; ++i) b[i] = check_input(rank, i);
+  }
+  t.bcast(size - 1, b.data(), kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ok = ok && b[i] == check_input(size - 1, i);
+  }
+  return ok;
+}
+
+/// Rows whose results failed verify_round; nonzero makes main exit 1.
+int g_failed_rows = 0;
+
+const char* verdict(bool ok) {
+  if (!ok) ++g_failed_rows;
+  return ok ? "yes" : "NO";
+}
+
+bool small_op_bench(int places, TeamMode mode, double& barrier_us,
                     double& allreduce_us, double& alltoall_us,
                     std::uint64_t& msgs) {
   Config cfg = bench_cfg(places);
+  std::atomic<bool> ok{true};
   Runtime::run(cfg, [&] {
     auto& tr = Runtime::get().transport();
     tr.reset_stats();
     constexpr int kRounds = 50;
     std::vector<double> timings(3, 0.0);
     std::mutex mu;
+    std::atomic<int> arrived{0};
     PlaceGroup::world().broadcast([&, mode] {
       Team t = Team::world(mode);
       t.barrier();
@@ -83,23 +161,33 @@ void small_op_bench(int places, TeamMode mode, double& barrier_us,
     allreduce_us = timings[1];
     alltoall_us = timings[2];
     msgs = tr.count(x10rt::MsgType::kCollective);
+    // Checked in a second SPMD pass so the message column counts only the
+    // timed loops and their warm-up.
+    PlaceGroup::world().broadcast([&, mode] {
+      Team t = Team::world(mode);
+      if (!verify_round(t, arrived)) ok.store(false);
+    });
   });
   bench::maybe_emit_metrics(std::string("collectives.small.") +
                             mode_name(mode) + ".p" + std::to_string(places));
+  return ok.load();
 }
 
 
 /// One (op, mode, payload) cell: SPMD loop at `places` places, `rounds`
 /// timed repetitions after one warm-up op (the warm-up also builds and
 /// caches the leader tree), rank 0's wall clock. Rounds shrink as payloads
-/// grow so the sweep stays O(seconds) end to end.
+/// grow so the sweep stays O(seconds) end to end. Clears `ok` when
+/// verify_round fails at any rank.
 double payload_bench(int places, TeamMode mode, bool bcast_op,
-                     std::size_t bytes) {
+                     std::size_t bytes, bool& ok) {
   Config cfg = bench_cfg(places);
   const int rounds = bytes >= (1u << 20) ? 4 : 10;
   double usec = 0;
+  std::atomic<bool> verified{true};
   Runtime::run(cfg, [&] {
     std::mutex mu;
+    std::atomic<int> arrived{0};
     PlaceGroup::world().broadcast([&] {
       Team t = Team::world(mode);
       const std::size_t n = bytes / sizeof(double);
@@ -120,12 +208,14 @@ double payload_bench(int places, TeamMode mode, bool bcast_op,
         }
       }
       const auto t1 = std::chrono::steady_clock::now();
+      if (!verify_round(t, arrived)) verified.store(false);
       if (here() == 0) {
         std::scoped_lock lock(mu);
         usec = std::chrono::duration<double>(t1 - t0).count() / rounds * 1e6;
       }
     });
   });
+  if (!verified.load()) ok = false;
   bench::maybe_emit_metrics(std::string("collectives.payload.") +
                             (bcast_op ? "bcast." : "allreduce.") +
                             mode_name(mode) + "." + std::to_string(bytes));
@@ -140,16 +230,16 @@ int main() {
 
   bench::header(
       "§3.3 — Team collectives: emulated vs native vs hierarchical (us/op)");
-  bench::row("%8s %14s %12s %12s %12s %12s", "places", "mode", "barrier",
-             "allreduce", "alltoall", "coll msgs");
+  bench::row("%8s %14s %12s %12s %12s %12s %9s", "places", "mode", "barrier",
+             "allreduce", "alltoall", "coll msgs", "verified");
   for (int places : bench::sweep_places(16)) {
     for (TeamMode mode : kModes) {
       double b, ar, aa;
       std::uint64_t msgs;
-      small_op_bench(places, mode, b, ar, aa, msgs);
-      bench::row("%8d %14s %12.1f %12.1f %12.1f %12llu", places,
+      const bool ok = small_op_bench(places, mode, b, ar, aa, msgs);
+      bench::row("%8d %14s %12.1f %12.1f %12.1f %12llu %9s", places,
                  mode_name(mode), b, ar, aa,
-                 static_cast<unsigned long long>(msgs));
+                 static_cast<unsigned long long>(msgs), verdict(ok));
     }
   }
 
@@ -159,8 +249,8 @@ int main() {
   }
   bench::header("§3.3 — large-payload bcast/allreduce at " +
                 std::to_string(sweep_places) + " places (us/op)");
-  bench::row("%10s %10s %14s %14s %14s %10s", "op", "KiB", "emulated",
-             "native", "hierarchical", "hier_x");
+  bench::row("%10s %10s %14s %14s %14s %10s %9s", "op", "KiB", "emulated",
+             "native", "hierarchical", "hier_x", "verified");
   for (bool bcast_op : {true, false}) {
     for (std::size_t kib : {4u, 32u, 256u, 1024u, 4096u}) {
       const std::size_t bytes = kib * 1024;
@@ -169,16 +259,17 @@ int main() {
       // each reports its best — the ratio of bests is the stable signal.
       constexpr int kReps = 3;
       double cell[3] = {1e30, 1e30, 1e30};
+      bool ok = true;
       for (int rep = 0; rep < kReps; ++rep) {
         for (int m = 0; m < 3; ++m) {
-          cell[m] = std::min(
-              cell[m], payload_bench(sweep_places, kModes[m], bcast_op, bytes));
+          cell[m] = std::min(cell[m], payload_bench(sweep_places, kModes[m],
+                                                    bcast_op, bytes, ok));
         }
       }
       const double hier_x = cell[0] / cell[2];
-      bench::row("%10s %10zu %14.1f %14.1f %14.1f %9.2fx",
+      bench::row("%10s %10zu %14.1f %14.1f %14.1f %9.2fx %9s",
                  bcast_op ? "bcast" : "allreduce", kib, cell[0], cell[1],
-                 cell[2], hier_x);
+                 cell[2], hier_x, verdict(ok));
     }
   }
 
@@ -214,6 +305,11 @@ int main() {
                        tr.count(x10rt::MsgType::kData)));
       });
     }
+  }
+  if (g_failed_rows > 0) {
+    std::fprintf(stderr, "bench_collectives: %d row(s) failed verification\n",
+                 g_failed_rows);
+    return 1;
   }
   return 0;
 }

@@ -43,8 +43,8 @@ inline std::string per_run_path(const std::string& path, int run) {
 ///   APGAS_TRACE_CAP=<n>    per-place ring capacity in events (default 2^16)
 ///   APGAS_METRICS=<path>   write metrics at teardown (.json => JSON,
 ///                          anything else => key=value text)
-/// plus the APGAS_* perf knobs (coalesce_bytes/msgs, places,
-/// workers_per_place) via Config::apply_env — note benches that sweep
+/// plus the APGAS_* knobs (places, workers_per_place, backend, chaos,
+/// reliability, ...) via Config::apply_env — note benches that sweep
 /// `cfg.places` themselves overwrite an APGAS_PLACES override afterwards.
 ///
 /// Trace/metrics paths get a per-run ".rN" suffix (see per_run_path): benches

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <random>
 
 #include "runtime/api.h"
@@ -154,6 +155,20 @@ class BcBag {
 
 }  // namespace
 
+std::vector<std::int32_t> bc_sources(const BcParams& params,
+                                     std::int64_t num_vertices) {
+  // Random source permutation (the paper randomizes the partition to
+  // mitigate per-vertex cost imbalance).
+  std::vector<std::int32_t> sources(static_cast<std::size_t>(num_vertices));
+  std::iota(sources.begin(), sources.end(), 0);
+  std::mt19937_64 rng(params.perm_seed);
+  std::shuffle(sources.begin(), sources.end(), rng);
+  if (params.sources >= 0 && params.sources < num_vertices) {
+    sources.resize(static_cast<std::size_t>(params.sources));
+  }
+  return sources;
+}
+
 BcResult bc_run(const BcParams& params) {
   using namespace apgas;
   const int places = num_places();
@@ -162,16 +177,8 @@ BcResult bc_run(const BcParams& params) {
   // copy in-process models that (DESIGN.md §2).
   const CsrGraph graph = rmat_generate(params.graph);
   const std::int64_t v = graph.num_vertices;
-  const std::int64_t nsources = params.sources < 0 ? v : params.sources;
-
-  // Random source permutation (the paper randomizes the partition to
-  // mitigate per-vertex cost imbalance).
-  std::vector<std::int32_t> sources(static_cast<std::size_t>(v));
-  for (std::int64_t i = 0; i < v; ++i) sources[static_cast<std::size_t>(i)] =
-      static_cast<std::int32_t>(i);
-  std::mt19937_64 rng(params.perm_seed);
-  std::shuffle(sources.begin(), sources.end(), rng);
-  sources.resize(static_cast<std::size_t>(nsources));
+  const std::vector<std::int32_t> sources = bc_sources(params, v);
+  const auto nsources = static_cast<std::int64_t>(sources.size());
 
   std::vector<std::vector<double>> acc(
       static_cast<std::size_t>(places),

@@ -31,10 +31,20 @@ struct BcResult {
   double medges_per_sec = 0;
   double medges_per_sec_per_place = 0;
   std::vector<double> centrality;  ///< summed over all places
+  /// True when the run traversed at least one edge. A liveness check only:
+  /// the centralities are not compared here, because recomputing them costs
+  /// as much as the run. Callers that check them (bench_bc, perfbench)
+  /// compare `centrality` with brandes_source over bc_sources().
   bool verified = false;
 };
 
 BcResult bc_run(const BcParams& params);
+
+/// The sources bc_run processes on a graph of `num_vertices` vertices: the
+/// first params.sources (all when -1) of a random permutation seeded by
+/// params.perm_seed, in the order the static partition deals them out.
+std::vector<std::int32_t> bc_sources(const BcParams& params,
+                                     std::int64_t num_vertices);
 
 /// Brandes' dependency accumulation for one source; adds into `centrality`
 /// and returns the number of edges traversed.

@@ -47,14 +47,6 @@ struct Config {
   /// Track per-(src,dst) message counts — needed by out-degree benches.
   bool count_pairs = false;
 
-  /// Sender-side coalescing: envelope flush threshold in wire bytes
-  /// (docs/transport.md). 0 disables the aggregation layer — the default,
-  /// so every send_am ships its own message exactly as before ISSUE 3.
-  std::size_t coalesce_bytes = 0;
-
-  /// Max records parked per coalescing envelope before a forced flush.
-  int coalesce_msgs = 64;
-
   /// Reliability sublayer: initial retransmit timeout in microseconds
   /// (docs/transport.md "Reliability"). 0 disables the layer — the default,
   /// so sends are zero-cost passthroughs with wire behavior bit-for-bit
@@ -68,29 +60,6 @@ struct Config {
   /// Standalone-ack idle threshold: a receiver owing an ack with no reverse
   /// traffic to piggyback on sends one after this many microseconds.
   std::uint64_t retx_ack_idle_us = 200;
-
-  // --- online self-tuning (docs/transport.md "Adaptive tuning") ------------
-
-  /// Arms the per-place autotune controller (runtime/autotune.h): dynamic
-  /// per-(src,dst) coalescing flush thresholds, Jacobson/Karels adaptive
-  /// retransmit timers, and an adaptive worker park-backoff ceiling. 0 — the
-  /// default — never constructs the controller: no hook is installed and
-  /// every knob behaves bit-for-bit as the static configuration.
-  int autotune = 0;
-
-  /// Latency budget for coalescing-envelope residency (microseconds): the
-  /// controller shrinks a pair's flush threshold while the residency EWMA
-  /// exceeds it and grows back toward `coalesce_bytes` when residency sits
-  /// at half budget or below with size-flushes dominating.
-  std::uint64_t autotune_residency_budget_us = 50;
-
-  /// Idle worker park backoff (docs/scheduler.md): the first park lasts
-  /// `park_backoff_min_us`, doubling per idle round up to
-  /// `park_backoff_max_us`. The defaults reproduce the previously hardcoded
-  /// 1µs -> 200µs ramp; the autotune controller moves the effective ceiling
-  /// inside this same [min, max] band.
-  std::uint64_t park_backoff_min_us = 1;
-  std::uint64_t park_backoff_max_us = 200;
 
   // --- hierarchical Team collectives (docs/collectives.md) -----------------
 
@@ -149,7 +118,7 @@ struct Config {
   std::string metrics_path;
 
   /// Arm the latency histograms (hist.* metric keys: task ship->execute,
-  /// finish open->close per protocol, envelope residency, activity duration,
+  /// finish open->close per protocol, activity duration,
   /// steal-to-work). Off by default: every recording site then costs one
   /// relaxed atomic load, matching the flight recorder's contract.
   bool histograms = false;
@@ -159,8 +128,8 @@ struct Config {
   /// Sampling interval of the stall watchdog thread in milliseconds; 0 (the
   /// default) never starts the thread. When no progress signal advances for
   /// `watchdog_stall_intervals` consecutive samples, one human-readable
-  /// diagnosis (queue depths, oldest open finish, coalescer occupancy,
-  /// recent trace events) is dumped to stderr; it re-arms only after
+  /// diagnosis (queue depths, oldest open finish, unacked retransmit
+  /// queues, recent trace events) is dumped to stderr; it re-arms only after
   /// progress resumes.
   int watchdog_interval_ms = 0;
 
@@ -208,15 +177,9 @@ struct Config {
   ///   APGAS_TEAM_LEVELS        team_levels (1..3)
   ///   APGAS_TEAM_FANOUT        team_fanout
   ///   APGAS_TEAM_CHUNK_BYTES   team_chunk_bytes (0 = unpipelined)
-  ///   APGAS_COALESCE_BYTES     coalesce_bytes (0 disables coalescing)
-  ///   APGAS_COALESCE_MSGS      coalesce_msgs
   ///   APGAS_RETX_TIMEOUT_US    retx_timeout_us (0 disables reliability)
   ///   APGAS_RETX_BACKOFF_MAX_US retx_backoff_max_us
   ///   APGAS_RETX_ACK_IDLE_US   retx_ack_idle_us
-  ///   APGAS_AUTOTUNE           autotune (nonzero arms the controller)
-  ///   APGAS_AUTOTUNE_RESIDENCY_BUDGET_US autotune_residency_budget_us
-  ///   APGAS_PARK_BACKOFF_MIN_US park_backoff_min_us
-  ///   APGAS_PARK_BACKOFF_MAX_US park_backoff_max_us
   ///   APGAS_HIST               histograms (nonzero arms them)
   ///   APGAS_WATCHDOG_MS        watchdog_interval_ms (nonzero starts it)
   ///   APGAS_WATCHDOG_INTERVALS watchdog_stall_intervals
@@ -283,16 +246,9 @@ struct Config {
     read("APGAS_TEAM_LEVELS", cfg.team_levels);
     read("APGAS_TEAM_FANOUT", cfg.team_fanout);
     read("APGAS_TEAM_CHUNK_BYTES", cfg.team_chunk_bytes);
-    read("APGAS_COALESCE_BYTES", cfg.coalesce_bytes);
-    read("APGAS_COALESCE_MSGS", cfg.coalesce_msgs);
     read("APGAS_RETX_TIMEOUT_US", cfg.retx_timeout_us);
     read("APGAS_RETX_BACKOFF_MAX_US", cfg.retx_backoff_max_us);
     read("APGAS_RETX_ACK_IDLE_US", cfg.retx_ack_idle_us);
-    read("APGAS_AUTOTUNE", cfg.autotune);
-    read("APGAS_AUTOTUNE_RESIDENCY_BUDGET_US",
-         cfg.autotune_residency_budget_us);
-    read("APGAS_PARK_BACKOFF_MIN_US", cfg.park_backoff_min_us);
-    read("APGAS_PARK_BACKOFF_MAX_US", cfg.park_backoff_max_us);
     int hist = cfg.histograms ? 1 : 0;
     read("APGAS_HIST", hist);
     cfg.histograms = hist != 0;

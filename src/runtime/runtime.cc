@@ -319,47 +319,6 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
   tc.places = cfg_.places;
   tc.chaos = cfg_.chaos;
   tc.count_pairs = cfg_.count_pairs;
-  tc.coalesce_bytes = cfg_.coalesce_bytes;
-  tc.coalesce_msgs = cfg_.coalesce_msgs;
-  // Online tuning controller (docs/transport.md "Adaptive tuning"), built
-  // before the transport so its signal sinks can ride the hooks below. With
-  // APGAS_AUTOTUNE unset no controller exists: no tick/rtt hook is installed,
-  // no dynamic threshold or timer is ever written, and the transport runs
-  // its static configuration bit-for-bit.
-  if (cfg_.autotune > 0) {
-    Autotune::Knobs kn;
-    kn.residency_budget_us = cfg_.autotune_residency_budget_us;
-    kn.coalesce_bytes_cap = cfg_.coalesce_bytes;
-    kn.retx_timeout_us = cfg_.retx_timeout_us;
-    kn.retx_backoff_max_us = cfg_.retx_backoff_max_us;
-    kn.park_min_us = cfg_.park_backoff_min_us;
-    kn.park_max_us = cfg_.park_backoff_max_us;
-    autotune_ = std::make_unique<Autotune>(cfg_.places, kn);
-    autotune_->set_adjust_hook([](int place, int dst, Autotune::Knob knob,
-                                  std::uint64_t value) {
-      trace::emit_at(place, trace::Ev::kAutotuneAdjust, value,
-                     (static_cast<std::uint64_t>(knob) << 32) |
-                         static_cast<std::uint32_t>(dst));
-    });
-  }
-  Autotune* at = autotune_.get();
-  // The transport stays runtime-agnostic; it reports envelope flushes
-  // through this hook and the runtime forwards them to the flight recorder,
-  // the envelope-residency histogram, and (when armed) the controller.
-  Histogram* env_hist = &metrics_->histogram("envelope.residency_ns");
-  tc.flush_hook = [env_hist, at](int src, int dst, std::uint32_t records,
-                                 x10rt::FlushReason reason,
-                                 std::uint64_t residency_ns) {
-    trace::emit_at(src, trace::Ev::kCoalesceFlush,
-                   static_cast<std::uint64_t>(records),
-                   (static_cast<std::uint64_t>(reason) << 32) |
-                       static_cast<std::uint32_t>(dst));
-    if (residency_ns != 0 && hist::enabled()) env_hist->record(residency_ns);
-    if (at != nullptr) at->on_flush(src, dst, records, reason, residency_ns);
-  };
-  if (at != nullptr) {
-    tc.tick_hook = [at](int place) { at->maybe_tick(place); };
-  }
   // Reliability sublayer knobs + observability hooks (docs/transport.md
   // "Reliability"): timeouts land in the flight recorder, ack latencies of
   // retransmitted sequences in the retx.ack_latency_ns histogram.
@@ -379,16 +338,8 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
                                      std::uint32_t /*attempts*/) {
       if (hist::enabled()) retx_hist->record(latency_ns);
     };
-    if (at != nullptr) {
-      // First-transmission ack latencies (Karn-filtered by the transport)
-      // feed the per-pair SRTT estimators.
-      tc.rtt_sample_hook = [at](int src, int dst, std::uint64_t rtt_ns) {
-        at->on_rtt_sample(src, dst, rtt_ns);
-      };
-    }
   }
   transport_ = std::make_unique<x10rt::Transport>(tc);
-  if (autotune_ != nullptr) autotune_->attach_transport(transport_.get());
   if (wiring != nullptr) local_place_ = wiring->place;
   hist_ship_frame_ = &metrics_->histogram("task.ship_ns");
   hist_ship_xproc_ = &metrics_->histogram("task.ship_xproc_ns");
@@ -400,24 +351,10 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
     auto ps = std::make_unique<PlaceState>();
     ps->sched = std::make_unique<Scheduler>(*this, p);
     ps->sched->add_idle_hook([this, p] { fin_flush_all_dirty(*this, p); });
-    // Registered after the finish flusher on purpose: snapshots the finish
-    // hook just encoded land in this same idle transition's envelopes, so a
-    // place going idle never parks termination-detection traffic (the
-    // no-deadlock half of the coalescing contract — docs/transport.md).
-    ps->sched->add_idle_hook([this, p] {
-      transport_->flush_coalesced(p, x10rt::FlushReason::kIdle);
-    });
     if (cfg_.retx_timeout_us > 0) {
       // An idle place retransmits its timed-out traffic and settles owed
       // acks without waiting for the next poll tick.
       ps->sched->add_idle_hook([this, p] { transport_->retx_pump(p); });
-    }
-    if (autotune_ != nullptr) {
-      // Idle transitions are a natural adjustment point (and the only one a
-      // place that stopped sending would ever reach — poll ticks stop with
-      // the traffic).
-      autotune_->attach_scheduler(p, ps->sched.get());
-      ps->sched->add_idle_hook([at, p] { at->maybe_tick(p); });
     }
     pstates_.push_back(std::move(ps));
   }
@@ -494,22 +431,7 @@ void Runtime::register_transport_gauges() {
   }
   metrics_->add_gauge("trace.events", [] { return trace::total_events(); });
 
-  // Sender-side coalescing layer + wire-buffer pool (docs/transport.md).
-  metrics_->add_gauge("transport.coalesce.envelopes",
-                      [tr] { return tr->coalesce_envelopes(); });
-  metrics_->add_gauge("transport.coalesce.records",
-                      [tr] { return tr->coalesce_records(); });
-  metrics_->add_gauge("transport.coalesce.wire_bytes",
-                      [tr] { return tr->coalesce_wire_bytes(); });
-  metrics_->add_gauge("transport.coalesce.bypass",
-                      [tr] { return tr->coalesce_bypass(); });
-  for (int r = 0; r < x10rt::kNumFlushReasons; ++r) {
-    const auto reason = static_cast<x10rt::FlushReason>(r);
-    metrics_->add_gauge(
-        std::string("transport.coalesce.flush.") +
-            x10rt::flush_reason_name(reason),
-        [tr, reason] { return tr->coalesce_flushes(reason); });
-  }
+  // Wire-buffer pool (docs/transport.md).
   metrics_->add_gauge("transport.pool.hits",
                       [tr] { return tr->pool().hits(); });
   metrics_->add_gauge("transport.pool.misses",
@@ -547,22 +469,6 @@ void Runtime::register_transport_gauges() {
   metrics_->add_gauge("transport.backend.bytes_received",
                       [tr] { return tr->backend_stats().bytes_received; });
 
-  // Online tuning controller (docs/transport.md "Adaptive tuning"). Only
-  // registered when armed so a static run's metrics dump is unchanged.
-  if (autotune_ != nullptr) {
-    Autotune* at = autotune_.get();
-    metrics_->add_gauge("autotune.ticks", [at] { return at->ticks(); });
-    metrics_->add_gauge("autotune.adjust.up", [at] { return at->adjust_up(); });
-    metrics_->add_gauge("autotune.adjust.down",
-                        [at] { return at->adjust_down(); });
-    metrics_->add_gauge("autotune.rto_updates",
-                        [at] { return at->rto_updates(); });
-    metrics_->add_gauge("autotune.rtt_samples",
-                        [at] { return at->rtt_samples(); });
-    metrics_->add_gauge("autotune.park_adjusts",
-                        [at] { return at->park_adjusts(); });
-  }
-
   // Hierarchical Team collectives (docs/collectives.md): levels/leaders
   // describe the most recently built hierarchy, chunks/chunk_bytes tally
   // fragments forwarded along leader-tree edges.
@@ -594,11 +500,6 @@ void Runtime::finalize_observability() {
     for (int p = 0; p < cfg_.places; ++p) {
       if (!place_is_local(p)) continue;
       detail::tl_place = p;
-      // A handler run by step() may have parked small AMs in a coalescing
-      // envelope; ship them so the drain reaches a true fixpoint.
-      if (transport_->flush_coalesced(p, x10rt::FlushReason::kQuiesce) > 0) {
-        progressed = true;
-      }
       // Reliability fixpoint: force-retransmit every unacked entry and ship
       // every owed ack. The force pump reports > 0 while any entry is
       // unacked, so the drain cannot stop before the all-acked state — and
@@ -709,9 +610,6 @@ void Runtime::run(const Config& cfg, std::function<void()> main) {
 bool Runtime::drain_local_pass() {
   const int p = local_place_;
   bool progressed = false;
-  if (transport_->flush_coalesced(p, x10rt::FlushReason::kQuiesce) > 0) {
-    progressed = true;
-  }
   // Non-force pump: retransmits respect their timers and owed acks ship
   // once aged (retx_ack_idle_us), so two peers looping this cannot feed
   // each other a force-retransmit storm while they wait on the barrier.
@@ -777,7 +675,6 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
                                  rtp->transport().acquire_buffer(),
                                  x10rt::MsgType::kControl);
       }
-      rtp->transport().flush_coalesced(0, x10rt::FlushReason::kQuiesce);
       rtp->shutdown_.store(true, std::memory_order_release);
       rtp->transport().notify(0);
     };
@@ -880,7 +777,7 @@ void Runtime::send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
   frame.put<std::uint64_t>(span);
   frame.put<std::uint64_t>(parent_span);
   // Ship-time stamp + sending place travel inside the frame (not on the
-  // Message) so they survive coalescing into an envelope train; the source
+  // Message) so they survive the socket wire's fixed header; the source
   // place lets the receiver pick the right clock offset for the aligned
   // ship-latency sample.
   frame.put<std::int32_t>(here());
@@ -911,13 +808,6 @@ void Runtime::send_immediate_frame(int dst, int fn_id, x10rt::ByteBuffer args,
     frame.put_raw(args.bytes().data() + args.position(), args.remaining());
   }
   transport_->send_am(here(), dst, am_immediate_, std::move(frame), type);
-  // Immediates are rendezvous traffic: the caller typically blocks for the
-  // peer's reply *inside an activity* (Team barrier, a GLB steal wait), so
-  // the scheduler's idle-hook flush may never run on this worker. Parking
-  // the frame in a half-full envelope would deadlock the exchange — cut the
-  // sender's envelopes now (the other half of the no-deadlock coalescing
-  // contract; docs/transport.md).
-  transport_->flush_coalesced(here(), x10rt::FlushReason::kImmediate);
 }
 
 void Runtime::check_closure_can_reach(int dst, const char* what) const {

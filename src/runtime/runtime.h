@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "runtime/activity.h"
-#include "runtime/autotune.h"
 #include "runtime/config.h"
 #include "runtime/finish.h"
 #include "runtime/metrics.h"
@@ -126,8 +125,6 @@ class Runtime {
   }
   [[nodiscard]] CongruentSpace& congruent() { return *congruent_; }
   [[nodiscard]] MetricsRegistry& metrics() { return *metrics_; }
-  /// The online tuning controller, or nullptr when Config::autotune == 0.
-  [[nodiscard]] Autotune* autotune() { return autotune_.get(); }
   [[nodiscard]] const FinishCounters& fin_counters() const { return finc_; }
 
   /// Node master of `p` under the places-per-node mapping (FINISH_DENSE
@@ -221,9 +218,6 @@ class Runtime {
   // resolves counters out of it — schedulers, transport gauges, finc_.
   std::unique_ptr<MetricsRegistry> metrics_;
   FinishCounters finc_;
-  // Declared before transport_ so it is destroyed after it: transport
-  // teardown (quiesce flushes, late acks) may still fire the autotune hooks.
-  std::unique_ptr<Autotune> autotune_;
   std::unique_ptr<x10rt::Transport> transport_;
   int am_snapshot_ = -1;
   int am_dense_relay_ = -1;

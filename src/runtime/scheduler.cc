@@ -36,15 +36,6 @@ inline std::uint64_t next_rand(std::uint64_t& s) {
 Scheduler::Scheduler(Runtime& rt, int place)
     : rt_(rt),
       place_(place),
-      park_min_us_(rt.config().park_backoff_min_us < 1
-                       ? 1
-                       : rt.config().park_backoff_min_us),
-      park_ceiling_us_(rt.config().park_backoff_max_us < park_min_us_
-                           ? park_min_us_
-                           : rt.config().park_backoff_max_us),
-      park_max_us_(rt.config().park_backoff_max_us < park_min_us_
-                       ? park_min_us_
-                       : rt.config().park_backoff_max_us),
       activities_executed_(rt.metrics().counter(
           "sched.p" + std::to_string(place) + ".activities_executed")),
       messages_processed_(rt.metrics().counter(
@@ -93,12 +84,23 @@ void Scheduler::unbind_worker() {
   Worker* w = local_worker();
   if (w == nullptr) return;
   // The job has quiesced, but chaos can leave already-delivered messages
-  // (e.g. superseded snapshots) in this worker's private batch. Run them so
-  // teardown bookkeeping (sent == applied + stale) stays exact.
-  while (!w->batch.empty()) {
-    x10rt::Message m = std::move(w->batch.front());
-    w->batch.pop_front();
-    consume_message(m);
+  // (e.g. superseded snapshots) in this worker's private batch, and running
+  // one can push a local task (a FINISH_DENSE relay flusher) onto this
+  // worker's deque, which nothing drains once the worker is gone: a lone
+  // worker's deque is never stolen from. Run both dry so teardown
+  // bookkeeping (sent == applied + stale) stays exact.
+  for (;;) {
+    if (!w->batch.empty()) {
+      x10rt::Message m = std::move(w->batch.front());
+      w->batch.pop_front();
+      consume_message(m);
+    } else if (Activity* a = w->deque.pop()) {
+      Activity act = std::move(*a);
+      delete a;
+      run_activity(act);
+    } else {
+      break;
+    }
   }
   tl_bound_sched = nullptr;
   tl_bound_worker = nullptr;
@@ -204,7 +206,7 @@ void Scheduler::consume_message(x10rt::Message& m) {
                  static_cast<std::uint64_t>(m.src));
   msgs_by_type_[static_cast<std::size_t>(m.type)]->fetch_add(
       1, std::memory_order_relaxed);
-  rt_.transport().dispatch(place_, m);
+  rt_.transport().dispatch(m);
   messages_processed_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -255,6 +257,10 @@ void Scheduler::run_until(const std::function<bool()>& done) {
   // producers out of the notify path) through short work gaps; on an
   // oversubscribed machine yield() also donates the slice to the producer.
   constexpr int kSpinRounds = 6;
+  // Park backoff (paper §3.1 idle protocol): the first park lasts 1µs,
+  // doubling per idle round up to a 200µs ceiling.
+  constexpr std::int64_t kParkMinUs = 1;
+  constexpr auto kParkMax = std::chrono::microseconds(200);
   int idle_rounds = 0;
   while (!done()) {
     if (step()) {
@@ -277,15 +283,8 @@ void Scheduler::run_until(const std::function<bool()>& done) {
     }
     int shift = idle_rounds - kSpinRounds - 1;
     if (shift > 8) shift = 8;
-    // Exponential ramp from the configured minimum, capped by the ceiling —
-    // which the autotune controller may move inside [park_backoff_min_us,
-    // park_backoff_max_us]. The default 1µs -> 200µs band reproduces the
-    // previously hardcoded constants exactly.
-    auto park = std::chrono::microseconds(
-        static_cast<std::int64_t>(park_min_us_) << shift);
-    const auto ceiling = std::chrono::microseconds(
-        park_ceiling_us_.load(std::memory_order_relaxed));
-    if (park > ceiling) park = ceiling;
+    auto park = std::chrono::microseconds(kParkMinUs << shift);
+    if (park > kParkMax) park = kParkMax;
     rt_.transport().enter_idle(place_);
     if (done()) {
       rt_.transport().exit_idle(place_);
@@ -310,12 +309,6 @@ void Scheduler::add_idle_hook(std::function<void()> hook) {
   const auto* raw = next.get();
   hook_snapshots_.emplace_back(std::move(next));
   hooks_.store(raw, std::memory_order_release);
-}
-
-void Scheduler::set_park_ceiling_us(std::uint64_t us) {
-  if (us < park_min_us_) us = park_min_us_;
-  if (us > park_max_us_) us = park_max_us_;
-  park_ceiling_us_.store(us, std::memory_order_relaxed);
 }
 
 }  // namespace apgas

@@ -81,8 +81,9 @@ class Scheduler {
   void bind_worker(int wid);
 
   /// Unbinds the calling thread, first processing any messages still parked
-  /// in its private poll batch (chaos stragglers past the root finish) so no
-  /// delivered message is ever lost to teardown.
+  /// in its private poll batch (chaos stragglers past the root finish) and
+  /// running any task left on its deque, so no delivered message and no task
+  /// it spawned is ever lost to teardown.
   void unbind_worker();
 
   /// Registers a hook invoked when the place transitions to idle (e.g. the
@@ -122,17 +123,6 @@ class Scheduler {
     return overflow_size_.load(std::memory_order_relaxed);
   }
 
-  /// Current park-backoff ceiling in microseconds. Idle workers ramp their
-  /// park interval exponentially from Config::park_backoff_min_us up to this
-  /// ceiling; the autotune controller moves it inside the configured band.
-  [[nodiscard]] std::uint64_t park_ceiling_us() const {
-    return park_ceiling_us_.load(std::memory_order_relaxed);
-  }
-  /// Moves the park-backoff ceiling, clamped to
-  /// [Config::park_backoff_min_us, Config::park_backoff_max_us]. Thread-safe;
-  /// idle workers pick the new value up on their next park.
-  void set_park_ceiling_us(std::uint64_t us);
-
  private:
   /// Everything one worker thread owns. Only the bound thread touches
   /// `batch` and the bottom end of `deque`; thieves use `deque.steal()`.
@@ -154,13 +144,6 @@ class Scheduler {
 
   Runtime& rt_;
   int place_;
-
-  // Park-backoff band (paper §3.1 idle protocol). The minimum seeds the
-  // exponential ramp; the ceiling caps it and is the only adaptively moved
-  // knob (relaxed atomic: stale reads just park a little longer/shorter).
-  std::uint64_t park_min_us_;
-  std::atomic<std::uint64_t> park_ceiling_us_;
-  std::uint64_t park_max_us_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
 

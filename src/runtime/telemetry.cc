@@ -14,12 +14,11 @@ namespace telemetry {
 namespace {
 
 // Everything apgas_top's columns need: task/steal/park rates from the
-// per-place scheduler counters, ship counts, retransmit and coalescing
-// traffic, GLB steals, and the task latency histograms.
+// per-place scheduler counters, ship counts, retransmit traffic, GLB
+// steals, and the task latency histograms.
 const char* const kDefaultPrefixes[] = {
-    "sched.",          "runtime.",  "finish.opened", "finish.closed",
-    "transport.retx.", "transport.coalesce.", "glb.", "hist.task.",
-    "hist.activity.",
+    "sched.", "runtime.", "finish.opened", "finish.closed", "transport.retx.",
+    "glb.",   "hist.task.", "hist.activity.",
 };
 
 void append_json_escaped(std::string& out, std::string_view s) {

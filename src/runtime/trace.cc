@@ -37,9 +37,7 @@ constexpr std::array<const char*, kNumEv> kEvNames = {
     "team.chunk",      // kTeamChunk
     "sched.steal",     // kSchedSteal
     "sched.overflow",  // kSchedOverflow
-    "coalesce.flush",  // kCoalesceFlush
     "retx.timeout",    // kRetxTimeout
-    "autotune.adjust",  // kAutotuneAdjust
 };
 
 constexpr bool all_events_named() {

@@ -49,10 +49,7 @@ enum class Ev : std::uint8_t {
                      // a = op id<<32 | chunk index, b = bytes<<16 | dst rank
   kSchedSteal,       // intra-place deque steal; a = thief worker, b = victim
   kSchedOverflow,    // overflow-inbox drain; a = draining worker (-1 = ext)
-  kCoalesceFlush,    // envelope shipped; a = records, b = reason<<32 | dst
   kRetxTimeout,      // retransmit fired; a = seq, b = attempt<<32 | dst
-  kAutotuneAdjust,   // controller moved a knob; a = new value,
-                     // b = knob<<32 | uint32(dst) (dst = -1 for park)
   kCount_,           // sentinel — keep last; name() is static_asserted to it
 };
 inline constexpr int kNumEv = static_cast<int>(Ev::kCount_);

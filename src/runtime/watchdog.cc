@@ -48,7 +48,6 @@ Watchdog::Progress Watchdog::sample() const {
   p.finishes_opened = fc.opened->load(std::memory_order_relaxed);
   p.finishes_closed = fc.closed->load(std::memory_order_relaxed);
   p.transport_msgs = rt_.transport().total_messages();
-  p.envelopes = rt_.transport().coalesce_envelopes();
   return p;
 }
 
@@ -69,9 +68,9 @@ void Watchdog::diagnose(int stalled_intervals) const {
          static_cast<long long>(interval_.count()) * stalled_intervals);
   append("  totals: activities=%" PRIu64 " sched_msgs=%" PRIu64
          " finishes=%" PRIu64 "/%" PRIu64 " (closed/opened) transport_msgs=%"
-         PRIu64 " envelopes=%" PRIu64 "\n",
+         PRIu64 "\n",
          p.activities, p.messages, p.finishes_closed, p.finishes_opened,
-         p.transport_msgs, p.envelopes);
+         p.transport_msgs);
 
   x10rt::Transport& tr = rt_.transport();
   for (int q = 0; q < rt_.places(); ++q) {
@@ -80,30 +79,16 @@ void Watchdog::diagnose(int stalled_intervals) const {
     // their zeros would only bury the signal.
     if (!rt_.place_is_local(q)) continue;
     Scheduler& s = rt_.sched(q);
-    append("  place %d: inbox=%zu overflow=%zu sleepers=%d coalesce_open=%zu "
-           "executed=%" PRIu64 " msgs=%" PRIu64 "\n",
+    append("  place %d: inbox=%zu overflow=%zu sleepers=%d executed=%" PRIu64
+           " msgs=%" PRIu64 "\n",
            q, tr.inbox_depth(q), s.overflow_pending(), tr.sleepers(q),
-           tr.coalesce_open_envelopes(q), s.activities_executed(),
-           s.messages_processed());
+           s.activities_executed(), s.messages_processed());
     // Reliability sublayer: a stall with unacked retransmit queues usually
     // means the loss/ack loop, not the protocols, is the thing to look at.
     for (const auto& d : tr.retx_unacked(q)) {
       append("    retx %d->%d: oldest_unacked_seq=%" PRIu64 " age=%" PRIu64
              "us depth=%zu\n",
              q, d.dst, d.oldest_seq, d.age_ns / 1000, d.depth);
-    }
-    // Adaptive controller: a stall with a collapsed threshold or a wildly
-    // wrong RTO points at the tuner, not the workload.
-    if (Autotune* at = rt_.autotune()) {
-      for (const auto& d : at->pair_diag(q)) {
-        append("    autotune %d->%d: threshold=%zuB residency_ewma=%" PRIu64
-               "ns srtt=%" PRIu64 "us rttvar=%" PRIu64 "us rto=%" PRIu64
-               "us\n",
-               q, d.dst, d.threshold, d.residency_ewma_ns, d.srtt_us,
-               d.rttvar_us, d.rto_us);
-      }
-      append("    autotune place %d: park_ceiling=%" PRIu64 "us\n", q,
-             at->park_ceiling_us(q));
     }
   }
   // Socket backend: per-peer queue depths. Bytes stuck in tx_pending mean

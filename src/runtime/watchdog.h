@@ -7,8 +7,8 @@
 // APGAS_WATCHDOG_MS) that snapshots the runtime's monotone progress counters
 // every interval. When *none* of them advances for N consecutive intervals it
 // dumps one human-readable diagnosis to stderr — per-place queue depths and
-// scheduler totals, the oldest open finish (seq + protocol), coalescer shard
-// occupancy, and the last few flight-recorder events — then stays quiet until
+// scheduler totals, the oldest open finish (seq + protocol), unacked
+// retransmit queues, and the last few flight-recorder events — then stays quiet until
 // progress resumes (one report per distinct stall, not one per interval).
 //
 // Only monotone counters participate in stall detection: oscillating signals
@@ -69,7 +69,6 @@ class Watchdog {
     std::uint64_t finishes_opened = 0;   // finish.opened
     std::uint64_t finishes_closed = 0;   // finish.closed
     std::uint64_t transport_msgs = 0;    // transport.msgs.total
-    std::uint64_t envelopes = 0;         // transport.coalesce.envelopes
     friend bool operator==(const Progress&, const Progress&) = default;
   };
 

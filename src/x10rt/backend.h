@@ -1,8 +1,8 @@
 // Backend: the wire under the Transport.
 //
 // Transport owns everything protocol-shaped — sequencing, ack/retransmit,
-// dedup, coalescing, chaos injection — and a Backend only moves opaque byte
-// frames between places. Two implementations exist:
+// dedup, chaos injection — and a Backend only moves opaque byte frames
+// between places. Two implementations exist:
 //
 //   * InProcBackend (default): all places share the process, messages hop
 //     between inboxes as Message values and no frame is ever encoded. send_frame

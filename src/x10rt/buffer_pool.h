@@ -1,10 +1,10 @@
-// Pooled wire-buffer storage for X10RT (ISSUE 3).
+// Pooled wire-buffer storage for X10RT.
 //
 // Every active message used to heap-allocate a fresh std::vector<std::byte>
 // on the send side and free it on the receive side — pure allocator churn on
 // the control-plane hot path. The pool is a bounded freelist of cleared
 // vectors that keep their capacity: after warm-up, frame encoding and
-// envelope assembly run allocation-free. Buffers whose capacity outgrew
+// handler receive copies run allocation-free. Buffers whose capacity outgrew
 // `max_capacity` are dropped rather than retained so one jumbo payload
 // cannot pin memory forever.
 //
@@ -65,31 +65,6 @@ class BufferPool {
       }
     }
     dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Returns many buffers under one lock acquisition — the coalescing layer
-  /// stashes per-record payload storage shard-locally and recycles it in
-  /// envelope-sized batches, so the freelist mutex is paid per envelope
-  /// rather than per message.
-  void release_batch(std::vector<std::vector<std::byte>>&& batch) {
-    std::size_t recycled = 0;
-    std::size_t dropped = 0;
-    {
-      std::scoped_lock lock(mu_);
-      for (auto& v : batch) {
-        if (v.capacity() == 0 || v.capacity() > max_capacity_ ||
-            free_.size() >= max_retained_) {
-          ++dropped;
-          continue;
-        }
-        v.clear();
-        free_.push_back(std::move(v));
-        ++recycled;
-      }
-    }
-    batch.clear();
-    if (recycled > 0) recycled_.fetch_add(recycled, std::memory_order_relaxed);
-    if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint64_t hits() const {

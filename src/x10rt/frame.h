@@ -3,9 +3,8 @@
 // A frame is the unit a Backend ships between place processes: a 4-byte
 // length prefix, a fixed 36-byte header, and an opaque payload. The header
 // carries exactly the Message fields that must survive a process boundary
-// (classification, reliability sequence/ack) plus the dispatch key: a
-// registered AM handler id for single messages, or the kEnvelope kind whose
-// payload is a coalesced envelope train in the existing envelope.h format.
+// (classification, reliability sequence/ack) plus the dispatch key: the
+// registered AM handler id, or the kAckOnly kind for a standalone ack.
 // A frame is the byte image of a Message (message.h), which has no other
 // form.
 //
@@ -28,14 +27,13 @@
 namespace x10rt::frame {
 
 enum class Kind : std::uint8_t {
-  kAm = 0,        ///< payload = serialized args for header.handler
-  kEnvelope = 1,  ///< payload = coalesced envelope train (envelope.h)
-  kAckOnly = 2,   ///< no payload; header.ack is the cumulative ack
+  kAm = 0,       ///< payload = serialized args for header.handler
+  kAckOnly = 1,  ///< no payload; header.ack is the cumulative ack
 };
-inline constexpr int kNumKinds = 3;
+inline constexpr int kNumKinds = 2;
 
 inline constexpr std::uint32_t kMagic = 0x46475041u;  // "APGF"
-inline constexpr std::uint8_t kVersion = 2;
+inline constexpr std::uint8_t kVersion = 3;
 
 /// Header byte layout (after the u32 length prefix, offsets in bytes):
 ///   0  u32 magic        8  i32 src        16 u64 seq   32 u32 payload_len
@@ -47,8 +45,8 @@ inline constexpr std::size_t kHeaderBytes = 36;
 inline constexpr std::size_t kLengthPrefixBytes = 4;
 
 /// Hard ceiling on (header + payload). Nothing legitimate approaches this —
-/// envelope trains seal at coalesce_bytes (KBs) — so a larger length prefix
-/// is corruption, not load, and must not size a buffer.
+/// a frame carries one AM's serialized args — so a larger length prefix is
+/// corruption, not load, and must not size a buffer.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
 struct Header {

@@ -45,8 +45,6 @@ inline const char* msg_type_name(MsgType t) {
 /// layer is disabled.
 inline constexpr std::uint8_t kMsgHasAck = 1;  ///< `ack` field is valid
 inline constexpr std::uint8_t kMsgAckOnly = 2; ///< standalone ack, no body
-/// Payload is a coalesced envelope train (envelope.h), not one handler's args.
-inline constexpr std::uint8_t kMsgEnvelope = 4;
 /// Arrived from another process; `src` is the peer (Transport::dispatch_peer).
 inline constexpr std::uint8_t kMsgXProc = 8;
 
@@ -56,8 +54,8 @@ inline constexpr std::uint8_t kMsgXProc = 8;
 /// reliability layer's retained retransmit copy, chaos duplicates — share
 /// one payload, and dedup lets at most one of them be dispatched.
 struct Message {
-  int handler = -1;  // unused for envelopes and standalone acks
-  // Handler args, or the envelope train when rflags & kMsgEnvelope.
+  int handler = -1;  // unused for standalone acks
+  // Handler args.
   std::shared_ptr<std::vector<std::byte>> payload;
   MsgType type = MsgType::kOther;
   std::size_t bytes = 0;
@@ -71,7 +69,7 @@ struct Message {
   // Cumulative ack piggybacked for the reverse direction: "src has delivered
   // every sequence <= ack of dst's traffic". Valid iff rflags & kMsgHasAck.
   std::uint64_t ack = 0;
-  std::uint8_t rflags = 0;  // kMsgHasAck | kMsgAckOnly | kMsgEnvelope | kMsgXProc
+  std::uint8_t rflags = 0;  // kMsgHasAck | kMsgAckOnly | kMsgXProc
 };
 
 }  // namespace x10rt

@@ -56,18 +56,6 @@ class ByteBuffer {
     data_.insert(data_.end(), p, p + n);
   }
 
-  /// Overwrites sizeof(T) already-written bytes at `pos` (length-prefix
-  /// patching: envelope writers reserve the record count up front and fill
-  /// it in at flush time).
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  void overwrite(std::size_t pos, const T& value) {
-    if (pos > data_.size() || sizeof(T) > data_.size() - pos) {
-      throw std::out_of_range("ByteBuffer overwrite past end");
-    }
-    std::memcpy(data_.data() + pos, &value, sizeof(T));
-  }
-
   /// Reads back a trivially copyable value; throws on underflow.
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -114,8 +102,7 @@ class ByteBuffer {
   [[nodiscard]] std::span<const std::byte> bytes() const { return data_; }
   void rewind() { cursor_ = 0; }
 
-  /// Read-cursor position (envelope readers bracket each record with
-  /// position()/seek() so a handler cannot overread into its successor).
+  /// Read-cursor position; seek() moves it back to a position taken here.
   [[nodiscard]] std::size_t position() const { return cursor_; }
   void seek(std::size_t pos) {
     if (pos > data_.size()) throw std::out_of_range("ByteBuffer seek past end");

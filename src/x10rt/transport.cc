@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <tuple>
 #include <utility>
 
 namespace x10rt {
@@ -46,19 +45,10 @@ Transport::Transport(TransportConfig cfg)
     std::abort();
   }
   inboxes_.reserve(static_cast<std::size_t>(cfg_.places));
-  coalesce_.reserve(static_cast<std::size_t>(cfg_.places));
   for (int p = 0; p < cfg_.places; ++p) {
     auto box = std::make_unique<Inbox>();
     box->rng.seed(cfg_.chaos.seed + static_cast<std::uint64_t>(p) * 0x2545F4914F6CDD1DULL);
     inboxes_.push_back(std::move(box));
-    auto shard = std::make_unique<CoalesceShard>();
-    shard->per_dst.resize(static_cast<std::size_t>(cfg_.places));
-    shard->open_ns.resize(static_cast<std::size_t>(cfg_.places), 0);
-    shard->dyn_bytes =
-        std::vector<std::atomic<std::size_t>>(static_cast<std::size_t>(cfg_.places));
-    shard->dyn_bypass = std::vector<std::atomic<std::uint64_t>>(
-        static_cast<std::size_t>(cfg_.places));
-    coalesce_.push_back(std::move(shard));
   }
   if (reliability_enabled()) {
     retx_.reserve(static_cast<std::size_t>(cfg_.places));
@@ -103,21 +93,6 @@ Transport::~Transport() {
   }
   dma_cv_.notify_all();
   for (auto& t : dma_workers_) t.join();
-}
-
-void Transport::count_logical(int src, int dst, MsgType type,
-                              std::size_t wire_bytes) {
-  const auto idx = static_cast<std::size_t>(type);
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  bytes_[idx].fetch_add(wire_bytes, std::memory_order_relaxed);
-  if (cfg_.count_pairs && src >= 0) {
-    pair_counts_[static_cast<std::size_t>(src) * cfg_.places + dst]
-        .fetch_add(1, std::memory_order_relaxed);
-    if (type == MsgType::kControl) {
-      ctrl_pair_counts_[static_cast<std::size_t>(src) * cfg_.places + dst]
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 void Transport::enqueue_locked(Inbox& box, Message&& m) {
@@ -185,12 +160,18 @@ void Transport::maybe_release_delayed_locked(Inbox& box) {
 }
 
 void Transport::send(int dst, Message m) {
-  count_logical(m.src, dst, m.type, m.bytes);
-  send_unrecorded(dst, std::move(m));
-}
-
-void Transport::send_unrecorded(int dst, Message m) {
   assert(dst >= 0 && dst < cfg_.places);
+  const auto idx = static_cast<std::size_t>(m.type);
+  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  bytes_[idx].fetch_add(m.bytes, std::memory_order_relaxed);
+  if (cfg_.count_pairs && m.src >= 0) {
+    pair_counts_[static_cast<std::size_t>(m.src) * cfg_.places + dst]
+        .fetch_add(1, std::memory_order_relaxed);
+    if (m.type == MsgType::kControl) {
+      ctrl_pair_counts_[static_cast<std::size_t>(m.src) * cfg_.places + dst]
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   // Reliability stamping: one branch when the layer is off (zero-cost
   // passthrough). Anonymous sources (src < 0) cannot own a retransmit queue
   // and ship unsequenced, exactly as before.
@@ -233,8 +214,6 @@ void Transport::ship_remote(int dst, Message&& m) {
   frame::Header h;
   if ((m.rflags & kMsgAckOnly) != 0) {
     h.kind = frame::Kind::kAckOnly;
-  } else if ((m.rflags & kMsgEnvelope) != 0) {
-    h.kind = frame::Kind::kEnvelope;
   } else {
     assert(m.handler >= 0 && "message without a handler");
     h.kind = frame::Kind::kAm;
@@ -274,9 +253,7 @@ void Transport::deliver_frame(int peer, const std::uint8_t* data,
   m.seq = h.seq;
   m.ack = h.ack;
   m.bytes = h.payload_len;
-  // The frame kind alone decides whether the payload is an envelope train.
-  m.rflags = static_cast<std::uint8_t>((h.rflags & ~kMsgEnvelope) | kMsgXProc);
-  if (h.kind == frame::Kind::kEnvelope) m.rflags |= kMsgEnvelope;
+  m.rflags = static_cast<std::uint8_t>(h.rflags | kMsgXProc);
   if (h.kind == frame::Kind::kAm) m.handler = h.handler;
   if (h.kind != frame::Kind::kAckOnly) {
     const auto* body = reinterpret_cast<const std::byte*>(data) +
@@ -321,10 +298,7 @@ void Transport::retx_stamp(int dst, Message& m) {
     m.seq = ++pair.next_seq;
     RetxEntry e;
     e.first_send_ns = now;
-    // Adaptive per-pair initial timeout when a controller has estimated one
-    // (autotune.h); the static knob otherwise. Backoff doubling and its cap
-    // are unchanged either way.
-    e.backoff_us = pair.rto_us != 0 ? pair.rto_us : cfg_.retx_timeout_us;
+    e.backoff_us = cfg_.retx_timeout_us;
     e.next_retx_ns = now + e.backoff_us * 1000;
     e.attempts = 1;
     // Retained after the seq is stamped; the piggybacked ack below is *not*
@@ -399,7 +373,6 @@ void Transport::retx_process_ack(int place, int peer, std::uint64_t ack) {
   };
   std::vector<AckedHook> hooked;
   std::uint64_t n = 0;
-  std::uint64_t rtt_sample = 0;
   {
     auto& shard = *retx_[static_cast<std::size_t>(place)];
     std::scoped_lock lock(shard.mu);
@@ -407,10 +380,7 @@ void Transport::retx_process_ack(int place, int peer, std::uint64_t ack) {
     if (ack <= pair.cum_acked) return;
     pair.cum_acked = ack;
     const std::uint64_t now =
-        ((cfg_.retx_acked_hook || cfg_.rtt_sample_hook) &&
-         !pair.unacked.empty())
-            ? mono_ns()
-            : 0;
+        (cfg_.retx_acked_hook && !pair.unacked.empty()) ? mono_ns() : 0;
     auto it = pair.unacked.begin();
     while (it != pair.unacked.end() && it->first <= ack) {
       ++n;
@@ -418,12 +388,6 @@ void Transport::retx_process_ack(int place, int peer, std::uint64_t ack) {
         const std::uint64_t lat =
             now > it->second.first_send_ns ? now - it->second.first_send_ns : 1;
         hooked.push_back({lat, it->second.attempts});
-      } else if (it->second.attempts == 1 && cfg_.rtt_sample_hook) {
-        // Karn's rule: only never-retransmitted sequences produce RTT
-        // samples. Keep the newest (highest seq = latest first send) so one
-        // cumulative ack contributes at most one sample.
-        rtt_sample =
-            now > it->second.first_send_ns ? now - it->second.first_send_ns : 1;
       }
       it = pair.unacked.erase(it);
     }
@@ -432,7 +396,6 @@ void Transport::retx_process_ack(int place, int peer, std::uint64_t ack) {
   for (const auto& h : hooked) {
     cfg_.retx_acked_hook(place, peer, h.latency_ns, h.attempts);
   }
-  if (rtt_sample != 0) cfg_.rtt_sample_hook(place, peer, rtt_sample);
 }
 
 void Transport::retx_maybe_pump(int place) {
@@ -595,14 +558,6 @@ std::optional<Message> Transport::poll(int place) {
 std::size_t Transport::poll_batch(int place, std::deque<Message>& out,
                                   std::size_t max) {
   auto& box = *inboxes_[static_cast<std::size_t>(place)];
-  // Adaptive-tuning tick point on the poll hot path, decimated 1-in-64 so a
-  // tight poll loop pays a load+store, not a clock read, per call. The
-  // controller time-gates the actual tick; one branch when no controller.
-  if (cfg_.tick_hook) {
-    const std::uint64_t n = box.tick_polls.load(std::memory_order_relaxed);
-    box.tick_polls.store(n + 1, std::memory_order_relaxed);
-    if ((n & 63) == 0) cfg_.tick_hook(place);
-  }
   if (reliability_enabled()) retx_maybe_pump(place);
   // Callers treat a zero return as "inbox empty", so a batch that admits
   // nothing — a retransmit storm of duplicates, or standalone acks — must
@@ -835,98 +790,6 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
          handler < static_cast<int>(am_handlers_.size()) &&
          "send_am with unregistered handler");
   const std::size_t wire = payload.size() + sizeof(int);
-  // The flush threshold is the per-pair dynamic one when a controller has
-  // set it, the static cap otherwise (dyn 0 = untouched, so the disabled
-  // path costs exactly one relaxed load here). Admission and the size-flush
-  // decision below use the same captured value: a threshold below the
-  // record size diverts the pair's sends to the direct path.
-  std::size_t cap = 0;
-  std::size_t dyn = 0;
-  if (coalescing_enabled() && src >= 0 && src < cfg_.places) {
-    dyn = coalesce_[static_cast<std::size_t>(src)]
-              ->dyn_bytes[static_cast<std::size_t>(dst)]
-              .load(std::memory_order_relaxed);
-    cap = dyn != 0 ? dyn : cfg_.coalesce_bytes;
-  }
-  if (cap != 0 && envelope::kRecordHeaderBytes + payload.size() < cap) {
-    // Coalesced path. The logical message is accounted *now* (per record,
-    // per class) so protocol metrics don't depend on when the wire flushes.
-    count_logical(src, dst, type, wire);
-    ByteBuffer ready;
-    std::uint32_t ready_records = 0;
-    std::uint64_t ready_open_ns = 0;
-    FlushReason reason = FlushReason::kSize;
-    bool ship = false;
-    std::vector<std::vector<std::byte>> recycle;
-    {
-      auto& shard = *coalesce_[static_cast<std::size_t>(src)];
-      std::scoped_lock lock(shard.mu);
-      shard.dirty.store(true, std::memory_order_relaxed);
-      auto& w = shard.per_dst[static_cast<std::size_t>(dst)];
-      if (!w.is_open()) {
-        // Envelope storage comes from the shard's spare stash when it has
-        // one (no pool lock), from the pool otherwise.
-        if (!shard.spare.empty()) {
-          std::vector<std::byte> s = std::move(shard.spare.back());
-          shard.spare.pop_back();
-          s.clear();
-          w.open(std::move(s));
-        } else {
-          w.open(pool_.acquire());
-        }
-        shard.active.push_back(dst);
-        shard.open_ns[static_cast<std::size_t>(dst)] = mono_ns();
-      }
-      w.append(handler, payload, type);
-      // The payload was copied into the envelope; park its storage in the
-      // shard (lock already held) and recycle per envelope, not per record.
-      shard.spare.push_back(payload.take_data());
-      if (w.bytes() >= cap) {
-        ship = true;
-        reason = FlushReason::kSize;
-      } else if (w.records() >=
-                 static_cast<std::uint32_t>(cfg_.coalesce_msgs)) {
-        ship = true;
-        reason = FlushReason::kCount;
-      }
-      constexpr std::size_t kSpareCap = 128;
-      if (ship || shard.spare.size() >= kSpareCap) {
-        recycle.swap(shard.spare);
-      }
-      if (ship) {
-        ready_records = w.records();
-        ready = w.close();
-        ready_open_ns = shard.open_ns[static_cast<std::size_t>(dst)];
-        shard.open_ns[static_cast<std::size_t>(dst)] = 0;
-        shard.active.erase(
-            std::find(shard.active.begin(), shard.active.end(), dst));
-      }
-    }
-    if (!recycle.empty()) pool_.release_batch(std::move(recycle));
-    if (ship) {
-      ship_envelope(src, dst, std::move(ready), ready_records, reason,
-                    ready_open_ns);
-    }
-    return;
-  }
-  if (coalescing_enabled()) {
-    if (dyn != 0 &&
-        envelope::kRecordHeaderBytes + payload.size() < cfg_.coalesce_bytes) {
-      // Small enough for the static cap — the dynamic threshold diverted it.
-      // Counted per pair only (the controller's probe-up signal); the global
-      // bypass counter keeps meaning "record too large to coalesce". The
-      // bump is a load+store pair, not an RMW: this is a rate estimate, not
-      // protocol books, and increments lost to concurrent senders only dull
-      // the estimate while keeping the collapsed path near the disabled
-      // path's cost.
-      auto& byp = coalesce_[static_cast<std::size_t>(src)]
-                      ->dyn_bypass[static_cast<std::size_t>(dst)];
-      byp.store(byp.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-    } else {
-      coalesce_bypass_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   Message m;
   m.handler = handler;
   m.payload = share(payload.take_data());
@@ -938,7 +801,7 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
 
 int Transport::dispatch_peer() { return tl_dispatch_peer; }
 
-void Transport::dispatch(int place, Message& m) {
+void Transport::dispatch(Message& m) {
   // The payload moves into the handler's buffer when this message is its
   // only holder; a retained retransmit copy or a chaos duplicate may still
   // share it, and then the handler gets a copy (shared bytes are immutable).
@@ -953,10 +816,6 @@ void Transport::dispatch(int place, Message& m) {
     }
     m.payload.reset();
   }
-  if ((m.rflags & kMsgEnvelope) != 0) {
-    deliver_envelope(m, place, std::move(buf));
-    return;
-  }
   assert(m.handler >= 0 && m.handler < static_cast<int>(am_handlers_.size()) &&
          "dispatch of a message without a registered handler");
   struct PeerScope {
@@ -968,173 +827,6 @@ void Transport::dispatch(int place, Message& m) {
   } scope((m.rflags & kMsgXProc) != 0 ? m.src : -1);
   am_handlers_[static_cast<std::size_t>(m.handler)](buf);
   pool_.release(buf.take_data());
-}
-
-void Transport::ship_envelope(int src, int dst, ByteBuffer env,
-                              std::uint32_t records, FlushReason reason,
-                              std::uint64_t open_ns) {
-  coalesce_envelopes_.fetch_add(1, std::memory_order_relaxed);
-  coalesce_records_.fetch_add(records, std::memory_order_relaxed);
-  coalesce_wire_bytes_.fetch_add(env.size(), std::memory_order_relaxed);
-  coalesce_flush_counts_[static_cast<std::size_t>(reason)].fetch_add(
-      1, std::memory_order_relaxed);
-  if (cfg_.flush_hook) {
-    // Clamp a stamped residency to >= 1ns so "envelope count by nonzero
-    // residency" holds even if the clock did not tick between open and ship.
-    std::uint64_t residency = 0;
-    if (open_ns != 0) {
-      const std::uint64_t now = mono_ns();
-      residency = now > open_ns ? now - open_ns : 1;
-    }
-    cfg_.flush_hook(src, dst, records, reason, residency);
-  }
-  Message m;
-  m.src = src;
-  m.type = MsgType::kControl;
-  m.bytes = env.size();
-  m.rflags = kMsgEnvelope;
-  m.payload = share(env.take_data());
-  // The records were counted at send_am time; the envelope itself must not
-  // inflate the per-class statistics.
-  send_unrecorded(dst, std::move(m));
-}
-
-void Transport::deliver_envelope(const Message& env_msg, int dst,
-                                 ByteBuffer env) {
-  // Each record becomes its own inbox message — running handlers inline
-  // here would deadlock: a spawn record's activity body runs synchronously
-  // (rt_am_spawn -> run_activity) and may block on a rendezvous whose reply
-  // rides a LATER record of this same train. The blocked activity's nested
-  // inbox pump drains the inbox, not this stack frame, so the trapped
-  // records would never deliver. Re-enqueued one by one, coalesced delivery
-  // is behaviourally identical to the uncoalesced path. The records carry
-  // no reliability sequence (the envelope itself was the sequenced wire
-  // unit), so chaos drop/dup — which would be un-retransmittable here —
-  // never applies to them. Each keeps its own class, so per-class dequeue
-  // counts do not depend on whether the sender coalesced.
-  const std::uint8_t xproc = env_msg.rflags & kMsgXProc;
-  envelope::for_each_record(env, [&](int handler, MsgType type,
-                                     ByteBuffer& buf, std::uint32_t len) {
-    if (handler < 0 || handler >= static_cast<int>(am_handlers_.size()) ||
-        static_cast<int>(type) >= kNumMsgTypes) {
-      std::fprintf(stderr,
-                   "[x10rt] fatal: malformed envelope from place %d: record "
-                   "names handler %d, class %d\n",
-                   env_msg.src, handler, static_cast<int>(type));
-      std::abort();
-    }
-    // Copy the record out so the handler sees the exact contract of the
-    // direct path: a standalone ByteBuffer with cursor 0,
-    // size() == payload size.
-    std::vector<std::byte> storage = pool_.acquire();
-    storage.clear();
-    storage.resize(len);
-    buf.get_raw(storage.data(), len);
-    Message m;
-    m.handler = handler;
-    m.payload = share(std::move(storage));
-    m.src = env_msg.src;
-    m.type = type;
-    m.bytes = len + sizeof(int);
-    m.rflags = xproc;
-    wire_deliver(dst, std::move(m));
-  });
-  pool_.release(env.take_data());
-}
-
-std::size_t Transport::flush_coalesced(int src, FlushReason reason) {
-  if (!coalescing_enabled() || src < 0 || src >= cfg_.places) return 0;
-  auto& shard = *coalesce_[static_cast<std::size_t>(src)];
-  // Nothing parked and nothing to recycle: return without the shard lock.
-  // Idle-hook flushes hit this constantly on pairs the dynamic threshold
-  // collapsed (every send went direct), and the flush must cost one load
-  // there. A racing sender that sets `dirty` after this load loses nothing:
-  // its record is caught by the next flush attempt or by its own size/count
-  // trigger.
-  if (!shard.dirty.load(std::memory_order_relaxed)) return 0;
-  // Seal everything under the shard lock, ship outside it: ship_envelope
-  // takes the destination inbox mutex and runs the flush hook, neither of
-  // which belongs in the shard critical section.
-  std::vector<std::tuple<int, ByteBuffer, std::uint32_t, std::uint64_t>> ready;
-  std::vector<std::vector<std::byte>> recycle;
-  {
-    std::scoped_lock lock(shard.mu);
-    shard.dirty.store(false, std::memory_order_relaxed);
-    recycle.swap(shard.spare);
-    if (shard.active.empty()) {
-      if (recycle.empty()) return 0;
-    } else {
-      ready.reserve(shard.active.size());
-      for (int dst : shard.active) {
-        auto& w = shard.per_dst[static_cast<std::size_t>(dst)];
-        assert(w.is_open() && w.records() > 0);
-        const std::uint32_t n = w.records();
-        ready.emplace_back(dst, w.close(), n,
-                           shard.open_ns[static_cast<std::size_t>(dst)]);
-        shard.open_ns[static_cast<std::size_t>(dst)] = 0;
-      }
-      shard.active.clear();
-    }
-  }
-  if (!recycle.empty()) pool_.release_batch(std::move(recycle));
-  for (auto& [dst, env, n, opened] : ready) {
-    ship_envelope(src, dst, std::move(env), n, reason, opened);
-  }
-  return ready.size();
-}
-
-void Transport::set_coalesce_threshold(int src, int dst, std::size_t bytes) {
-  if (!coalescing_enabled() || src < 0 || src >= cfg_.places || dst < 0 ||
-      dst >= cfg_.places) {
-    return;
-  }
-  if (bytes > cfg_.coalesce_bytes) bytes = cfg_.coalesce_bytes;
-  coalesce_[static_cast<std::size_t>(src)]
-      ->dyn_bytes[static_cast<std::size_t>(dst)]
-      .store(bytes, std::memory_order_relaxed);
-}
-
-std::size_t Transport::coalesce_threshold(int src, int dst) const {
-  if (!coalescing_enabled() || src < 0 || src >= cfg_.places || dst < 0 ||
-      dst >= cfg_.places) {
-    return 0;
-  }
-  const std::size_t dyn = coalesce_[static_cast<std::size_t>(src)]
-                              ->dyn_bytes[static_cast<std::size_t>(dst)]
-                              .load(std::memory_order_relaxed);
-  return dyn != 0 ? dyn : cfg_.coalesce_bytes;
-}
-
-std::uint64_t Transport::coalesce_dyn_bypass(int src, int dst) const {
-  if (!coalescing_enabled() || src < 0 || src >= cfg_.places || dst < 0 ||
-      dst >= cfg_.places) {
-    return 0;
-  }
-  return coalesce_[static_cast<std::size_t>(src)]
-      ->dyn_bypass[static_cast<std::size_t>(dst)]
-      .load(std::memory_order_relaxed);
-}
-
-void Transport::set_retx_rto(int src, int dst, std::uint64_t rto_us) {
-  if (!reliability_enabled() || src < 0 || src >= cfg_.places || dst < 0 ||
-      dst >= cfg_.places) {
-    return;
-  }
-  auto& shard = *retx_[static_cast<std::size_t>(src)];
-  std::scoped_lock lock(shard.mu);
-  shard.per_dst[static_cast<std::size_t>(dst)].rto_us = rto_us;
-}
-
-std::uint64_t Transport::retx_rto_us(int src, int dst) const {
-  if (!reliability_enabled() || src < 0 || src >= cfg_.places || dst < 0 ||
-      dst >= cfg_.places) {
-    return 0;
-  }
-  auto& shard = *retx_[static_cast<std::size_t>(src)];
-  std::scoped_lock lock(shard.mu);
-  const std::uint64_t dyn =
-      shard.per_dst[static_cast<std::size_t>(dst)].rto_us;
-  return dyn != 0 ? dyn : cfg_.retx_timeout_us;
 }
 
 std::uint64_t Transport::count(MsgType t) const {
@@ -1196,13 +888,6 @@ std::size_t Transport::inbox_depth(int place) const {
   return box.queue.size() + box.delayed.size();
 }
 
-std::size_t Transport::coalesce_open_envelopes(int src) const {
-  if (!coalescing_enabled() || src < 0 || src >= cfg_.places) return 0;
-  CoalesceShard& shard = *coalesce_[static_cast<std::size_t>(src)];
-  std::scoped_lock lock(shard.mu);
-  return shard.active.size();
-}
-
 void Transport::reset_stats() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   for (auto& b : bytes_) b.store(0, std::memory_order_relaxed);
@@ -1210,11 +895,6 @@ void Transport::reset_stats() {
     slot.ops.store(0, std::memory_order_relaxed);
     slot.bytes.store(0, std::memory_order_relaxed);
   }
-  coalesce_envelopes_.store(0, std::memory_order_relaxed);
-  coalesce_records_.store(0, std::memory_order_relaxed);
-  coalesce_wire_bytes_.store(0, std::memory_order_relaxed);
-  coalesce_bypass_.store(0, std::memory_order_relaxed);
-  for (auto& f : coalesce_flush_counts_) f.store(0, std::memory_order_relaxed);
   retx_sent_.store(0, std::memory_order_relaxed);
   retx_acked_.store(0, std::memory_order_relaxed);
   retx_retransmits_.store(0, std::memory_order_relaxed);

@@ -39,35 +39,10 @@
 
 #include "x10rt/backend.h"
 #include "x10rt/buffer_pool.h"
-#include "x10rt/envelope.h"
 #include "x10rt/message.h"
 #include "x10rt/serialization.h"
 
 namespace x10rt {
-
-/// Why a coalescing envelope left the sender (the flush-reason histogram in
-/// transport.coalesce.flush.*).
-enum class FlushReason : std::uint8_t {
-  kSize,       // envelope reached coalesce_bytes
-  kCount,      // envelope reached coalesce_msgs records
-  kIdle,       // scheduler idle hook flushed the place's partial envelopes
-  kQuiesce,    // explicit quiescence/teardown flush
-  kImmediate,  // an immediate frame was appended: rendezvous traffic (Team
-               // mail, GLB steals) must ship before the sender can block on
-               // the reply, so the envelope is cut right away
-};
-inline constexpr int kNumFlushReasons = 5;
-
-inline const char* flush_reason_name(FlushReason r) {
-  switch (r) {
-    case FlushReason::kSize: return "size";
-    case FlushReason::kCount: return "count";
-    case FlushReason::kIdle: return "idle";
-    case FlushReason::kQuiesce: return "quiesce";
-    case FlushReason::kImmediate: return "immediate";
-  }
-  return "?";
-}
 
 /// Chaos injection: with probability `delay_prob` a message is parked in a
 /// side pool and released later in randomized order (delivery remains
@@ -97,37 +72,6 @@ struct TransportConfig {
   ChaosConfig chaos;
   bool count_pairs = false;  ///< track per-(src,dst) message counts (O(P^2))
   int dma_threads = 1;       ///< RDMA engine threads (0 = synchronous RDMA)
-
-  /// Sender-side coalescing: envelope flush threshold in wire bytes. 0
-  /// disables the aggregation layer entirely (every send_am ships its own
-  /// message, exactly the pre-ISSUE-3 behavior). See docs/transport.md.
-  std::size_t coalesce_bytes = 0;
-  /// Max records per envelope when coalescing is on.
-  int coalesce_msgs = 64;
-  /// Observability callback invoked once per shipped envelope (the runtime
-  /// wires this to the flight recorder's coalesce.flush event and the
-  /// envelope-residency histogram; the transport itself must stay
-  /// runtime-agnostic). `residency_ns` is the open->flush dwell time of the
-  /// envelope, clamped to >= 1 so hooked consumers can count envelopes by
-  /// counting nonzero residencies.
-  std::function<void(int src, int dst, std::uint32_t records, FlushReason,
-                     std::uint64_t residency_ns)>
-      flush_hook;
-
-  // --- adaptive tuning hooks (docs/transport.md "Adaptive tuning") ---------
-  // All unset by default; the transport never adapts on its own. An online
-  // controller (runtime/autotune.h) installs them and drives
-  // set_coalesce_threshold()/set_retx_rto() from what they report.
-
-  /// Invoked from poll_batch() before the batch is taken — the controller's
-  /// time-gated tick point on the poll hot path. Costs one branch when unset.
-  std::function<void(int place)> tick_hook;
-
-  /// First-transmission ack latency sample for a (src,dst) pair: fired from
-  /// ack processing for the newest acked sequence that was never
-  /// retransmitted (Karn's rule — a retransmitted sequence's latency is
-  /// ambiguous and never sampled). At most one sample per processed ack.
-  std::function<void(int src, int dst, std::uint64_t rtt_ns)> rtt_sample_hook;
 
   // --- reliability sublayer (docs/transport.md "Reliability") --------------
 
@@ -215,8 +159,9 @@ class Transport {
   /// debt). Trivially true when the reliability layer is off.
   [[nodiscard]] bool recv_all_acked(int place) const;
 
-  /// Enqueues a ready-made message for place `dst`, bypassing coalescing.
-  /// `m.src` must be the sending place (used for stats and chaos
+  /// Enqueues a ready-made message for place `dst`: counts it by class
+  /// (and by pair), stamps it when reliability is armed, and puts it on the
+  /// wire. `m.src` must be the sending place (used for stats and chaos
   /// determinism).
   void send(int dst, Message m);
 
@@ -234,31 +179,17 @@ class Transport {
 
   /// Sends (handler id, payload) to `dst`; the destination scheduler invokes
   /// the handler with the payload's read cursor at 0.
-  ///
-  /// With coalescing enabled (cfg.coalesce_bytes > 0) small payloads from a
-  /// real place (src >= 0) are *parked* in the per-(src,dst) envelope and
-  /// only hit the destination inbox when the envelope flushes — by size,
-  /// record count, or an explicit flush_coalesced() (the scheduler's idle
-  /// hook / quiescence points). Per-class count/byte statistics always tally
-  /// the *logical* message here, so control-volume metrics stay comparable
-  /// whether or not the wire batches them.
   void send_am(int src, int dst, int handler, ByteBuffer payload,
                MsgType type = MsgType::kControl);
 
-  /// Runs a message polled from `place`'s inbox: its handler with the
-  /// payload (cursor at 0), or an envelope unpacked into the inbox.
-  void dispatch(int place, Message& m);
+  /// Runs a message polled from an inbox: its handler with the payload
+  /// (cursor at 0).
+  void dispatch(Message& m);
 
   /// Inside dispatch(): the *other process's* place the running handler's
   /// message came from, or -1 if it was sent in this process. Handlers of
   /// payloads holding process-local pointers reject wire input with it.
   [[nodiscard]] static int dispatch_peer();
-
-  /// Ships every pending envelope whose source place is `src`. Returns the
-  /// number of envelopes sent. Cheap no-op when coalescing is off. Callers:
-  /// the per-place scheduler idle hook (reason kIdle) and teardown
-  /// quiescence (reason kQuiesce).
-  std::size_t flush_coalesced(int src, FlushReason reason = FlushReason::kIdle);
 
   /// A ByteBuffer backed by pooled storage — frame encoders use this instead
   /// of a fresh vector so the control plane recycles wire buffers.
@@ -365,61 +296,6 @@ class Transport {
   [[nodiscard]] std::uint64_t ctrl_pair_count(int src, int dst) const;
   [[nodiscard]] int max_ctrl_out_degree() const;
 
-  // --- Coalescing statistics ----------------------------------------------
-
-  [[nodiscard]] bool coalescing_enabled() const {
-    return cfg_.coalesce_bytes > 0;
-  }
-  /// Envelopes shipped (wire messages carrying >= 1 coalesced record).
-  [[nodiscard]] std::uint64_t coalesce_envelopes() const {
-    return coalesce_envelopes_.load(std::memory_order_relaxed);
-  }
-  /// Logical AMs that traveled inside envelopes.
-  [[nodiscard]] std::uint64_t coalesce_records() const {
-    return coalesce_records_.load(std::memory_order_relaxed);
-  }
-  /// Total wire bytes of shipped envelopes (headers included).
-  [[nodiscard]] std::uint64_t coalesce_wire_bytes() const {
-    return coalesce_wire_bytes_.load(std::memory_order_relaxed);
-  }
-  /// send_am calls that skipped the aggregation layer (oversize payload or
-  /// anonymous source) while coalescing was on.
-  [[nodiscard]] std::uint64_t coalesce_bypass() const {
-    return coalesce_bypass_.load(std::memory_order_relaxed);
-  }
-  /// Flush-reason histogram: envelopes shipped for `reason`.
-  [[nodiscard]] std::uint64_t coalesce_flushes(FlushReason reason) const {
-    return coalesce_flush_counts_[static_cast<std::size_t>(reason)].load(
-        std::memory_order_relaxed);
-  }
-
-  // --- adaptive knobs (driven by an online controller; see autotune.h) -----
-
-  /// Sets the dynamic flush threshold for the (src,dst) envelope writer,
-  /// clamped to the static cap. Both the admission check (record small
-  /// enough to coalesce) and the size-flush decision use it, so a value
-  /// below the record size diverts the pair's sends to the direct path.
-  /// 0 restores the static `coalesce_bytes`. No-op when coalescing is off.
-  void set_coalesce_threshold(int src, int dst, std::size_t bytes);
-
-  /// Effective flush threshold for the pair (the dynamic value if one is
-  /// set, the static cap otherwise; 0 when coalescing is off).
-  [[nodiscard]] std::size_t coalesce_threshold(int src, int dst) const;
-
-  /// Sends small enough for the static cap that the *dynamic* threshold
-  /// diverted to the direct path — the controller's probe-upward signal.
-  [[nodiscard]] std::uint64_t coalesce_dyn_bypass(int src, int dst) const;
-
-  /// Sets the adaptive initial retransmit timeout for the (src,dst) pair;
-  /// newly stamped entries start from it instead of the static
-  /// `retx_timeout_us` (per-entry exponential backoff and its cap are
-  /// unchanged). 0 restores the static timeout. No-op when reliability is
-  /// off.
-  void set_retx_rto(int src, int dst, std::uint64_t rto_us);
-
-  /// Effective initial retransmit timeout for the pair (µs).
-  [[nodiscard]] std::uint64_t retx_rto_us(int src, int dst) const;
-
   // --- Reliability sublayer (ack/retransmit/dedup) -------------------------
 
   [[nodiscard]] bool reliability_enabled() const {
@@ -497,10 +373,6 @@ class Transport {
   /// Takes the inbox lock; diagnosis-path only, not for hot paths.
   [[nodiscard]] std::size_t inbox_depth(int place) const;
 
-  /// Destinations with an open (partial, unshipped) envelope at source
-  /// `src`. 0 when coalescing is off. Takes the shard lock.
-  [[nodiscard]] std::size_t coalesce_open_envelopes(int src) const;
-
   void reset_stats();
 
  private:
@@ -511,11 +383,6 @@ class Transport {
     std::deque<Message> delayed;  // chaos pool
     std::mt19937_64 rng;
     bool notified = false;
-    // Poll counter decimating the adaptive-tuning tick hook (1 in 64 polls).
-    // Deliberately bumped with a load+store pair, not an RMW: the controller
-    // is time-gated anyway, so increments lost to concurrent pollers only
-    // shift when the clock gets consulted, never whether ticks happen.
-    std::atomic<std::uint64_t> tick_polls{0};
     // Workers parked (or about to park) in wait_nonempty. Written with
     // seq_cst RMWs, read behind a seq_cst fence — the Dekker handshake that
     // lets producers skip the mutex+CV signal when nobody is sleeping.
@@ -530,64 +397,10 @@ class Transport {
     Completion on_complete;
   };
 
-  /// TTAS spin-then-yield lock for the coalescing shard. The critical
-  /// section is a bounded small memcpy (no user code, no allocation on the
-  /// steady path), so a futex round-trip per record costs more than the
-  /// work it guards; spinning briefly and then yielding degrades gracefully
-  /// when the core is oversubscribed.
-  class SpinLock {
-   public:
-    void lock() noexcept {
-      int spins = 0;
-      while (flag_.test_and_set(std::memory_order_acquire)) {
-        if (++spins >= 128) {
-          std::this_thread::yield();
-          spins = 0;
-        }
-      }
-    }
-    void unlock() noexcept { flag_.clear(std::memory_order_release); }
-
-   private:
-    std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-  };
-
-  /// Per-source-place coalescing state: one envelope Writer per destination,
-  /// plus the list of destinations with an open (partial) envelope so a
-  /// flush never scans all P writers. Guarded by `mu`; the lock order is
-  /// shard -> inbox (ship_envelope runs outside the shard lock), and no
-  /// inbox-holding path ever takes a shard lock, so the order is acyclic.
-  struct CoalesceShard {
-    SpinLock mu;
-    std::vector<envelope::Writer> per_dst;
-    std::vector<int> active;
-    // Monotonic stamp of when the open envelope for each destination was
-    // opened (0 = no open envelope); ship_envelope turns it into the
-    // residency reported through flush_hook.
-    std::vector<std::uint64_t> open_ns;
-    // Payload storage taken back after a record is copied into an envelope,
-    // parked here (we already hold `mu`) and recycled to the BufferPool in
-    // one batch per shipped envelope — per-envelope freelist locking instead
-    // of per-message.
-    std::vector<std::vector<std::byte>> spare;
-    // Per-destination dynamic flush threshold (0 = use the static cap) and
-    // the count of sends it diverted to the direct path. Written only by
-    // set_coalesce_threshold; read with relaxed loads on the send path so
-    // the disabled state costs one load.
-    std::vector<std::atomic<std::size_t>> dyn_bytes;
-    std::vector<std::atomic<std::uint64_t>> dyn_bypass;
-    // True while any envelope is open or spare storage is parked. Lets
-    // flush_coalesced return without the shard lock when there is nothing
-    // to do — idle-hook flushes hammer empty shards on latency-bound pairs
-    // whose sends the dynamic threshold diverted direct.
-    std::atomic<bool> dirty{false};
-  };
-
   // --- reliability state ----------------------------------------------------
   // Lock discipline: the sender shard lock, the receiver shard lock, and an
   // inbox lock are never nested with one another — every reliability path
-  // takes them strictly sequentially — so no ordering cycle can form with
-  // the coalescing shard -> inbox order.
+  // takes them strictly sequentially — so no ordering cycle can form.
 
   /// One unacked sequenced message retained by the sender.
   struct RetxEntry {
@@ -603,7 +416,6 @@ class Transport {
     std::map<std::uint64_t, RetxEntry> unacked;  // seq -> entry
     std::uint64_t next_seq = 0;                  // last assigned (first is 1)
     std::uint64_t cum_acked = 0;                 // highest cumulative ack seen
-    std::uint64_t rto_us = 0;  // adaptive initial timeout (0 = static)
   };
 
   /// All sender-side pairs originating at one place.
@@ -645,13 +457,6 @@ class Transport {
   void maybe_release_delayed_locked(Inbox& box);
   /// Moves one randomly chosen chaos-delayed message to an empty queue.
   void release_one_delayed_locked(Inbox& box);
-  /// The per-class / per-pair statistics bump shared by the direct path
-  /// (send()) and the coalesced path (per logical record, at send_am
-  /// time) — so control-volume metrics are comparable across modes.
-  void count_logical(int src, int dst, MsgType type, std::size_t wire_bytes);
-  /// send() minus the statistics: envelopes ride this so their records are
-  /// not double-counted. Runs the reliability stamping before the wire.
-  void send_unrecorded(int dst, Message m);
   /// The wire itself: chaos injection + inbox enqueue + sleeper-elided
   /// notify. Retransmissions and standalone acks enter here directly (they
   /// are wire artifacts, never re-stamped and never re-counted).
@@ -665,18 +470,6 @@ class Transport {
   /// the wire is untrusted), decodes the Message, and enqueues it into the
   /// local inbox. Runs on the backend's I/O thread.
   void deliver_frame(int peer, const std::uint8_t* data, std::size_t len);
-  /// Accounts a sealed envelope, fires cfg_.flush_hook, and enqueues it.
-  /// `open_ns` is the CoalesceShard::open_ns stamp taken when the envelope
-  /// was opened (0 = unknown, reports residency 0).
-  void ship_envelope(int src, int dst, ByteBuffer env, std::uint32_t records,
-                     FlushReason reason, std::uint64_t open_ns);
-  /// Receiver side: unpack an envelope into one inbox message per record,
-  /// each keeping its record's class and the envelope's kMsgXProc flag.
-  /// Records are NOT run inline: a spawn record's activity may block (a
-  /// Team rendezvous, a GLB steal wait) with later records of the same
-  /// train still unread — trapped on the delivering thread's stack where
-  /// the blocked activity's nested inbox pump can never reach them.
-  void deliver_envelope(const Message& env_msg, int dst, ByteBuffer env);
   /// Posts a finished DMA op's completion to its initiator's inbox.
   void complete_dma(DmaOp& op);
   void submit_dma(DmaOp op);
@@ -690,7 +483,6 @@ class Transport {
   int local_place_ = -1;     // cached backend_->local_place()
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<AmHandler> am_handlers_;
-  std::vector<std::unique_ptr<CoalesceShard>> coalesce_;
   BufferPool pool_;
 
   // Reliability sublayer state (empty vectors when the layer is off).
@@ -726,11 +518,6 @@ class Transport {
   // Stats.
   std::atomic<std::uint64_t> counts_[kNumMsgTypes] = {};
   std::atomic<std::uint64_t> bytes_[kNumMsgTypes] = {};
-  std::atomic<std::uint64_t> coalesce_envelopes_{0};
-  std::atomic<std::uint64_t> coalesce_records_{0};
-  std::atomic<std::uint64_t> coalesce_wire_bytes_{0};
-  std::atomic<std::uint64_t> coalesce_bypass_{0};
-  std::atomic<std::uint64_t> coalesce_flush_counts_[kNumFlushReasons] = {};
   std::atomic<std::uint64_t> retx_sent_{0};
   std::atomic<std::uint64_t> retx_acked_{0};
   std::atomic<std::uint64_t> retx_retransmits_{0};

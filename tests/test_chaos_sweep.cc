@@ -136,13 +136,10 @@ std::map<std::string, std::uint64_t> structural(
   return out;
 }
 
-/// Runs `job` once per seed — with the sender-side coalescing layer off and
-/// again with it on, then both again with lossy chaos (drop/dup + the
-/// reliability sublayer), and the tunable cells once more with the online
-/// autotune controller armed — asserting per-run invariants and equality of
-/// the structural counters across *all* runs: neither chaos scheduling, wire
-/// batching, message loss, duplication, nor adaptive thresholds/timers may
-/// change the protocol books.
+/// Runs `job` once per seed, then again with lossy chaos (drop/dup + the
+/// reliability sublayer), asserting per-run invariants and equality of the
+/// structural counters across *all* runs: neither chaos scheduling, message
+/// loss nor duplication may change the protocol books.
 template <typename Job>
 void sweep(int places, Job job, int places_per_node = 8) {
   std::map<std::string, std::uint64_t> reference;
@@ -152,28 +149,12 @@ void sweep(int places, Job job, int places_per_node = 8) {
   std::uint64_t total_retransmits = 0;
   std::uint64_t total_dups_dropped = 0;
   std::uint64_t total_bypass = 0;
-  for (const bool autotune : {false, true}) {
   for (const bool lossy : {false, true}) {
-  for (const bool coalesce : {false, true}) {
-    // With neither coalescing nor reliability armed the controller has no
-    // knob to move (park tuning alone is covered by the armed cells); skip
-    // the cell rather than re-run the plain matrix a second time.
-    if (autotune && !coalesce && !lossy) continue;
     for (int s = 0; s < kNumSeeds; ++s) {
-      SCOPED_TRACE(std::string(lossy ? "lossy " : "lossless ") +
-                   (coalesce ? "coalesce-on" : "coalesce-off") +
-                   (autotune ? " autotune" : "") + " seed index " +
-                   std::to_string(s));
+      SCOPED_TRACE(std::string(lossy ? "lossy" : "lossless") +
+                   " seed index " + std::to_string(s));
       Config cfg = chaos_cfg(places, kSeeds[s], places_per_node);
       if (lossy) arm_lossy(cfg);
-      if (coalesce) {
-        // Small thresholds so envelopes actually mix records *and* partial
-        // envelopes actually park — exercising every flush reason under
-        // chaos, including the idle/quiescence paths termination relies on.
-        cfg.coalesce_bytes = 512;
-        cfg.coalesce_msgs = 8;
-      }
-      if (autotune) cfg.autotune = 1;
       Runtime::run(cfg, job);
       const auto& m = last_run_metrics();
       // Conservation: every snapshot sent is either applied or provably
@@ -182,7 +163,7 @@ void sweep(int places, Job job, int places_per_node = 8) {
                 m.at("finish.snapshots.applied") +
                     m.at("finish.snapshots.stale"));
       // Every shipped task crossed the transport and was dequeued exactly
-      // once (tasks are never coalesced, so this holds in both modes).
+      // once.
       EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("sched.msgs.task"));
       EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("transport.msgs.task"));
       // Histogram counts are structural too: with histograms armed for the
@@ -195,20 +176,6 @@ void sweep(int places, Job job, int places_per_node = 8) {
                 m.at("runtime.tasks_shipped"));
       EXPECT_EQ(m.at("hist.activity.exec_ns.count"),
                 sum_activities(m, places));
-      if (coalesce) {
-        EXPECT_EQ(m.at("hist.envelope.residency_ns.count"),
-                  m.at("transport.coalesce.envelopes"));
-        // Envelope conservation: the flush-reason histogram accounts for
-        // every envelope, and no envelope ships empty. (The per-reason
-        // split itself is timing-dependent — not asserted.)
-        const std::uint64_t envelopes = m.at("transport.coalesce.envelopes");
-        EXPECT_EQ(envelopes, m.at("transport.coalesce.flush.size") +
-                                 m.at("transport.coalesce.flush.count") +
-                                 m.at("transport.coalesce.flush.idle") +
-                                 m.at("transport.coalesce.flush.immediate") +
-                                 m.at("transport.coalesce.flush.quiesce"));
-        EXPECT_GE(m.at("transport.coalesce.records"), envelopes);
-      }
       if (lossy) {
         // Teardown drained to the all-acked fixpoint: every sequenced
         // message was confirmed delivered before the books were read.
@@ -228,12 +195,9 @@ void sweep(int places, Job job, int places_per_node = 8) {
         have_reference = true;
       } else {
         EXPECT_EQ(strut, reference)
-            << "accounting drifted with the chaos seed / coalescing / lossy "
-               "/ autotune mode";
+            << "accounting drifted with the chaos seed / lossy mode";
       }
     }
-  }
-  }
   }
   // A drop can only be survived by a retransmit; if chaos dropped anything
   // across the lossy half of the matrix, the reliability layer must show the
@@ -459,8 +423,8 @@ TEST(ChaosSweepTeam, NativeBarrierBackToBackReuse) {
 // --- cross-backend differential sweep (ISSUE 6 headline) -------------------
 //
 // The same job runs on the in-process inbox backend and again as one OS
-// process per place over the socket backend, with lossy chaos + coalescing
-// armed in both, and the protocol-structure counters must be *exactly* equal.
+// process per place over the socket backend, with lossy chaos armed in
+// both, and the protocol-structure counters must be *exactly* equal.
 // Jobs are built from registered frame tasks (asyncAtFrame), the only spawn
 // form that can cross a process boundary; registration happens at namespace
 // scope (pre-main, hence pre-fork) so every place process agrees on the ids.
@@ -505,17 +469,15 @@ void fn_local_fanout(x10rt::ByteBuffer&) {
 }
 const int kFnLocalFanout = register_task_fn(&fn_local_fanout);
 
-/// The structural keys compared across backends. Same spirit as
-/// kStructuralKeys minus "sched.msgs.task": frame tasks ride coalesced
-/// envelopes, so the per-message dequeue split differs between an in-process
-/// inbox and a socket stream while the task count itself ("runtime.
-/// tasks_shipped") stays pinned. "finish.closed" joins the set because in
-/// socket mode it proves the sum over *independent processes* still balances.
+/// The structural keys compared across backends: kStructuralKeys plus
+/// "finish.closed", which in socket mode proves the sum over *independent
+/// processes* still balances.
 const char* const kDiffKeys[] = {
     "finish.opened",          "finish.closed",
     "finish.upgrades",        "runtime.tasks_shipped",
     "finish.completion_msgs", "finish.credit_msgs",
     "finish.snapshots.sent",  "finish.releases",
+    "sched.msgs.task",
 };
 
 std::map<std::string, std::uint64_t> diff_structural(
@@ -528,8 +490,8 @@ std::map<std::string, std::uint64_t> diff_structural(
   return out;
 }
 
-/// Runs `job` per seed on both backends — lossy chaos and small coalescing
-/// thresholds armed in both — and asserts (a) the job's own activity count
+/// Runs `job` per seed on both backends — lossy chaos armed in both — and
+/// asserts (a) the job's own activity count
 /// via the "test.ran" counter, (b) the all-acked teardown fixpoint, (c) exact
 /// equality of the structural counters between backends.
 template <typename Job>
@@ -538,20 +500,11 @@ void run_diff(int places, Job job, std::uint64_t expect_ran,
   for (int s = 0; s < kNumSeeds; ++s) {
     std::map<std::string, std::uint64_t> reference;
     bool have_reference = false;
-    // The autotune leg re-runs both backends with the online controller
-    // adapting thresholds and retransmit timers under the same lossy chaos:
-    // the all-acked fixpoint and the structural books must be unmoved by
-    // adaptive timing on either backend.
-    for (const bool autotune : {false, true}) {
     for (const bool socket : {false, true}) {
       SCOPED_TRACE(std::string(socket ? "socket" : "inproc") +
-                   (autotune ? " autotune" : "") + " seed index " +
-                   std::to_string(s));
+                   " seed index " + std::to_string(s));
       Config cfg = chaos_cfg(places, kSeeds[s], places_per_node);
       arm_lossy(cfg);
-      cfg.coalesce_bytes = 512;
-      cfg.coalesce_msgs = 8;
-      if (autotune) cfg.autotune = 1;
       // The differential matrix reuses one metrics/trace path many times per
       // test; keep these runs silent so CI artifacts stay one-run-per-file.
       cfg.trace = false;
@@ -603,9 +556,8 @@ void run_diff(int places, Job job, std::uint64_t expect_ran,
       } else {
         EXPECT_EQ(strut, reference)
             << "structural counters diverged between the in-process and "
-               "socket backends (or with the autotune controller armed)";
+               "socket backends";
       }
-    }
     }
   }
 }
@@ -803,7 +755,7 @@ TEST(ChaosSweepTeamHier, AsyncHereLocalProtocolsBitExactVsEmulated) {
 // protocol ships bags through their Ser hooks, so both run under the socket
 // backend. The legs below are the structural-equality proof: the same
 // collective rounds and the same balancing job on both backends, lossy chaos
-// and coalescing armed, books compared cell by cell.
+// armed, books compared cell by cell.
 
 /// One collective round as a frame task: [mode u8]. Every place runs
 /// barrier -> allreduce(sum) -> bcast-from-0 on the world team of that mode,
@@ -873,8 +825,6 @@ TEST(DiffBackendGlb, CounterBagProcessedTotalsMatchAcrossBackends) {
                    " seed index " + std::to_string(s));
       Config cfg = chaos_cfg(kPlaces, kSeeds[s]);
       arm_lossy(cfg);
-      cfg.coalesce_bytes = 512;
-      cfg.coalesce_msgs = 8;
       cfg.trace = false;
       cfg.trace_path.clear();
       cfg.metrics_path.clear();

@@ -160,7 +160,7 @@ TEST(Hardening, ChaosIsDeterministicPerSeed) {
       tr.send(1, std::move(m));
     }
     while (order.size() < 50) {
-      if (auto m = tr.poll(1)) tr.dispatch(1, *m);
+      if (auto m = tr.poll(1)) tr.dispatch(*m);
     }
     return order;
   };

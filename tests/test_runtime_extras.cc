@@ -359,10 +359,9 @@ class ConfigEnv : public ::testing::Test {
   }
   static constexpr const char* kVars[] = {
       "APGAS_PLACES",          "APGAS_WORKERS_PER_PLACE",
-      "APGAS_PLACES_PER_NODE", "APGAS_COALESCE_BYTES",
-      "APGAS_COALESCE_MSGS",   "APGAS_AUTOTUNE",
-      "APGAS_AUTOTUNE_RESIDENCY_BUDGET_US", "APGAS_PARK_BACKOFF_MIN_US",
-      "APGAS_PARK_BACKOFF_MAX_US", "APGAS_CHAOS_DROP"};
+      "APGAS_PLACES_PER_NODE", "APGAS_RETX_TIMEOUT_US",
+      "APGAS_RETX_BACKOFF_MAX_US", "APGAS_RETX_ACK_IDLE_US",
+      "APGAS_CHAOS_DROP"};
 
  private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
@@ -374,32 +373,32 @@ TEST_F(ConfigEnv, UnsetVariablesLeaveDefaults) {
   EXPECT_EQ(cfg.places, defaults.places);
   EXPECT_EQ(cfg.workers_per_place, defaults.workers_per_place);
   EXPECT_EQ(cfg.places_per_node, defaults.places_per_node);
-  EXPECT_EQ(cfg.coalesce_bytes, defaults.coalesce_bytes);
-  EXPECT_EQ(cfg.coalesce_msgs, defaults.coalesce_msgs);
+  EXPECT_EQ(cfg.retx_timeout_us, defaults.retx_timeout_us);
+  EXPECT_EQ(cfg.retx_backoff_max_us, defaults.retx_backoff_max_us);
 }
 
 TEST_F(ConfigEnv, OverridesEveryPerfKnob) {
   ::setenv("APGAS_PLACES", "6", 1);
   ::setenv("APGAS_WORKERS_PER_PLACE", "2", 1);
   ::setenv("APGAS_PLACES_PER_NODE", "7", 1);
-  ::setenv("APGAS_COALESCE_BYTES", "2048", 1);
-  ::setenv("APGAS_COALESCE_MSGS", "16", 1);
+  ::setenv("APGAS_RETX_TIMEOUT_US", "2048", 1);
+  ::setenv("APGAS_RETX_BACKOFF_MAX_US", "16", 1);
   const Config cfg = Config::from_env();
   EXPECT_EQ(cfg.places, 6);
   EXPECT_EQ(cfg.workers_per_place, 2);
   EXPECT_EQ(cfg.places_per_node, 7);
-  EXPECT_EQ(cfg.coalesce_bytes, 2048u);
-  EXPECT_EQ(cfg.coalesce_msgs, 16);
+  EXPECT_EQ(cfg.retx_timeout_us, 2048u);
+  EXPECT_EQ(cfg.retx_backoff_max_us, 16u);
 }
 
 TEST_F(ConfigEnv, AppliesOnTopOfExistingConfig) {
-  ::setenv("APGAS_COALESCE_BYTES", "512", 1);
+  ::setenv("APGAS_RETX_TIMEOUT_US", "512", 1);
   Config cfg;
   cfg.places = 3;
   cfg.places_per_node = 5;
   Config::apply_env(cfg);
-  EXPECT_EQ(cfg.coalesce_bytes, 512u);  // overridden
-  EXPECT_EQ(cfg.places, 3);             // untouched
+  EXPECT_EQ(cfg.retx_timeout_us, 512u);  // overridden
+  EXPECT_EQ(cfg.places, 3);              // untouched
   EXPECT_EQ(cfg.places_per_node, 5);
 }
 
@@ -414,8 +413,8 @@ TEST_F(ConfigEnvDeath, AbortsOnNonNumeric) {
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnNegative) {
-  ::setenv("APGAS_COALESCE_BYTES", "-4", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_COALESCE_BYTES");
+  ::setenv("APGAS_RETX_TIMEOUT_US", "-4", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_RETX_TIMEOUT_US");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnEmpty) {
@@ -424,16 +423,15 @@ TEST_F(ConfigEnvDeath, AbortsOnEmpty) {
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnTrailingGarbage) {
-  ::setenv("APGAS_COALESCE_MSGS", "12trailing", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_COALESCE_MSGS");
+  ::setenv("APGAS_RETX_ACK_IDLE_US", "12trailing", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_RETX_ACK_IDLE_US");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnOverflow) {
   // Far past INT64_MAX: strtoll sets ERANGE.
-  ::setenv("APGAS_AUTOTUNE_RESIDENCY_BUDGET_US",
-           "999999999999999999999999999999", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); },
-               "APGAS_AUTOTUNE_RESIDENCY_BUDGET_US");
+  ::setenv("APGAS_RETX_BACKOFF_MAX_US", "999999999999999999999999999999",
+           1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_RETX_BACKOFF_MAX_US");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnProbabilityOutOfRange) {
@@ -441,24 +439,22 @@ TEST_F(ConfigEnvDeath, AbortsOnProbabilityOutOfRange) {
   EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_CHAOS_DROP");
 }
 
-TEST_F(ConfigEnv, ReadsAutotuneAndParkKnobs) {
-  ::setenv("APGAS_AUTOTUNE", "1", 1);
-  ::setenv("APGAS_AUTOTUNE_RESIDENCY_BUDGET_US", "75", 1);
-  ::setenv("APGAS_PARK_BACKOFF_MIN_US", "2", 1);
-  ::setenv("APGAS_PARK_BACKOFF_MAX_US", "400", 1);
+TEST_F(ConfigEnv, ReadsReliabilityKnobs) {
+  ::setenv("APGAS_RETX_TIMEOUT_US", "300", 1);
+  ::setenv("APGAS_RETX_BACKOFF_MAX_US", "9000", 1);
+  ::setenv("APGAS_RETX_ACK_IDLE_US", "75", 1);
   const Config cfg = Config::from_env();
-  EXPECT_EQ(cfg.autotune, 1);
-  EXPECT_EQ(cfg.autotune_residency_budget_us, 75u);
-  EXPECT_EQ(cfg.park_backoff_min_us, 2u);
-  EXPECT_EQ(cfg.park_backoff_max_us, 400u);
+  EXPECT_EQ(cfg.retx_timeout_us, 300u);
+  EXPECT_EQ(cfg.retx_backoff_max_us, 9000u);
+  EXPECT_EQ(cfg.retx_ack_idle_us, 75u);
 }
 
-TEST_F(ConfigEnv, ZeroDisablesCoalescing) {
-  ::setenv("APGAS_COALESCE_BYTES", "0", 1);
+TEST_F(ConfigEnv, ZeroDisablesReliability) {
+  ::setenv("APGAS_RETX_TIMEOUT_US", "0", 1);
   Config cfg;
-  cfg.coalesce_bytes = 4096;
+  cfg.retx_timeout_us = 4096;
   Config::apply_env(cfg);
-  EXPECT_EQ(cfg.coalesce_bytes, 0u);
+  EXPECT_EQ(cfg.retx_timeout_us, 0u);
 }
 
 }  // namespace

@@ -112,27 +112,7 @@ TEST(ByteBuffer, TruncatedVectorPayloadThrows) {
   EXPECT_THROW(buf.get_vector<std::uint32_t>(), std::out_of_range);
 }
 
-// --- overwrite / position / take_data (envelope support) --------------------
-
-TEST(ByteBuffer, OverwritePatchesInPlace) {
-  x10rt::ByteBuffer buf;
-  buf.put(static_cast<std::uint32_t>(0));
-  buf.put<int>(99);
-  buf.overwrite(0, static_cast<std::uint32_t>(7));
-  EXPECT_EQ(buf.get<std::uint32_t>(), 7u);
-  EXPECT_EQ(buf.get<int>(), 99);
-}
-
-TEST(ByteBuffer, OverwritePastEndThrows) {
-  x10rt::ByteBuffer buf;
-  buf.put<std::uint16_t>(1);
-  EXPECT_THROW(buf.overwrite(1, static_cast<std::uint32_t>(0)),
-               std::out_of_range);
-  EXPECT_THROW(buf.overwrite(
-                   std::numeric_limits<std::size_t>::max(),
-                   static_cast<std::uint8_t>(0)),
-               std::out_of_range);
-}
+// --- position / seek / take_data --------------------------------------------
 
 TEST(ByteBuffer, SeekAndPositionBracketReads) {
   x10rt::ByteBuffer buf;

@@ -17,7 +17,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "x10rt/socket_backend.h"
@@ -96,7 +95,7 @@ TEST(Transport, DeliversInFifoOrderWithoutChaos) {
   for (int i = 0; i < 10; ++i) {
     tr.send(1, make_msg(0, [&seen, i] { seen.push_back(i); }));
   }
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
+  while (auto m = tr.poll(1)) tr.dispatch(*m);
   std::vector<int> expect(10);
   std::iota(expect.begin(), expect.end(), 0);
   EXPECT_EQ(seen, expect);
@@ -118,7 +117,7 @@ TEST(Transport, ChaosDeliversEverythingEventually) {
   }
   // Polling drains both the queue and, when empty, the delayed pool.
   for (int guard = 0; guard < 100000 && seen.size() < kN; ++guard) {
-    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
+    if (auto m = tr.poll(1)) tr.dispatch(*m);
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kN));
 }
@@ -132,7 +131,7 @@ TEST(Transport, ChaosActuallyReorders) {
     tr.send(1, make_msg(0, [&order, i] { order.push_back(i); }));
   }
   while (order.size() < 100) {
-    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
+    if (auto m = tr.poll(1)) tr.dispatch(*m);
   }
   std::vector<int> sorted = order;
   std::sort(sorted.begin(), sorted.end());
@@ -244,7 +243,7 @@ TEST(Transport, RdmaPutCopiesAndNotifiesInitiator) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (!completed.load() && std::chrono::steady_clock::now() < deadline) {
-    if (auto m = tr.poll(0)) tr.dispatch(0, *m);
+    if (auto m = tr.poll(0)) tr.dispatch(*m);
   }
   EXPECT_TRUE(completed.load());
   EXPECT_EQ(dst, src);
@@ -260,7 +259,7 @@ TEST(Transport, RdmaGetReadsRemote) {
   bool done = false;
   const int h = tr.register_am([&done](x10rt::ByteBuffer&) { done = true; });
   tr.get(0, 1, local.data(), remote.data(), 4 * sizeof(int), {h, {}});
-  while (auto m = tr.poll(0)) tr.dispatch(0, *m);
+  while (auto m = tr.poll(0)) tr.dispatch(*m);
   EXPECT_TRUE(done);
   EXPECT_EQ(local, remote);
 }
@@ -301,7 +300,7 @@ TEST(Transport, AmHandlersDispatchWithPayload) {
   b2.put(9);
   tr.send_am(0, 1, h2, std::move(b2), MsgType::kSteal);
 
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
+  while (auto m = tr.poll(1)) tr.dispatch(*m);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<int, std::string>{7, "hello"}));
   EXPECT_EQ(seen[1].first, -9);
@@ -325,7 +324,7 @@ TEST(Transport, AmPayloadSurvivesChaosReordering) {
     expect.insert(i * 3);
   }
   while (seen.size() < 100) {
-    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
+    if (auto m = tr.poll(1)) tr.dispatch(*m);
   }
   EXPECT_EQ(seen, expect);
 }
@@ -346,187 +345,25 @@ TEST(Transport, WaitNonemptyWakesOnSend) {
   EXPECT_TRUE(got);
 }
 
-// --- sender-side coalescing (ISSUE 3) ---------------------------------------
+// --- send_am under load -----------------------------------------------------
 
-TransportConfig coalesce_cfg(int places, std::size_t bytes, int msgs) {
-  TransportConfig cfg = make_cfg(places);
-  cfg.coalesce_bytes = bytes;
-  cfg.coalesce_msgs = msgs;
-  return cfg;
-}
-
-x10rt::ByteBuffer int_payload(int v) {
-  x10rt::ByteBuffer b;
-  b.put(v);
-  return b;
-}
-
-TEST(TransportCoalesce, ParksUntilExplicitFlush) {
-  ClosureTransport tr(coalesce_cfg(2, 1u << 12, 64));
-  std::vector<int> seen;
-  const int h = tr.register_am(
-      [&seen](x10rt::ByteBuffer& buf) { seen.push_back(buf.get<int>()); });
-  for (int i = 0; i < 5; ++i) tr.send_am(0, 1, h, int_payload(i));
-  // Below both thresholds: nothing on the wire yet…
-  EXPECT_FALSE(tr.poll(1).has_value());
-  // …but the logical sends are already accounted.
-  EXPECT_EQ(tr.count(MsgType::kControl), 5u);
-  ASSERT_EQ(tr.flush_coalesced(0, x10rt::FlushReason::kIdle), 1u);
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(tr.coalesce_envelopes(), 1u);
-  EXPECT_EQ(tr.coalesce_records(), 5u);
-  EXPECT_EQ(tr.coalesce_flushes(x10rt::FlushReason::kIdle), 1u);
-}
-
-TEST(TransportCoalesce, RecordCountThresholdAutoFlushes) {
-  ClosureTransport tr(coalesce_cfg(2, 1u << 12, 4));
-  std::vector<int> seen;
-  const int h = tr.register_am(
-      [&seen](x10rt::ByteBuffer& buf) { seen.push_back(buf.get<int>()); });
-  for (int i = 0; i < 9; ++i) tr.send_am(0, 1, h, int_payload(i));
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
-  // Two full envelopes of 4 shipped themselves; the 9th record is parked.
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(tr.coalesce_flushes(x10rt::FlushReason::kCount), 2u);
-  EXPECT_EQ(tr.flush_coalesced(0), 1u);
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
-  EXPECT_EQ(seen.size(), 9u);
-  EXPECT_EQ(tr.coalesce_records(), 9u);
-}
-
-TEST(TransportCoalesce, SizeThresholdAutoFlushes) {
-  // Threshold chosen so the second record crosses coalesce_bytes.
-  const std::size_t threshold = x10rt::envelope::kHeaderBytes +
-                                2 * (x10rt::envelope::kRecordHeaderBytes +
-                                     sizeof(int));
-  ClosureTransport tr(coalesce_cfg(2, threshold, 64));
-  int seen = 0;
-  const int h = tr.register_am([&seen](x10rt::ByteBuffer&) { ++seen; });
-  tr.send_am(0, 1, h, int_payload(1));
-  EXPECT_FALSE(tr.poll(1).has_value());
-  tr.send_am(0, 1, h, int_payload(2));
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
-  EXPECT_EQ(seen, 2);
-  EXPECT_EQ(tr.coalesce_flushes(x10rt::FlushReason::kSize), 1u);
-}
-
-TEST(TransportCoalesce, OversizePayloadBypassesAggregation) {
-  ClosureTransport tr(coalesce_cfg(2, 64, 64));
-  std::size_t got = 0;
-  const int h = tr.register_am(
-      [&got](x10rt::ByteBuffer& buf) { got = buf.size(); });
-  x10rt::ByteBuffer big;
-  const std::vector<std::uint64_t> data(32, 0x55u);  // > 64-byte threshold
-  big.put_vector(data);
-  tr.send_am(0, 1, h, std::move(big));
-  // Shipped directly — no flush needed.
-  auto m = tr.poll(1);
-  ASSERT_TRUE(m.has_value());
-  tr.dispatch(1, *m);
-  EXPECT_EQ(got, sizeof(std::uint32_t) + 32 * sizeof(std::uint64_t));
-  EXPECT_EQ(tr.coalesce_bypass(), 1u);
-  EXPECT_EQ(tr.coalesce_envelopes(), 0u);
-}
-
-TEST(TransportCoalesce, PerDestinationEnvelopesStaySeparate) {
-  ClosureTransport tr(coalesce_cfg(3, 1u << 12, 64));
-  std::vector<int> seen;
-  const int h = tr.register_am(
-      [&seen](x10rt::ByteBuffer& buf) { seen.push_back(buf.get<int>()); });
-  for (int i = 0; i < 3; ++i) {
-    tr.send_am(0, 1, h, int_payload(i));
-    tr.send_am(0, 2, h, int_payload(100 + i));
-  }
-  // One envelope per destination with a partial train.
-  EXPECT_EQ(tr.flush_coalesced(0), 2u);
-  while (auto m = tr.poll(1)) tr.dispatch(1, *m);
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));
-  seen.clear();
-  while (auto m = tr.poll(2)) tr.dispatch(2, *m);
-  EXPECT_EQ(seen, (std::vector<int>{100, 101, 102}));
-}
-
-TEST(TransportCoalesce, FlushOnEmptyShardIsANoOp) {
-  ClosureTransport tr(coalesce_cfg(2, 1u << 12, 64));
-  EXPECT_EQ(tr.flush_coalesced(0), 0u);
-  EXPECT_EQ(tr.flush_coalesced(1, x10rt::FlushReason::kQuiesce), 0u);
-  EXPECT_EQ(tr.coalesce_envelopes(), 0u);
-}
-
-TEST(TransportCoalesce, DisabledByDefaultShipsImmediately) {
-  ClosureTransport tr(make_cfg(2));
-  EXPECT_FALSE(tr.coalescing_enabled());
-  int seen = 0;
-  const int h = tr.register_am([&seen](x10rt::ByteBuffer&) { ++seen; });
-  tr.send_am(0, 1, h, int_payload(1));
-  auto m = tr.poll(1);
-  ASSERT_TRUE(m.has_value());
-  tr.dispatch(1, *m);
-  EXPECT_EQ(seen, 1);
-  EXPECT_EQ(tr.flush_coalesced(0), 0u);
-  EXPECT_EQ(tr.coalesce_envelopes(), 0u);
-}
-
-TEST(TransportCoalesce, PairCountsTallyLogicalRecords) {
-  TransportConfig cfg = coalesce_cfg(2, 1u << 12, 64);
-  cfg.count_pairs = true;
+TEST(Transport, SendAmTalliesPairAndControlPairCounts) {
+  TransportConfig cfg = make_cfg(2, /*count_pairs=*/true);
   ClosureTransport tr(cfg);
   const int h = tr.register_am([](x10rt::ByteBuffer&) {});
-  for (int i = 0; i < 4; ++i) tr.send_am(0, 1, h, int_payload(i));
-  tr.flush_coalesced(0);
-  // Out-degree / pair statistics describe the logical communication graph.
-  EXPECT_EQ(tr.pair_count(0, 1), 4u);
+  for (int i = 0; i < 4; ++i) {
+    x10rt::ByteBuffer b;
+    b.put(i);
+    tr.send_am(0, 1, h, std::move(b));
+  }
+  tr.send_am(0, 1, h, x10rt::ByteBuffer{}, MsgType::kTask);
+  EXPECT_EQ(tr.pair_count(0, 1), 5u);
   EXPECT_EQ(tr.ctrl_pair_count(0, 1), 4u);
+  EXPECT_EQ(tr.max_ctrl_out_degree(), 1);
 }
 
-TEST(TransportCoalesce, FlushHookReportsEveryEnvelope) {
-  TransportConfig cfg = coalesce_cfg(2, 1u << 12, 2);
-  std::vector<std::tuple<int, int, std::uint32_t, x10rt::FlushReason>> hooks;
-  std::vector<std::uint64_t> residencies;
-  cfg.flush_hook = [&hooks, &residencies](int src, int dst,
-                                          std::uint32_t records,
-                                          x10rt::FlushReason reason,
-                                          std::uint64_t residency_ns) {
-    hooks.emplace_back(src, dst, records, reason);
-    residencies.push_back(residency_ns);
-  };
-  ClosureTransport tr(cfg);
-  const int h = tr.register_am([](x10rt::ByteBuffer&) {});
-  for (int i = 0; i < 3; ++i) tr.send_am(0, 1, h, int_payload(i));
-  tr.flush_coalesced(0, x10rt::FlushReason::kQuiesce);
-  ASSERT_EQ(hooks.size(), 2u);
-  EXPECT_EQ(hooks[0], std::make_tuple(0, 1, 2u, x10rt::FlushReason::kCount));
-  EXPECT_EQ(hooks[1], std::make_tuple(0, 1, 1u, x10rt::FlushReason::kQuiesce));
-  // Residency is clamped to >= 1ns for stamped envelopes so consumers can
-  // count envelopes by nonzero residencies.
-  ASSERT_EQ(residencies.size(), 2u);
-  EXPECT_GE(residencies[0], 1u);
-  EXPECT_GE(residencies[1], 1u);
-}
-
-TEST(TransportCoalesce, ChaosDeliversEveryCoalescedRecord) {
-  TransportConfig cfg = coalesce_cfg(2, 256, 8);
-  cfg.chaos.delay_prob = 0.6;
-  ClosureTransport tr(cfg);
-  std::multiset<int> seen;
-  const int h = tr.register_am(
-      [&seen](x10rt::ByteBuffer& buf) { seen.insert(buf.get<int>()); });
-  std::multiset<int> expect;
-  for (int i = 0; i < 100; ++i) {
-    tr.send_am(0, 1, h, int_payload(i));
-    expect.insert(i);
-  }
-  tr.flush_coalesced(0, x10rt::FlushReason::kQuiesce);
-  while (seen.size() < 100) {
-    if (auto m = tr.poll(1)) tr.dispatch(1, *m);
-  }
-  EXPECT_EQ(seen, expect);
-  EXPECT_EQ(tr.coalesce_records(), 100u);
-}
-
-TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
-  ClosureTransport tr(coalesce_cfg(2, 256, 8));
+TEST(Transport, BufferPoolRecyclesWireStorage) {
+  ClosureTransport tr(make_cfg(2));
   const int h = tr.register_am([](x10rt::ByteBuffer&) {});
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 20; ++i) {
@@ -534,11 +371,10 @@ TEST(TransportCoalesce, BufferPoolRecyclesWireStorage) {
       b.put(i);
       tr.send_am(0, 1, h, std::move(b));
     }
-    tr.flush_coalesced(0);
-    while (auto m = tr.poll(1)) tr.dispatch(1, *m);
+    while (auto m = tr.poll(1)) tr.dispatch(*m);
   }
-  // After warm-up the freelist serves payloads, envelopes, and receive-side
-  // record copies.
+  // After warm-up the freelist serves payloads: dispatch hands each
+  // handler's storage back to the pool the next send acquires from.
   EXPECT_GT(tr.pool().hits(), tr.pool().misses());
   EXPECT_GT(tr.pool().recycled(), 0u);
 }
@@ -548,72 +384,59 @@ void drain_batched(Transport& tr, int place, std::size_t max) {
   std::deque<Message> batch;
   while (tr.poll_batch(place, batch, max) > 0) {
     while (!batch.empty()) {
-      tr.dispatch(place, batch.front());
+      tr.dispatch(batch.front());
       batch.pop_front();
     }
   }
 }
 
-TEST(TransportCoalesce, BatchedDrainOfAFloodLosesNothing) {
-  // A one-way burst many batches deep, direct and coalesced: every record
-  // arrives once whether the receiver drains between sends or only after
-  // the sender's idle flush.
+TEST(Transport, BatchedDrainOfAFloodLosesNothing) {
+  // A one-way burst many batches deep: every message arrives once whether
+  // the receiver drains between sends or only at the end.
   constexpr int kN = 5000;
-  for (bool coalesce : {false, true}) {
-    SCOPED_TRACE(coalesce ? "coalesced" : "direct");
-    ClosureTransport tr(coalesce ? coalesce_cfg(2, 4096, 128) : make_cfg(2));
-    long received = 0;
-    std::uint64_t sum = 0;
-    const int h = tr.register_am([&](x10rt::ByteBuffer& buf) {
-      sum += buf.get<std::uint64_t>();
-      ++received;
-    });
-    for (int i = 0; i < kN; ++i) {
-      x10rt::ByteBuffer b = tr.acquire_buffer();
-      b.put(static_cast<std::uint64_t>(i));
-      tr.send_am(0, 1, h, std::move(b));
-      if (i % 1000 == 999) drain_batched(tr, 1, 32);
-    }
-    tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
-    drain_batched(tr, 1, 64);
-    EXPECT_EQ(received, kN);
-    EXPECT_EQ(sum, std::uint64_t{kN} * (kN - 1) / 2);
-    if (coalesce) {
-      EXPECT_GT(tr.coalesce_records(), tr.coalesce_envelopes());
-    }
+  ClosureTransport tr(make_cfg(2));
+  long received = 0;
+  std::uint64_t sum = 0;
+  const int h = tr.register_am([&](x10rt::ByteBuffer& buf) {
+    sum += buf.get<std::uint64_t>();
+    ++received;
+  });
+  for (int i = 0; i < kN; ++i) {
+    x10rt::ByteBuffer b = tr.acquire_buffer();
+    b.put(static_cast<std::uint64_t>(i));
+    tr.send_am(0, 1, h, std::move(b));
+    if (i % 1000 == 999) drain_batched(tr, 1, 32);
   }
+  drain_batched(tr, 1, 64);
+  EXPECT_EQ(received, kN);
+  EXPECT_EQ(sum, std::uint64_t{kN} * (kN - 1) / 2);
 }
 
-TEST(TransportCoalesce, HandlerRepliesAllArrive) {
+TEST(Transport, HandlerRepliesAllArrive) {
   // Request/response bursts, the shape of finish control traffic: the
   // handler at place 1 answers every request from inside dispatch, and the
-  // replies park (coalesced) or ship (direct) behind the requests.
+  // replies queue behind the requests.
   constexpr int kPairs = 2000;
-  for (bool coalesce : {false, true}) {
-    SCOPED_TRACE(coalesce ? "coalesced" : "direct");
-    ClosureTransport tr(coalesce ? coalesce_cfg(2, 4096, 128) : make_cfg(2));
-    long replies = 0;
-    const int pong = tr.register_am([&replies](x10rt::ByteBuffer&) {
-      ++replies;
-    });
-    const int ping = tr.register_am([&tr, pong](x10rt::ByteBuffer& buf) {
+  ClosureTransport tr(make_cfg(2));
+  long replies = 0;
+  const int pong = tr.register_am([&replies](x10rt::ByteBuffer&) {
+    ++replies;
+  });
+  const int ping = tr.register_am([&tr, pong](x10rt::ByteBuffer& buf) {
+    x10rt::ByteBuffer b = tr.acquire_buffer();
+    b.put(buf.get<std::uint64_t>());
+    tr.send_am(1, 0, pong, std::move(b));
+  });
+  for (int i = 0; i < kPairs; i += 32) {
+    for (int j = i; j < i + 32 && j < kPairs; ++j) {
       x10rt::ByteBuffer b = tr.acquire_buffer();
-      b.put(buf.get<std::uint64_t>());
-      tr.send_am(1, 0, pong, std::move(b));
-    });
-    for (int i = 0; i < kPairs; i += 32) {
-      for (int j = i; j < i + 32 && j < kPairs; ++j) {
-        x10rt::ByteBuffer b = tr.acquire_buffer();
-        b.put(static_cast<std::uint64_t>(j));
-        tr.send_am(0, 1, ping, std::move(b));
-      }
-      tr.flush_coalesced(0, x10rt::FlushReason::kIdle);
-      drain_batched(tr, 1, 64);
-      tr.flush_coalesced(1, x10rt::FlushReason::kIdle);
-      drain_batched(tr, 0, 64);
+      b.put(static_cast<std::uint64_t>(j));
+      tr.send_am(0, 1, ping, std::move(b));
     }
-    EXPECT_EQ(replies, kPairs);
+    drain_batched(tr, 1, 64);
+    drain_batched(tr, 0, 64);
   }
+  EXPECT_EQ(replies, kPairs);
 }
 
 // --- reliability sublayer (ISSUE 5) -----------------------------------------
@@ -630,7 +453,7 @@ TransportConfig retx_cfg(int places, std::uint64_t timeout_us = 100'000) {
 std::size_t drain(Transport& tr, int place) {
   std::size_t n = 0;
   while (auto m = tr.poll(place)) {
-    tr.dispatch(place, *m);
+    tr.dispatch(*m);
     ++n;
   }
   return n;
@@ -645,7 +468,7 @@ TEST(TransportRetx, DisabledLayerIsPassthrough) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->seq, 0u);       // unsequenced: no reliability header
   EXPECT_EQ(m->rflags, 0u);
-  tr.dispatch(1, *m);
+  tr.dispatch(*m);
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(tr.retx_sent(), 0u);
   EXPECT_EQ(tr.retx_pump(0, /*force=*/true), 0u);  // cheap no-op
@@ -842,7 +665,7 @@ TEST(TransportRetx, PollBatchDrainsPastADuplicateStorm) {
   // batch and deliver the fresh message rather than reporting "empty".
   EXPECT_EQ(tr.poll_batch(1, out, 64), 1u);
   ASSERT_EQ(out.size(), 1u);
-  tr.dispatch(1, out.front());
+  tr.dispatch(out.front());
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(tr.retx_dups_dropped(), static_cast<std::uint64_t>(kN));
 }
@@ -923,8 +746,8 @@ struct WirePair {
   /// One scheduler-less progress step for both ends: run whatever arrived,
   /// drive retransmit/ack timers.
   void pump() {
-    while (auto m = t0.poll(0)) t0.dispatch(0, *m);
-    while (auto m = t1.poll(1)) t1.dispatch(1, *m);
+    while (auto m = t0.poll(0)) t0.dispatch(*m);
+    while (auto m = t1.poll(1)) t1.dispatch(*m);
     t0.retx_pump(0);
     t1.retx_pump(1);
   }

@@ -1,15 +1,13 @@
 // Wire-protocol level tests: the finish control frames (snapshots, dense
 // relay batches, completions, credits, releases) as actually serialized —
 // the layer a distributed port reuses verbatim (docs/porting.md) — plus the
-// coalescing envelope codec those frames can travel inside (ISSUE 3).
-// ISSUE 6 adds the multi-process frame codec (frame.h) and treats its
-// receive path as genuinely untrusted: the adversarial section at the bottom
+// multi-process frame codec (frame.h), whose receive path is treated as
+// genuinely untrusted: the adversarial section at the bottom
 // feeds truncated, oversized and bit-flipped frames to the validator and raw
 // garbage to a live SocketBackend, asserting rejection with a message —
 // never an out-of-bounds read, never silent resynchronization.
 #include "runtime/api.h"
 #include "runtime/scheduler.h"
-#include "x10rt/envelope.h"
 #include "x10rt/frame.h"
 #include "x10rt/socket_backend.h"
 
@@ -91,148 +89,6 @@ TEST(WireProtocol, ControlBytesAreRealWireSizes) {
   // 3 completions x (8-byte seq + 8-byte count + 4-byte handler id).
   EXPECT_EQ(spmd_bytes, 3u * (8 + 8 + 4));
   EXPECT_GT(default_bytes, spmd_bytes);
-}
-
-// --- envelope codec ----------------------------------------------------------
-
-x10rt::ByteBuffer payload_of(const std::string& s) {
-  x10rt::ByteBuffer b;
-  b.put_raw(s.data(), s.size());
-  return b;
-}
-
-std::string payload_str(const std::vector<std::byte>& v) {
-  return std::string(reinterpret_cast<const char*>(v.data()), v.size());
-}
-
-TEST(Envelope, EmptyTrainRoundTrips) {
-  x10rt::envelope::Writer w;
-  w.open({});
-  EXPECT_TRUE(w.is_open());
-  EXPECT_EQ(w.records(), 0u);
-  EXPECT_EQ(w.bytes(), x10rt::envelope::kHeaderBytes);
-  x10rt::ByteBuffer env = w.close();
-  EXPECT_FALSE(w.is_open());
-  EXPECT_EQ(env.size(), x10rt::envelope::kHeaderBytes);
-  const auto records = x10rt::envelope::decode_copy(env);
-  EXPECT_TRUE(records.empty());
-}
-
-TEST(Envelope, SingleRecordRoundTrips) {
-  x10rt::envelope::Writer w;
-  w.open({});
-  w.append(7, payload_of("snapshot"));
-  x10rt::ByteBuffer env = w.close();
-  const auto records = x10rt::envelope::decode_copy(env);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].handler, 7);
-  EXPECT_EQ(payload_str(records[0].payload), "snapshot");
-}
-
-TEST(Envelope, WireSizeMatchesTheDocumentedLayout) {
-  // Size boundary: every byte of the train is accounted for by the format in
-  // docs/transport.md — count prefix + per-record (handler, len) headers +
-  // payload bytes, nothing else.
-  x10rt::envelope::Writer w;
-  w.open({});
-  const std::string payloads[] = {"", "x", "four", "a-longer-payload"};
-  std::size_t expect = x10rt::envelope::kHeaderBytes;
-  for (const auto& p : payloads) {
-    w.append(1, payload_of(p));
-    expect += x10rt::envelope::kRecordHeaderBytes + p.size();
-    EXPECT_EQ(w.bytes(), expect);
-  }
-  x10rt::ByteBuffer env = w.close();
-  EXPECT_EQ(env.size(), expect);
-  const auto records = x10rt::envelope::decode_copy(env);
-  ASSERT_EQ(records.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(payload_str(records[i].payload), payloads[i]);
-  }
-}
-
-TEST(Envelope, MaxCountTrainKeepsOrderAndDistinctHandlers) {
-  // A full envelope at the default coalesce_msgs ceiling: record order and
-  // (handler, payload) pairing must survive, zero-length payloads included.
-  constexpr int kMax = 64;
-  x10rt::envelope::Writer w;
-  w.open({});
-  for (int i = 0; i < kMax; ++i) {
-    w.append(i % 5, payload_of(i % 3 == 0 ? "" : std::to_string(i)));
-  }
-  EXPECT_EQ(w.records(), static_cast<std::uint32_t>(kMax));
-  x10rt::ByteBuffer env = w.close();
-  const auto records = x10rt::envelope::decode_copy(env);
-  ASSERT_EQ(records.size(), static_cast<std::size_t>(kMax));
-  for (int i = 0; i < kMax; ++i) {
-    EXPECT_EQ(records[static_cast<std::size_t>(i)].handler, i % 5);
-    EXPECT_EQ(payload_str(records[static_cast<std::size_t>(i)].payload),
-              i % 3 == 0 ? "" : std::to_string(i));
-  }
-}
-
-TEST(Envelope, UnderReadingHandlerCannotOverrunIntoNextRecord) {
-  x10rt::envelope::Writer w;
-  w.open({});
-  w.append(1, payload_of("aaaa"));
-  w.append(2, payload_of("bbbb"));
-  x10rt::ByteBuffer env = w.close();
-  std::vector<std::string> seen;
-  x10rt::envelope::for_each_record(
-      env, [&seen](int handler, x10rt::MsgType, x10rt::ByteBuffer& buf,
-                   std::uint32_t len) {
-        (void)len;
-        // Read only one byte of each 4-byte payload; the bracket seek must
-        // still land the cursor at the next record's header.
-        char c = static_cast<char>(buf.get<std::uint8_t>());
-        seen.push_back(std::to_string(handler) + ":" + c);
-      });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], "1:a");
-  EXPECT_EQ(seen[1], "2:b");
-}
-
-TEST(Envelope, TruncatedTrainThrowsBeforeInvokingHandlers) {
-  x10rt::envelope::Writer w;
-  w.open({});
-  w.append(3, payload_of("payload-bytes"));
-  x10rt::ByteBuffer env = w.close();
-  // Chop the train mid-payload.
-  std::vector<std::byte> bytes(env.bytes().begin(), env.bytes().end());
-  bytes.resize(bytes.size() - 4);
-  x10rt::ByteBuffer truncated{std::move(bytes)};
-  bool invoked = false;
-  EXPECT_THROW(x10rt::envelope::for_each_record(
-                   truncated,
-                   [&invoked](int, x10rt::MsgType, x10rt::ByteBuffer&,
-                              std::uint32_t) {
-                     invoked = true;
-                   }),
-               std::out_of_range);
-  EXPECT_FALSE(invoked);
-}
-
-TEST(WireProtocol, CoalescedControlPlaneStaysExact) {
-  // The ControlBytesAreRealWireSizes exactness, repeated with the coalescing
-  // layer on: logical per-class statistics must not change just because the
-  // wire batches frames into envelopes.
-  std::uint64_t spmd_bytes = 0;
-  std::uint64_t spmd_msgs = 0;
-  Config cfg = cfg_n(4);
-  cfg.coalesce_bytes = 1024;
-  cfg.coalesce_msgs = 8;
-  Runtime::run(cfg, [&] {
-    auto& tr = Runtime::get().transport();
-    tr.reset_stats();
-    finish(Pragma::kSpmd, [&] {
-      for (int p = 1; p < num_places(); ++p) asyncAt(p, [] {});
-    });
-    spmd_bytes = tr.bytes(x10rt::MsgType::kControl);
-    spmd_msgs = tr.count(x10rt::MsgType::kControl);
-    EXPECT_GE(tr.coalesce_records(), 1u);
-  });
-  EXPECT_EQ(spmd_bytes, 3u * (8 + 8 + 4));
-  EXPECT_EQ(spmd_msgs, 3u);
 }
 
 TEST(WireProtocol, FramesSurviveHeavyChaos) {

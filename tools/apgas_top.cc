@@ -4,7 +4,7 @@
 //
 // Tails the JSONL that the launcher (socket mode) or the runtime itself
 // (in-process mode) appends under APGAS_TELEMETRY_MS, and renders one row
-// per place: activity/steal/retransmit/coalesce/park rates computed from
+// per place: activity/steal/retransmit/park rates computed from
 // counter deltas, the latest latency percentiles, and a watchdog flag that
 // lights up when a place shipped a stall diagnosis. With --once it reads the
 // file once, prints cumulative totals instead of rates, and exits — that is
@@ -128,17 +128,17 @@ void render(std::map<int, PlaceRow>& rows, bool once) {
   if (!once) std::fputs("\x1b[H\x1b[2J", stdout);  // home + clear
   std::printf("apgas_top — %zu place(s)%s\n", rows.size(),
               once ? " (totals)" : "");
-  std::printf("%5s %6s %10s %10s %10s %10s %10s %12s %12s %3s\n", "place",
-              "seq", once ? "tasks" : "task/s", once ? "steals" : "steal/s",
-              once ? "retx" : "retx/s", once ? "coal" : "coal/s",
-              once ? "parks" : "park/s", "exec_p99_us", "ship_p99_us", "wd");
+  std::printf("%5s %6s %10s %10s %10s %10s %12s %12s %3s\n", "place", "seq",
+              once ? "tasks" : "task/s", once ? "steals" : "steal/s",
+              once ? "retx" : "retx/s", once ? "parks" : "park/s",
+              "exec_p99_us", "ship_p99_us", "wd");
   for (auto& [p, r] : rows) {
     if (once) {
       std::printf("%5d %6" PRIu64
-                  " %10lld %10lld %10lld %10lld %10lld %12lld %12lld %3s\n",
+                  " %10lld %10lld %10lld %10lld %12lld %12lld %3s\n",
                   p, r.seq, column(r, "activities_executed", false),
                   column(r, ".steals", false), column(r, "retx", false),
-                  column(r, "coalesce", false), column(r, "park", false),
+                  column(r, "park", false),
                   abs_col(r, "activity.exec_ns.p99") / 1000,
                   abs_col(r, "ship_xproc_aligned_ns.p99") / 1000,
                   r.watchdog_reports > 0 ? "!!" : "-");
@@ -147,16 +147,15 @@ void render(std::map<int, PlaceRow>& rows, bool once) {
       // interval — frames can arrive late or bunched without skewing them.
       const std::uint64_t dt_ms =
           r.t_ms > r.prev_t_ms ? r.t_ms - r.prev_t_ms : 0;
-      char b[5][32];
+      char b[4][32];
       std::printf(
-          "%5d %6" PRIu64 " %10s %10s %10s %10s %10s %12lld %12lld %3s\n", p,
+          "%5d %6" PRIu64 " %10s %10s %10s %10s %12lld %12lld %3s\n", p,
           r.seq,
           fmt_rate(b[0], sizeof b[0], column(r, "activities_executed", true),
                    dt_ms),
           fmt_rate(b[1], sizeof b[1], column(r, ".steals", true), dt_ms),
           fmt_rate(b[2], sizeof b[2], column(r, "retx", true), dt_ms),
-          fmt_rate(b[3], sizeof b[3], column(r, "coalesce", true), dt_ms),
-          fmt_rate(b[4], sizeof b[4], column(r, "park", true), dt_ms),
+          fmt_rate(b[3], sizeof b[3], column(r, "park", true), dt_ms),
           abs_col(r, "activity.exec_ns.p99") / 1000,
           abs_col(r, "ship_xproc_aligned_ns.p99") / 1000,
           r.watchdog_reports > 0 ? "!!" : "-");
