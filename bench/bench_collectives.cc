@@ -1,26 +1,27 @@
 // §3.3 (high-performance interconnects): emulated (point-to-point) versus
-// native ("hardware") versus hierarchical (topology-aware tree) Team
-// collectives, and RDMA versus FIFO asyncCopy.
+// native (shared-memory "hardware") Team collectives, and RDMA versus FIFO
+// asyncCopy.
 // The paper: hardware collectives "offer performance that cannot be matched
 // by point-to-point messages"; RDMA transfers bypass the destination CPU.
 //
 // Two collective probes:
 //   (a) small ops     — barrier / 64-double allreduce / 16-double alltoall
-//                       latency across a place sweep, all three Team modes.
-//   (b) payload sweep — 4KB..4MB bcast and allreduce at a fixed place count
-//                       (default 32, BENCH_COLLECTIVES_PLACES overrides);
-//                       the hierarchical win comes from the single-copy
-//                       in-group fan-out: one mail delivery per leaf group
-//                       instead of one per member.
-// After every timed loop each rank runs one untimed barrier, allreduce,
-// alltoall and bcast on fresh small-integer inputs (exact in double) and
-// checks them against a sequential fold; the "verified" column reports it
-// and any mismatch makes the bench exit 1.
+//                       latency across a place sweep, both Team modes; the
+//                       message column is exact past the core count.
+//   (b) payload sweep — 4KB..4MB bcast and allreduce at one place per
+//                       hardware thread; the native win comes from copying
+//                       straight out of the root's buffer instead of
+//                       shipping one mail payload per member.
+// After every timed loop each rank runs one untimed round of every
+// collective (barrier, allreduce, reduce to the last rank, alltoall, bcast,
+// scatter, gather, allgather) on fresh small-integer inputs (exact in
+// double) and checks it against a sequential reference; the "verified"
+// column reports it and any mismatch makes the bench exit 1.
 // Honors the bench_common observability env (APGAS_TRACE / APGAS_METRICS /
-// APGAS_* knobs incl. APGAS_PLACES_PER_NODE and APGAS_TEAM_*).
+// APGAS_* knobs).
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -38,14 +39,12 @@ const char* mode_name(TeamMode mode) {
   switch (mode) {
     case TeamMode::kEmulated: return "emulated";
     case TeamMode::kNative: return "native";
-    case TeamMode::kHierarchical: return "hierarchical";
   }
   return "?";
 }
 
-/// Bench config: observability env + APGAS_* knobs (incl.
-/// APGAS_PLACES_PER_NODE, which sizes the hierarchical leaf groups), then
-/// the sweep's place count — the sweep owns `places`, the env owns the rest.
+/// Bench config: observability env + APGAS_* knobs, then the sweep's place
+/// count — the sweep owns `places`, the env owns the rest.
 apgas::Config bench_cfg(int places) {
   Config cfg;
   bench::observe(cfg);
@@ -59,9 +58,9 @@ double check_input(int r, std::size_t i) {
   return static_cast<double>(r * 100 + static_cast<int>(i % 97) + 1);
 }
 
-/// One untimed round of barrier, allreduce(sum), alltoall and bcast on fresh
-/// inputs, run by every rank of `t`; `arrived` is zero on entry and shared
-/// by all ranks. Returns whether this rank saw the right results.
+/// One untimed round of every collective on fresh inputs, run by every rank
+/// of `t`; `arrived` is zero on entry and shared by all ranks. Returns
+/// whether this rank saw the right results.
 bool verify_round(Team& t, std::atomic<int>& arrived) {
   const int size = t.size();
   const int rank = t.rank();
@@ -103,15 +102,60 @@ bool verify_round(Team& t, std::atomic<int>& arrived) {
     }
   }
 
+  // Reduce(max) to the last rank; only the root's buffer is defined.
+  const int last = size - 1;
+  for (std::size_t i = 0; i < kN; ++i) v[i] = check_input(rank, i);
+  t.reduce(last, v.data(), kN, ReduceOp::kMax);
+  if (rank == last) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      double fold = check_input(0, i);
+      for (int r = 1; r < size; ++r) fold = std::max(fold, check_input(r, i));
+      ok = ok && v[i] == fold;
+    }
+  }
+
   // Bcast from the last rank.
   std::vector<double> b(kN, -1.0);
-  if (rank == size - 1) {
+  if (rank == last) {
     for (std::size_t i = 0; i < kN; ++i) b[i] = check_input(rank, i);
   }
-  t.bcast(size - 1, b.data(), kN);
+  t.bcast(last, b.data(), kN);
   for (std::size_t i = 0; i < kN; ++i) {
-    ok = ok && b[i] == check_input(size - 1, i);
+    ok = ok && b[i] == check_input(last, i);
   }
+
+  // Scatter from the last rank: block d of its send buffer goes to rank d.
+  std::vector<double> mine(kBlock, -1.0);
+  if (rank == last) {
+    for (int d = 0; d < size; ++d) {
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        send[static_cast<std::size_t>(d) * kBlock + j] = block(last, d, j);
+      }
+    }
+  }
+  t.scatter(last, send.data(), mine.data(), kBlock);
+  for (std::size_t j = 0; j < kBlock; ++j) {
+    ok = ok && mine[j] == block(last, rank, j);
+  }
+
+  // Gather to rank 0, then allgather: block s holds what rank s contributed.
+  for (std::size_t j = 0; j < kBlock; ++j) mine[j] = block(rank, 0, j);
+  const auto holds_every_rank = [&] {
+    bool all = true;
+    for (int s = 0; s < size; ++s) {
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        all = all && recv[static_cast<std::size_t>(s) * kBlock + j] ==
+                         block(s, 0, j);
+      }
+    }
+    return all;
+  };
+  std::fill(recv.begin(), recv.end(), -1.0);
+  t.gather(0, mine.data(), rank == 0 ? recv.data() : nullptr, kBlock);
+  if (rank == 0) ok = ok && holds_every_rank();
+  std::fill(recv.begin(), recv.end(), -1.0);
+  t.allgather(mine.data(), recv.data(), kBlock);
+  ok = ok && holds_every_rank();
   return ok;
 }
 
@@ -175,8 +219,7 @@ bool small_op_bench(int places, TeamMode mode, double& barrier_us,
 
 
 /// One (op, mode, payload) cell: SPMD loop at `places` places, `rounds`
-/// timed repetitions after one warm-up op (the warm-up also builds and
-/// caches the leader tree), rank 0's wall clock. Rounds shrink as payloads
+/// timed repetitions after one warm-up op, rank 0's wall clock. Rounds shrink as payloads
 /// grow so the sweep stays O(seconds) end to end. Clears `ok` when
 /// verify_round fails at any rank.
 double payload_bench(int places, TeamMode mode, bool bcast_op,
@@ -225,11 +268,9 @@ double payload_bench(int places, TeamMode mode, bool bcast_op,
 }  // namespace
 
 int main() {
-  const TeamMode kModes[] = {TeamMode::kEmulated, TeamMode::kNative,
-                             TeamMode::kHierarchical};
+  const TeamMode kModes[] = {TeamMode::kEmulated, TeamMode::kNative};
 
-  bench::header(
-      "§3.3 — Team collectives: emulated vs native vs hierarchical (us/op)");
+  bench::header("§3.3 — Team collectives: emulated vs native (us/op)");
   bench::row("%8s %14s %12s %12s %12s %12s %9s", "places", "mode", "barrier",
              "allreduce", "alltoall", "coll msgs", "verified");
   for (int places : bench::sweep_places(16)) {
@@ -243,14 +284,11 @@ int main() {
     }
   }
 
-  int sweep_places = 32;
-  if (const char* p = std::getenv("BENCH_COLLECTIVES_PLACES")) {
-    sweep_places = std::atoi(p);
-  }
+  const int sweep_places = bench::cores();
   bench::header("§3.3 — large-payload bcast/allreduce at " +
                 std::to_string(sweep_places) + " places (us/op)");
-  bench::row("%10s %10s %14s %14s %14s %10s %9s", "op", "KiB", "emulated",
-             "native", "hierarchical", "hier_x", "verified");
+  bench::row("%10s %10s %14s %14s %10s %9s", "op", "KiB", "emulated",
+             "native", "native_x", "verified");
   for (bool bcast_op : {true, false}) {
     for (std::size_t kib : {4u, 32u, 256u, 1024u, 4096u}) {
       const std::size_t bytes = kib * 1024;
@@ -258,18 +296,17 @@ int main() {
       // periods than one cell, so the modes alternate within each rep and
       // each reports its best — the ratio of bests is the stable signal.
       constexpr int kReps = 3;
-      double cell[3] = {1e30, 1e30, 1e30};
+      double cell[2] = {1e30, 1e30};
       bool ok = true;
       for (int rep = 0; rep < kReps; ++rep) {
-        for (int m = 0; m < 3; ++m) {
+        for (int m = 0; m < 2; ++m) {
           cell[m] = std::min(cell[m], payload_bench(sweep_places, kModes[m],
                                                     bcast_op, bytes, ok));
         }
       }
-      const double hier_x = cell[0] / cell[2];
-      bench::row("%10s %10zu %14.1f %14.1f %14.1f %9.2fx %9s",
+      bench::row("%10s %10zu %14.1f %14.1f %9.2fx %9s",
                  bcast_op ? "bcast" : "allreduce", kib, cell[0], cell[1],
-                 cell[2], hier_x, verdict(ok));
+                 cell[0] / cell[1], verdict(ok));
     }
   }
 

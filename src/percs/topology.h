@@ -77,8 +77,7 @@ class Machine {
   /// Global index of the hierarchy domain containing `core` at `level`:
   /// level 0 = octant, 1 = drawer, 2 = supernode. Cores sharing the domain
   /// index at level L communicate without crossing a level-L+1 link (LL
-  /// within a drawer, LR within a supernode, D across supernodes) — the
-  /// grouping the hierarchical Team collectives build their leader trees on.
+  /// within a drawer, LR within a supernode, D across supernodes).
   [[nodiscard]] int domain_of_core(long core, int level) const;
 
   /// Smallest hierarchy level whose domain contains both cores: 0 = same

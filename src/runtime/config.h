@@ -61,36 +61,6 @@ struct Config {
   /// traffic to piggyback on sends one after this many microseconds.
   std::uint64_t retx_ack_idle_us = 200;
 
-  // --- hierarchical Team collectives (docs/collectives.md) -----------------
-
-  /// Places per octant for the PERCS topology model the hierarchical Team
-  /// mode builds its leader tree from (the paper's 32 cores per shared-
-  /// memory host). 0 — the default — means "no topology model": hierarchical
-  /// teams then group `places_per_node` consecutive places per leaf group
-  /// and hang all leaf leaders off one root group.
-  int team_places_per_octant = 0;
-
-  /// Octants per drawer / drawers per supernode of the modelled machine
-  /// (only read when team_places_per_octant > 0; defaults match the
-  /// Power 775).
-  int team_octants_per_drawer = 8;
-  int team_drawers_per_supernode = 4;
-
-  /// Grouping levels the hierarchical mode uses above the leaf groups,
-  /// clamped to [1, 3]: 1 = octants only, 2 = + drawers, 3 = + supernodes.
-  /// Without a topology model the hierarchy always has one grouping level.
-  int team_levels = 3;
-
-  /// Fan-out of the tree each leader group arranges itself into. Low fan-out
-  /// trades tree depth (cheap once fragments pipeline) for less sender-side
-  /// serialization at any one leader.
-  int team_fanout = 2;
-
-  /// Pipelined-chunking fragment size for hierarchical bcast/reduce payloads
-  /// in bytes; a leader forwards fragment k while receiving k+1. 0 ships the
-  /// payload as a single fragment (no pipelining).
-  std::size_t team_chunk_bytes = 64u << 10;
-
   /// Bytes reserved per place for the congruent (registered, symmetric)
   /// allocator arena.
   std::size_t congruent_bytes = 16u << 20;
@@ -171,12 +141,6 @@ struct Config {
   ///   APGAS_PLACES             places
   ///   APGAS_PLACES_PER_NODE    places_per_node
   ///   APGAS_WORKERS_PER_PLACE  workers_per_place
-  ///   APGAS_TEAM_PLACES_PER_OCTANT     team_places_per_octant (0 = no topology)
-  ///   APGAS_TEAM_OCTANTS_PER_DRAWER    team_octants_per_drawer
-  ///   APGAS_TEAM_DRAWERS_PER_SUPERNODE team_drawers_per_supernode
-  ///   APGAS_TEAM_LEVELS        team_levels (1..3)
-  ///   APGAS_TEAM_FANOUT        team_fanout
-  ///   APGAS_TEAM_CHUNK_BYTES   team_chunk_bytes (0 = unpipelined)
   ///   APGAS_RETX_TIMEOUT_US    retx_timeout_us (0 disables reliability)
   ///   APGAS_RETX_BACKOFF_MAX_US retx_backoff_max_us
   ///   APGAS_RETX_ACK_IDLE_US   retx_ack_idle_us
@@ -240,12 +204,6 @@ struct Config {
     read("APGAS_PLACES", cfg.places);
     read("APGAS_PLACES_PER_NODE", cfg.places_per_node);
     read("APGAS_WORKERS_PER_PLACE", cfg.workers_per_place);
-    read("APGAS_TEAM_PLACES_PER_OCTANT", cfg.team_places_per_octant);
-    read("APGAS_TEAM_OCTANTS_PER_DRAWER", cfg.team_octants_per_drawer);
-    read("APGAS_TEAM_DRAWERS_PER_SUPERNODE", cfg.team_drawers_per_supernode);
-    read("APGAS_TEAM_LEVELS", cfg.team_levels);
-    read("APGAS_TEAM_FANOUT", cfg.team_fanout);
-    read("APGAS_TEAM_CHUNK_BYTES", cfg.team_chunk_bytes);
     read("APGAS_RETX_TIMEOUT_US", cfg.retx_timeout_us);
     read("APGAS_RETX_BACKOFF_MAX_US", cfg.retx_backoff_max_us);
     read("APGAS_RETX_ACK_IDLE_US", cfg.retx_ack_idle_us);

@@ -468,23 +468,6 @@ void Runtime::register_transport_gauges() {
                       [tr] { return tr->backend_stats().bytes_sent; });
   metrics_->add_gauge("transport.backend.bytes_received",
                       [tr] { return tr->backend_stats().bytes_received; });
-
-  // Hierarchical Team collectives (docs/collectives.md): levels/leaders
-  // describe the most recently built hierarchy, chunks/chunk_bytes tally
-  // fragments forwarded along leader-tree edges.
-  auto& hs = team_detail::hier_stats();
-  metrics_->add_gauge("team.hier.levels", [&hs] {
-    return hs.levels.load(std::memory_order_relaxed);
-  });
-  metrics_->add_gauge("team.hier.leaders", [&hs] {
-    return hs.leaders.load(std::memory_order_relaxed);
-  });
-  metrics_->add_gauge("team.hier.chunks", [&hs] {
-    return hs.chunks.load(std::memory_order_relaxed);
-  });
-  metrics_->add_gauge("team.hier.chunk_bytes", [&hs] {
-    return hs.chunk_bytes.load(std::memory_order_relaxed);
-  });
 }
 
 void Runtime::finalize_observability() {

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "percs/topology.h"
 #include "runtime/metrics.h"
 
 namespace apgas {
@@ -36,181 +35,8 @@ void record_op_ns(TeamOp op, std::uint64_t ns) {
       .record(ns);
 }
 
-HierStats& hier_stats() {
-  static HierStats s;
-  return s;
-}
-
-void note_chunk(std::uint64_t op, std::size_t chunk_idx, int dst_rank,
-                std::size_t bytes) {
-  auto& s = hier_stats();
-  s.chunks.fetch_add(1, std::memory_order_relaxed);
-  s.chunk_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  trace::emit(trace::Ev::kTeamChunk,
-              (op << 32) | static_cast<std::uint64_t>(chunk_idx),
-              (static_cast<std::uint64_t>(bytes) << 16) |
-                  static_cast<std::uint64_t>(
-                      static_cast<std::uint16_t>(dst_rank)));
-}
-
-Hierarchy& TeamState::hierarchy() {
-  std::call_once(hier_once, [this] {
-    auto h = std::make_unique<Hierarchy>();
-    const Config& cfg = Runtime::get().config();
-    h->fanout = cfg.team_fanout < 1 ? 1 : cfg.team_fanout;
-    h->chunk_bytes = cfg.team_chunk_bytes;
-    const int nranks = static_cast<int>(members.size());
-    h->domain.assign(static_cast<std::size_t>(nranks),
-                     std::vector<int>(3, 0));
-    if (Runtime::get().multi_process()) {
-      // Place processes share no memory, so the shared-memory leaf-group
-      // fast path (GroupShared single-copy publish) cannot exist: collapse
-      // every leaf group to a singleton. Each rank leads itself and all
-      // payload movement rides mail frames up the leader tree — the
-      // hierarchical algorithms then never touch a group counter (gsize==1)
-      // and remain correct across processes.
-      for (int r = 0; r < nranks; ++r) {
-        h->domain[static_cast<std::size_t>(r)][0] = r;
-      }
-      h->levels = 1;
-    } else if (cfg.team_places_per_octant > 0) {
-      percs::MachineShape shape;
-      shape.cores_per_octant = cfg.team_places_per_octant;
-      shape.octants_per_drawer =
-          cfg.team_octants_per_drawer < 1 ? 1 : cfg.team_octants_per_drawer;
-      shape.drawers_per_supernode = cfg.team_drawers_per_supernode < 1
-                                        ? 1
-                                        : cfg.team_drawers_per_supernode;
-      int max_place = 0;
-      for (int p : members) max_place = std::max(max_place, p);
-      const long per_sn = static_cast<long>(shape.cores_per_octant) *
-                          shape.octants_per_drawer *
-                          shape.drawers_per_supernode;
-      shape.supernodes = static_cast<int>(max_place / per_sn) + 1;
-      const percs::Machine machine(shape);
-      for (int r = 0; r < nranks; ++r) {
-        const long core = members[static_cast<std::size_t>(r)];
-        for (int level = 0; level < 3; ++level) {
-          h->domain[static_cast<std::size_t>(r)][static_cast<std::size_t>(
-              level)] = machine.domain_of_core(core, level);
-        }
-      }
-      h->levels = std::clamp(cfg.team_levels, 1, 3);
-    } else {
-      // No topology model: leaf-group consecutive places per "node" and
-      // hang every leaf leader off one flat root tier.
-      const int per = cfg.places_per_node < 1 ? 1 : cfg.places_per_node;
-      for (int r = 0; r < nranks; ++r) {
-        h->domain[static_cast<std::size_t>(r)][0] =
-            members[static_cast<std::size_t>(r)] / per;
-      }
-      h->levels = 1;
-    }
-    std::map<int, std::vector<int>> by_octant;  // ordered -> stable group ids
-    for (int r = 0; r < nranks; ++r) {
-      by_octant[h->domain[static_cast<std::size_t>(r)][0]].push_back(r);
-    }
-    h->leaf_of.assign(static_cast<std::size_t>(nranks), 0);
-    for (auto& [octant, ranks] : by_octant) {
-      const int gi = static_cast<int>(h->leaf_members.size());
-      for (int r : ranks) h->leaf_of[static_cast<std::size_t>(r)] = gi;
-      h->leaf_members.push_back(ranks);  // ascending: map visit order
-      h->groups.push_back(std::make_unique<GroupShared>());
-    }
-    auto& stats = hier_stats();
-    stats.levels.store(static_cast<std::uint64_t>(h->levels),
-                       std::memory_order_relaxed);
-    stats.leaders.store(h->leaf_members.size(), std::memory_order_relaxed);
-    hier = std::move(h);
-  });
-  return *hier;
-}
-
-const LeaderTree& Hierarchy::tree_for(int root) {
-  std::scoped_lock lock(mu);
-  auto& slot = trees[root];
-  if (slot) return *slot;
-  auto t = std::make_unique<LeaderTree>();
-  const int n = static_cast<int>(leaf_of.size());
-  t->parent.assign(static_cast<std::size_t>(n), -1);
-  t->children.assign(static_cast<std::size_t>(n), {});
-  t->is_leader.assign(static_cast<std::size_t>(n), 0);
-  t->leaf_leader.assign(leaf_members.size(), -1);
-  // Leaf leaders: the op root leads its own group (the promotion that makes
-  // any rank a valid root without regrouping); every other group is led by
-  // its minimum rank.
-  for (std::size_t g = 0; g < leaf_members.size(); ++g) {
-    const auto& ranks = leaf_members[g];
-    int lead = ranks.front();  // ascending, so front() is the minimum
-    for (int r : ranks) {
-      if (r == root) {
-        lead = root;
-        break;
-      }
-    }
-    t->leaf_leader[g] = lead;
-    t->is_leader[static_cast<std::size_t>(lead)] = 1;
-  }
-  // Heap-attach `nodes` under `head`: ordered = [head, rest ascending],
-  // parent of ordered[j] is ordered[(j-1)/fanout] — a complete fanout-ary
-  // tree, so depth is logarithmic in the tier size.
-  auto attach = [&](const std::vector<int>& nodes, int head) {
-    std::vector<int> ordered;
-    ordered.reserve(nodes.size());
-    ordered.push_back(head);
-    for (int r : nodes) {
-      if (r != head) ordered.push_back(r);
-    }
-    for (std::size_t j = 1; j < ordered.size(); ++j) {
-      const int p = ordered[(j - 1) / static_cast<std::size_t>(fanout)];
-      t->parent[static_cast<std::size_t>(ordered[j])] = p;
-      t->children[static_cast<std::size_t>(p)].push_back(ordered[j]);
-    }
-  };
-  // Tier by tier: leaf leaders group by drawer, drawer heads by supernode,
-  // and whatever tier remains hangs under the root. The root heads every
-  // group it belongs to, so it survives to the top by construction.
-  std::vector<int> cur = t->leaf_leader;
-  std::sort(cur.begin(), cur.end());
-  for (int level = 1; level < levels; ++level) {
-    std::map<int, std::vector<int>> by;
-    for (int r : cur) {
-      by[domain[static_cast<std::size_t>(r)][static_cast<std::size_t>(level)]]
-          .push_back(r);
-    }
-    std::vector<int> next;
-    for (auto& [d, nodes] : by) {
-      int head = nodes.front();
-      for (int r : nodes) {
-        if (r == root) {
-          head = root;
-          break;
-        }
-      }
-      attach(nodes, head);
-      next.push_back(head);
-    }
-    std::sort(next.begin(), next.end());
-    cur = std::move(next);
-  }
-  attach(cur, root);
-  int depth = 1;
-  for (int r = 0; r < n; ++r) {
-    if (t->is_leader[static_cast<std::size_t>(r)] == 0) continue;
-    int d = 0;
-    for (int p = r; t->parent[static_cast<std::size_t>(p)] != -1;
-         p = t->parent[static_cast<std::size_t>(p)]) {
-      ++d;
-    }
-    depth = std::max(depth, d);
-  }
-  t->depth = depth;
-  slot = std::move(t);
-  return *slot;
-}
-
 TeamState::TeamState(std::uint64_t team_id, TeamMode m, std::vector<int> mem)
-    : id(team_id), mode(m), members(std::move(mem)) {
+    : id(team_id), mode(m), members(std::move(mem)), slots(members.size()) {
   for (int r = 0; r < static_cast<int>(members.size()); ++r) {
     rank_of[members[static_cast<std::size_t>(r)]] = r;
   }
@@ -218,7 +44,6 @@ TeamState::TeamState(std::uint64_t team_id, TeamMode m, std::vector<int> mem)
   for (std::size_t i = 0; i < members.size(); ++i) {
     per.push_back(std::make_unique<Member>());
   }
-  src_ptrs.assign(members.size(), nullptr);
 }
 
 namespace {
@@ -257,7 +82,7 @@ void file_mail(TeamState& team, std::uint64_t seq, int tag, int src_rank,
                       std::move(payload));
 }
 
-/// The registered frame task carrying emulated/hierarchical Team mail:
+/// The registered frame task carrying emulated Team mail:
 /// [team_id u64][seq u64][tag i32][src_rank i32][dst_rank i32][payload raw].
 /// Registered pre-main (pre-fork), so every place process of one binary
 /// agrees on the id — the same contract as every other frame task.
@@ -310,11 +135,6 @@ void registry_clear() {
   std::scoped_lock lock(g_registry_mu);
   g_registry.clear();
   g_pending.clear();
-  auto& s = hier_stats();
-  s.levels.store(0, std::memory_order_relaxed);
-  s.leaders.store(0, std::memory_order_relaxed);
-  s.chunks.store(0, std::memory_order_relaxed);
-  s.chunk_bytes.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace team_detail
@@ -322,9 +142,7 @@ void registry_clear() {
 Team Team::world(TeamMode mode) {
   std::vector<int> members(static_cast<std::size_t>(num_places()));
   for (int p = 0; p < num_places(); ++p) members[static_cast<std::size_t>(p)] = p;
-  const std::uint64_t id = mode == TeamMode::kNative         ? 1
-                           : mode == TeamMode::kHierarchical ? 2
-                                                             : 0;
+  const std::uint64_t id = mode == TeamMode::kNative ? 1 : 0;
   return Team(team_detail::get_or_create(id, mode, members));
 }
 
@@ -385,13 +203,9 @@ void Team::barrier() {
   team_detail::PhaseScope phase(team_detail::kOpBarrier, state_->id);
   const int sz = size();
   if (sz == 1) return;
-  const TeamMode m = effective_mode();
-  if (m == TeamMode::kNative) {
-    native_barrier();
-    return;
-  }
-  if (m == TeamMode::kHierarchical) {
-    hier_barrier();
+  if (effective_mode() == TeamMode::kNative) {
+    using team_detail::Slot;
+    native_wait(&Slot::arrive, native_publish(nullptr, -1), -1);
     return;
   }
   // Dissemination barrier: ceil(log2(n)) rounds of partner signalling.
@@ -403,98 +217,55 @@ void Team::barrier() {
   }
 }
 
-std::array<std::uint64_t, 4> Team::hier_claim(std::uint64_t pub_delta,
-                                              std::uint64_t arrive_delta,
-                                              std::uint64_t done_delta) {
-  auto& member = *state_->per[static_cast<std::size_t>(rank())];
-  std::scoped_lock lock(member.mu);
-  const std::array<std::uint64_t, 4> out{++member.op_seq, member.g_pub,
-                                         member.g_arrive, member.g_done};
-  member.g_pub += pub_delta;
-  member.g_arrive += arrive_delta;
-  member.g_done += done_delta;
-  return out;
+std::uint64_t Team::native_publish(const void* buf, int peer) {
+  const std::uint64_t epoch = next_seq();
+  auto& slot = state_->slots[static_cast<std::size_t>(rank())];
+  slot.buf.store(static_cast<const std::byte*>(buf), std::memory_order_relaxed);
+  slot.arrive.store(epoch, std::memory_order_release);
+  native_wake(peer);
+  return epoch;
 }
 
-void Team::notify_group(const team_detail::Hierarchy& h, int me) {
-  const int gi = h.leaf_of[static_cast<std::size_t>(me)];
-  for (int r : h.leaf_members[static_cast<std::size_t>(gi)]) {
-    if (r != me) Runtime::get().transport().notify(place_of(r));
-  }
+void Team::native_done(std::uint64_t epoch, int peer) {
+  state_->slots[static_cast<std::size_t>(rank())].done.store(
+      epoch, std::memory_order_release);
+  native_wake(peer);
 }
 
-/// Hierarchical barrier: members bump the group `arrive` counter and wait
-/// for one `pub` release; leaf leaders gather (local arrivals, then mail
-/// from tree children), signal up the per-root tree, wait for the release
-/// wave coming back down, relay it to children, and finally publish to
-/// their own group.
-void Team::hier_barrier() {
-  auto& h = state_->hierarchy();
-  const auto& tree = h.tree_for(/*root=*/0);
-  const int me = rank();
-  const int gi = h.leaf_of[static_cast<std::size_t>(me)];
-  auto& g = *h.groups[static_cast<std::size_t>(gi)];
-  const std::size_t gsize = h.leaf_members[static_cast<std::size_t>(gi)].size();
-  const auto [seq, pub_base, arrive_base, done_base] =
-      hier_claim(/*pub=*/1, /*arrive=*/gsize - 1, /*done=*/0);
-  (void)done_base;
-  if (tree.is_leader[static_cast<std::size_t>(me)]) {
-    if (gsize > 1) {
-      const std::uint64_t want = arrive_base + (gsize - 1);
-      Runtime::get().sched(here()).run_until([&g, want] {
-        return g.arrive.load(std::memory_order_acquire) >= want;
-      });
-    }
-    for (int c : tree.children[static_cast<std::size_t>(me)]) {
-      (void)recv_bytes(seq, team_detail::kTagBarrierUp, c);
-    }
-    if (tree.parent[static_cast<std::size_t>(me)] != -1) {
-      const int parent = tree.parent[static_cast<std::size_t>(me)];
-      send_bytes(seq, team_detail::kTagBarrierUp, parent, {});
-      (void)recv_bytes(seq, team_detail::kTagBarrierDown, parent);
-    }
-    for (int c : tree.children[static_cast<std::size_t>(me)]) {
-      send_bytes(seq, team_detail::kTagBarrierDown, c, {});
-    }
-    if (gsize > 1) {
-      g.pub.fetch_add(1, std::memory_order_release);
-      notify_group(h, me);
-    }
-  } else {
-    g.arrive.fetch_add(1, std::memory_order_release);
-    const int leader = tree.leaf_leader[static_cast<std::size_t>(gi)];
-    Runtime::get().transport().notify(place_of(leader));
-    const std::uint64_t want = pub_base + 1;
-    Runtime::get().sched(here()).run_until([&g, want] {
-      return g.pub.load(std::memory_order_acquire) >= want;
-    });
-  }
-}
-
-void Team::native_barrier() {
-  auto& state = *state_;
-  const int sz = size();
-  const std::uint64_t gen = state.barrier_gen.load(std::memory_order_acquire);
-  if (state.barrier_count.fetch_add(1, std::memory_order_acq_rel) + 1 == sz) {
-    state.barrier_count.store(0, std::memory_order_relaxed);
-    state.barrier_gen.fetch_add(1, std::memory_order_acq_rel);
-    // Wake members parked on their transport inboxes.
-    for (int p : state.members) Runtime::get().transport().notify(p);
+void Team::native_wake(int peer) {
+  // run_until parks through enter_idle, the sleeper half of the handshake
+  // notify_if_sleeping completes, so a waker pays a syscall only for a
+  // peer that is actually parked.
+  auto& tr = Runtime::get().transport();
+  if (peer >= 0) {
+    tr.notify_if_sleeping(place_of(peer));
     return;
   }
-  Runtime::get().sched(here()).run_until([&state, gen] {
-    return state.barrier_gen.load(std::memory_order_acquire) != gen;
-  });
+  for (int p : state_->members) {
+    if (p != here()) tr.notify_if_sleeping(p);
+  }
 }
 
-std::byte* Team::native_stage(std::size_t bytes) {
-  auto& state = *state_;
-  if (rank() == 0) {
-    std::scoped_lock lock(state.shared_mu);
-    if (state.shared_buf.size() < bytes) state.shared_buf.resize(bytes);
-  }
-  native_barrier();
-  return state.shared_buf.data();
+void Team::native_wait(std::atomic<std::uint64_t> team_detail::Slot::*field,
+                       std::uint64_t epoch, int peer) {
+  const auto& slots = state_->slots;
+  const int me = rank();
+  const int sz = size();
+  // Epochs only grow, so a peer once seen at `epoch` stays there: the cursor
+  // never rescans it.
+  int next = peer >= 0 ? peer : 0;
+  const int end = peer >= 0 ? peer + 1 : sz;
+  auto reached = [&] {
+    for (; next < end; ++next) {
+      if (next == me) continue;
+      if ((slots[static_cast<std::size_t>(next)].*field).load(
+              std::memory_order_acquire) < epoch) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!reached()) Runtime::get().sched(here()).run_until(reached);
 }
 
 Team Team::split(int color, int key) {

@@ -1,28 +1,23 @@
 // Teams: X10's x10.util.Team collectives (paper §3.3).
 //
-// Three interchangeable implementations mirror the paper's split between
+// Two interchangeable implementations mirror the paper's split between
 // hardware collectives and the emulation layer:
 //   * kEmulated — point-to-point algorithms over active messages (binomial
 //     broadcast/reduce, dissemination barrier, direct alltoall). This is the
 //     X10RT emulation layer that "kicks in" when the network has no native
 //     support.
-//   * kNative   — shared-memory implementations (central barrier, shared
-//     staging buffers) standing in for PAMI/Torrent hardware collectives.
-//   * kHierarchical — topology-aware leader trees over the PERCS machine
-//     model (docs/collectives.md): places sharing an octant form a leaf
-//     group that exchanges payloads single-copy through shared memory
-//     (XHC-style); octant leaders relay fragments up/down a
-//     drawer/supernode leader tree with pipelined chunking, so a leader
-//     forwards fragment k while receiving k+1. Applies to
-//     barrier/bcast/reduce/allreduce; the remaining ops fall back to the
-//     emulated algorithms.
+//   * kNative   — a shared-memory protocol standing in for PAMI/Torrent
+//     hardware collectives (docs/collectives.md): each member publishes its
+//     buffer and an epoch in its own slot, peers copy straight out of the
+//     published buffers (single copy, no staging, no messages), mark done,
+//     and the owner waits for its readers before reusing the buffer.
 //
 // All operations are collective and blocking: every member place must call
 // them in the same program order (SPMD discipline); waiting members keep
 // pumping their scheduler, so unrelated activities continue to run.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -39,7 +34,7 @@
 
 namespace apgas {
 
-enum class TeamMode { kEmulated, kNative, kHierarchical };
+enum class TeamMode { kEmulated, kNative };
 
 enum class ReduceOp { kSum, kMin, kMax };
 
@@ -89,104 +84,27 @@ struct PhaseScope {
   }
 };
 
-// --- hierarchical plan (docs/collectives.md) --------------------------------
-
-/// Mail-tag bases for hierarchical fragments; disjoint from the flat-path
-/// tags (0..5 and 100+round) and from each other by 2^20, far beyond any
-/// realistic fragment count.
-inline constexpr int kTagBcastChunk = 1 << 20;
-inline constexpr int kTagReduceChunk = 2 << 20;
-inline constexpr int kTagBarrierUp = 3 << 20;
-inline constexpr int kTagBarrierDown = 4 << 20;
-
-/// Shared-memory state of one leaf group (an "octant": places that would
-/// share a host on the modelled machine). All counters are *cumulative*
-/// across ops — members track their own expected bases (Member::g_*), so
-/// nothing ever resets and back-to-back reuse cannot race a reset.
-struct GroupShared {
-  /// Leader's payload buffer for the current bcast; members copy from it
-  /// directly — the XHC single-copy idea. Written (release) before the
-  /// first pub of an op; the leader keeps the buffer alive until every
-  /// member bumped `done`.
-  std::atomic<const std::byte*> src{nullptr};
-  std::atomic<std::uint64_t> pub{0};     // fragments published / releases
-  std::atomic<std::uint64_t> arrive{0};  // member barrier arrivals
-  std::atomic<std::uint64_t> done{0};    // member copy-out completions
+/// One member's published state for the native protocol, alone on its cache
+/// line so spinning peers never false-share another member's epochs. `buf`
+/// is the buffer this member offers for the current op; `arrive` and `done`
+/// hold the epoch (the member's op sequence number) of the last op in which
+/// it published `buf` / finished with its peers' buffers. Epochs only grow,
+/// so back-to-back ops never race a reset: a waiter for epoch e is satisfied
+/// by e or anything later.
+struct alignas(64) Slot {
+  std::atomic<const std::byte*> buf{nullptr};
+  std::atomic<std::uint64_t> arrive{0};
+  std::atomic<std::uint64_t> done{0};
 };
-
-/// The per-root spanning tree over leaf-group leaders. Rank-indexed arrays;
-/// non-leader ranks keep parent = -1 and empty children.
-struct LeaderTree {
-  std::vector<int> parent;                 // leader rank -> parent leader
-  std::vector<std::vector<int>> children;  // leader rank -> child leaders
-  std::vector<char> is_leader;             // rank -> leads its leaf group
-  std::vector<int> leaf_leader;            // leaf group -> leader rank
-  int depth = 1;                           // root-to-deepest-leader edges
-};
-
-/// The plan object built once per team (and rebuilt by split-derived teams
-/// from the surviving members' coordinates) and reused across ops. Leaf
-/// grouping comes from the PERCS topology model when configured
-/// (Config::team_places_per_octant > 0), else from places_per_node; leader
-/// trees are cached per op root.
-struct Hierarchy {
-  int levels = 1;                    // grouping levels above the members
-  int fanout = 2;                    // leader-group tree fan-out
-  std::size_t chunk_bytes = 64u << 10;
-  std::vector<int> leaf_of;                    // rank -> leaf group index
-  std::vector<std::vector<int>> leaf_members;  // group -> ranks, ascending
-  std::vector<std::vector<int>> domain;        // rank -> domain id per level
-  std::vector<std::unique_ptr<GroupShared>> groups;
-
-  /// Leader tree rooted at `root`'s chain (root leads its own octant,
-  /// drawer, and supernode — the promotion that makes any rank a valid
-  /// collective root without reshuffling the grouping). Built lazily,
-  /// cached forever; the returned reference stays valid for the
-  /// hierarchy's lifetime.
-  const LeaderTree& tree_for(int root);
-
-  std::mutex mu;  // guards trees
-  std::unordered_map<int, std::unique_ptr<LeaderTree>> trees;
-};
-
-/// Fragment plan: nchunks fragments of `chunk` bytes (last may be short).
-/// `chunk` is always a multiple of the element size so reduce can combine
-/// fragment-wise.
-struct ChunkPlan {
-  std::size_t nchunks = 0;
-  std::size_t chunk = 0;
-};
-inline ChunkPlan plan_chunks(std::size_t bytes, std::size_t chunk_bytes,
-                             std::size_t elem_size) {
-  ChunkPlan p;
-  if (bytes == 0) return p;
-  std::size_t chunk = chunk_bytes == 0 ? bytes : chunk_bytes;
-  chunk -= chunk % elem_size;         // element-aligned fragments
-  if (chunk < elem_size) chunk = elem_size;
-  if (chunk > bytes) chunk = bytes;
-  p.chunk = chunk;
-  p.nchunks = (bytes + chunk - 1) / chunk;
-  return p;
-}
-
-/// Tallies one forwarded fragment into the team.hier.* gauges and the
-/// flight recorder (kTeamChunk).
-void note_chunk(std::uint64_t op, std::size_t chunk_idx, int dst_rank,
-                std::size_t bytes);
 
 struct Member {
   std::mutex mu;
   // (op sequence, phase tag, source rank) -> payload
   std::map<std::tuple<std::uint64_t, int, int>, std::vector<std::byte>> mail;
-  std::uint64_t op_seq = 0;  // collective calls in program order
-  // Hierarchical-group counter mirrors: this member's expected base of the
-  // cumulative GroupShared counters entering the next op. Every group
-  // member executes the same collectives in the same order (SPMD), so all
-  // mirrors agree; read/advanced under `mu` at op entry (the same lock that
-  // hands out op_seq), giving cross-activity happens-before for free.
-  std::uint64_t g_pub = 0;
-  std::uint64_t g_arrive = 0;
-  std::uint64_t g_done = 0;
+  // Collective calls in program order: the emulated path's mail key and the
+  // native path's epoch. Advanced under `mu`, so consecutive ops of one rank
+  // that run on different worker threads are ordered.
+  std::uint64_t op_seq = 0;
 };
 
 struct TeamState {
@@ -195,20 +113,7 @@ struct TeamState {
   std::vector<int> members;                // rank -> place
   std::unordered_map<int, int> rank_of;    // place -> rank
   std::vector<std::unique_ptr<Member>> per;
-
-  // Native-path shared structures (the "hardware").
-  std::atomic<int> barrier_count{0};
-  std::atomic<std::uint64_t> barrier_gen{0};
-  std::mutex shared_mu;
-  std::vector<std::byte> shared_buf;
-  std::vector<const void*> src_ptrs;
-
-  // Hierarchical-path plan, built from the current Config + this team's
-  // member places on first use (so split-derived teams rebuild from the
-  // surviving members' coordinates, never inherit the parent's grouping).
-  std::once_flag hier_once;
-  std::unique_ptr<Hierarchy> hier;
-  Hierarchy& hierarchy();
+  std::vector<Slot> slots;  // rank -> native-path slot (the "hardware")
 
   explicit TeamState(std::uint64_t team_id, TeamMode m, std::vector<int> mem);
 };
@@ -216,16 +121,6 @@ struct TeamState {
 std::shared_ptr<TeamState> get_or_create(std::uint64_t id, TeamMode mode,
                                          const std::vector<int>& members);
 void registry_clear();  // called between runtimes
-
-/// Cumulative team.hier.* tallies exported as MetricsRegistry gauges
-/// (runtime.cc); levels/leaders describe the most recently built hierarchy.
-struct HierStats {
-  std::atomic<std::uint64_t> levels{0};
-  std::atomic<std::uint64_t> leaders{0};
-  std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> chunk_bytes{0};
-};
-HierStats& hier_stats();
 
 }  // namespace team_detail
 
@@ -247,8 +142,8 @@ class Team {
   }
   [[nodiscard]] TeamMode mode() const { return state_->mode; }
 
-  /// The mode collectives actually dispatch on. kNative's shared atomics and
-  /// staging buffers cannot cross a process boundary, so under the socket
+  /// The mode collectives actually dispatch on. kNative's slots and
+  /// published buffers cannot cross a process boundary, so under the socket
   /// backend a team declared kNative runs the emulated point-to-point
   /// algorithms instead (mail rides registered frame tasks, which serialize).
   /// The declared mode() is unchanged — the downgrade is a per-call dispatch
@@ -269,12 +164,15 @@ class Team {
   template <typename T>
   void bcast(int root, T* buf, std::size_t n);
 
-  /// Element-wise all-reduce in place.
+  /// Element-wise all-reduce in place (reduce to rank 0, then bcast).
   template <typename T>
   void allreduce(T* buf, std::size_t n, ReduceOp op);
 
   /// Element-wise reduce to `root` rank. On non-roots `buf` is scratch
-  /// (clobbered with partial results), as in MPI_Reduce.
+  /// (clobbered with partial results), as in MPI_Reduce. kNative folds in a
+  /// fixed order whatever the arrival order: the root's contribution, then
+  /// ranks root+1, root+2, ... wrapping around, left to right — rank order
+  /// for root 0 (and so for allreduce).
   template <typename T>
   void reduce(int root, T* buf, std::size_t n, ReduceOp op);
 
@@ -296,14 +194,8 @@ class Team {
   void allgather(const T* send, T* recv, std::size_t n);
 
   /// Collective split into sub-teams by color; ranks ordered by (key, rank).
-  /// The child team inherits the parent's mode and — in hierarchical mode —
-  /// rebuilds its own leader hierarchy from the surviving members' places.
+  /// The child team inherits the parent's mode.
   Team split(int color, int key);
-
-  /// The lazily-built hierarchical plan (kHierarchical mode only; builds it
-  /// on first call). Exposed for tests and benches that want to inspect the
-  /// grouping; the runtime's own entry points are the collectives.
-  team_detail::Hierarchy& hierarchy() { return state_->hierarchy(); }
 
  private:
   explicit Team(std::shared_ptr<team_detail::TeamState> s)
@@ -315,19 +207,28 @@ class Team {
   std::vector<std::byte> recv_bytes(std::uint64_t seq, int tag, int src_rank);
   std::uint64_t next_seq();
 
-  // --- hierarchical-path primitives (docs/collectives.md) -------------------
-  void hier_barrier();
+  // --- native-path primitives (docs/collectives.md) -------------------------
+  // Every native op is: claim the epoch (next_seq), publish, wait, copy
+  // straight from the peers' buffers, mark done, wait. `peer` < 0 addresses
+  // every other member, else only rank `peer`.
+
+  /// Claims this op's epoch, publishes `buf` and the epoch as `arrive` in
+  /// the caller's slot and wakes `peer`; returns the epoch.
+  std::uint64_t native_publish(const void* buf, int peer);
+  /// Stores `epoch` as the caller's `done` and wakes `peer`.
+  void native_done(std::uint64_t epoch, int peer);
+  /// Wakes `peer`'s place if a worker there is parked.
+  void native_wake(int peer);
+  /// Pumps the scheduler until `peer`'s slot field has reached `epoch`.
+  void native_wait(std::atomic<std::uint64_t> team_detail::Slot::*field,
+                   std::uint64_t epoch, int peer);
+  /// Rank r's published buffer; valid once its `arrive` reached this epoch.
   template <typename T>
-  void hier_bcast(int root, T* buf, std::size_t n);
-  template <typename T>
-  void hier_reduce(int root, T* buf, std::size_t n, ReduceOp op);
-  /// Claims the next op seq and advances this member's group-counter
-  /// mirrors by the given deltas, all under the member lock; returns
-  /// {seq, pub_base, arrive_base, done_base}.
-  std::array<std::uint64_t, 4> hier_claim(std::uint64_t pub_delta,
-                                          std::uint64_t arrive_delta,
-                                          std::uint64_t done_delta);
-  void notify_group(const team_detail::Hierarchy& h, int me);
+  const T* native_buf(int r) const {
+    return reinterpret_cast<const T*>(
+        state_->slots[static_cast<std::size_t>(r)].buf.load(
+            std::memory_order_relaxed));
+  }
 
   template <typename T>
   static void combine(ReduceOp op, T* acc, const T* in, std::size_t n) {
@@ -339,9 +240,6 @@ class Team {
       }
     }
   }
-
-  void native_barrier();
-  std::byte* native_stage(std::size_t bytes);  // rank-0 resizes, all get ptr
 
   std::shared_ptr<team_detail::TeamState> state_;
 };
@@ -355,23 +253,22 @@ void Team::bcast(int root, T* buf, std::size_t n) {
   const int sz = size();
   if (sz == 1) return;
   const std::size_t bytes = n * sizeof(T);
-  const TeamMode m = effective_mode();
-  if (m == TeamMode::kNative) {
-    native_barrier();
-    std::byte* stage = native_stage(bytes);
-    if (rank() == root) std::memcpy(stage, buf, bytes);
-    native_barrier();
-    if (rank() != root) std::memcpy(buf, stage, bytes);
-    native_barrier();
-    return;
-  }
-  if (m == TeamMode::kHierarchical) {
-    hier_bcast(root, buf, n);
+  const int me = rank();
+  if (effective_mode() == TeamMode::kNative) {
+    using team_detail::Slot;
+    if (me == root) {
+      const std::uint64_t e = native_publish(buf, -1);
+      native_wait(&Slot::done, e, -1);
+    } else {
+      const std::uint64_t e = next_seq();
+      native_wait(&Slot::arrive, e, root);
+      std::memcpy(buf, native_buf<T>(root), bytes);
+      native_done(e, root);
+    }
     return;
   }
   // Binomial tree over active messages.
   const std::uint64_t seq = next_seq();
-  const int me = rank();
   const int rel = (me - root + sz) % sz;
   int mask = 1;
   while (mask < sz) {
@@ -403,30 +300,33 @@ void Team::reduce(int root, T* buf, std::size_t n, ReduceOp op) {
   const int sz = size();
   if (sz == 1) return;
   const std::size_t bytes = n * sizeof(T);
-  const TeamMode m = effective_mode();
-  if (m == TeamMode::kNative) {
-    native_barrier();
-    std::byte* stage = native_stage(bytes);
-    T* acc = reinterpret_cast<T*>(stage);
-    if (rank() == root) std::memcpy(acc, buf, bytes);
-    native_barrier();
-    if (rank() != root) {
-      // Hardware-combine stand-in: serialized atomic accumulation.
-      std::scoped_lock lock(state_->shared_mu);
-      combine(op, acc, buf, n);
+  const int me = rank();
+  if (effective_mode() == TeamMode::kNative) {
+    using team_detail::Slot;
+    if (me == root) {
+      const std::uint64_t e = next_seq();
+      native_wait(&Slot::arrive, e, -1);
+      // Fold block by block so the accumulator stays in cache while every
+      // peer's block streams past it; each element still folds in the fixed
+      // order root, root+1, ..., root-1.
+      constexpr std::size_t kBlock = 4096 / sizeof(T) > 0 ? 4096 / sizeof(T)
+                                                          : 1;
+      for (std::size_t lo = 0; lo < n; lo += kBlock) {
+        const std::size_t len = std::min(kBlock, n - lo);
+        for (int k = 1; k < sz; ++k) {
+          combine(op, buf + lo, native_buf<T>((root + k) % sz) + lo, len);
+        }
+      }
+      native_done(e, -1);
+    } else {
+      const std::uint64_t e = native_publish(buf, root);
+      native_wait(&Slot::done, e, root);
     }
-    native_barrier();
-    if (rank() == root) std::memcpy(buf, acc, bytes);
-    native_barrier();
-    return;
-  }
-  if (m == TeamMode::kHierarchical) {
-    hier_reduce(root, buf, n, op);
     return;
   }
   // Binomial reduce toward the root over relative ranks.
   const std::uint64_t seq = next_seq();
-  const int rel = (rank() - root + sz) % sz;
+  const int rel = (me - root + sz) % sz;
   int mask = 1;
   while (mask < sz) {
     if ((rel & mask) == 0) {
@@ -467,14 +367,18 @@ void Team::scatter(int root, const T* send, T* recv, std::size_t n) {
     return;
   }
   if (effective_mode() == TeamMode::kNative) {
-    native_barrier();
-    std::byte* stage = native_stage(bytes * static_cast<std::size_t>(sz));
+    using team_detail::Slot;
     if (me == root) {
-      std::memcpy(stage, send, bytes * static_cast<std::size_t>(sz));
+      const std::uint64_t e = native_publish(send, -1);
+      std::memcpy(recv, send + static_cast<std::size_t>(me) * n, bytes);
+      native_wait(&Slot::done, e, -1);
+    } else {
+      const std::uint64_t e = next_seq();
+      native_wait(&Slot::arrive, e, root);
+      std::memcpy(recv, native_buf<T>(root) + static_cast<std::size_t>(me) * n,
+                  bytes);
+      native_done(e, root);
     }
-    native_barrier();
-    std::memcpy(recv, stage + static_cast<std::size_t>(me) * bytes, bytes);
-    native_barrier();
     return;
   }
   const std::uint64_t seq = next_seq();
@@ -507,14 +411,19 @@ void Team::gather(int root, const T* send, T* recv, std::size_t n) {
     return;
   }
   if (effective_mode() == TeamMode::kNative) {
-    native_barrier();
-    std::byte* stage = native_stage(bytes * static_cast<std::size_t>(sz));
-    std::memcpy(stage + static_cast<std::size_t>(me) * bytes, send, bytes);
-    native_barrier();
+    using team_detail::Slot;
     if (me == root) {
-      std::memcpy(recv, stage, bytes * static_cast<std::size_t>(sz));
+      const std::uint64_t e = next_seq();
+      native_wait(&Slot::arrive, e, -1);
+      for (int r = 0; r < sz; ++r) {
+        std::memcpy(recv + static_cast<std::size_t>(r) * n,
+                    r == me ? send : native_buf<T>(r), bytes);
+      }
+      native_done(e, -1);
+    } else {
+      const std::uint64_t e = native_publish(send, root);
+      native_wait(&Slot::done, e, root);
     }
-    native_barrier();
     return;
   }
   const std::uint64_t seq = next_seq();
@@ -541,16 +450,16 @@ void Team::alltoall(const T* send, T* recv, std::size_t n) {
   const std::size_t bytes = n * sizeof(T);
   const int me = rank();
   if (effective_mode() == TeamMode::kNative) {
-    // Publish our send buffer, then gather directly from every peer's —
-    // the shared-memory stand-in for a hardware all-to-all.
-    native_barrier();
-    state_->src_ptrs[static_cast<std::size_t>(me)] = send;
-    native_barrier();
+    // Every member reads its block out of every peer's send buffer.
+    using team_detail::Slot;
+    const std::uint64_t e = native_publish(send, -1);
+    native_wait(&Slot::arrive, e, -1);
     for (int s = 0; s < sz; ++s) {
-      const T* src = static_cast<const T*>(state_->src_ptrs[s]);
-      std::memcpy(recv + static_cast<std::size_t>(s) * n, src + me * n, bytes);
+      std::memcpy(recv + static_cast<std::size_t>(s) * n,
+                  native_buf<T>(s) + static_cast<std::size_t>(me) * n, bytes);
     }
-    native_barrier();
+    native_done(e, -1);
+    native_wait(&Slot::done, e, -1);
     return;
   }
   const std::uint64_t seq = next_seq();
@@ -578,13 +487,15 @@ void Team::allgather(const T* send, T* recv, std::size_t n) {
   const std::size_t bytes = n * sizeof(T);
   const int me = rank();
   if (effective_mode() == TeamMode::kNative) {
-    native_barrier();
-    std::byte* stage =
-        native_stage(bytes * static_cast<std::size_t>(sz));
-    std::memcpy(stage + static_cast<std::size_t>(me) * bytes, send, bytes);
-    native_barrier();
-    std::memcpy(recv, stage, bytes * static_cast<std::size_t>(sz));
-    native_barrier();
+    using team_detail::Slot;
+    const std::uint64_t e = native_publish(send, -1);
+    native_wait(&Slot::arrive, e, -1);
+    for (int s = 0; s < sz; ++s) {
+      std::memcpy(recv + static_cast<std::size_t>(s) * n, native_buf<T>(s),
+                  bytes);
+    }
+    native_done(e, -1);
+    native_wait(&Slot::done, e, -1);
     return;
   }
   const std::uint64_t seq = next_seq();
@@ -599,153 +510,6 @@ void Team::allgather(const T* send, T* recv, std::size_t n) {
     auto payload = recv_bytes(seq, /*tag=*/3, src);
     std::memcpy(recv + static_cast<std::size_t>(src) * n, payload.data(),
                 bytes);
-  }
-}
-
-// --- hierarchical-path implementations (docs/collectives.md) ----------------
-
-/// Pipelined hierarchical broadcast: the payload descends the per-root
-/// leader tree fragment by fragment (a leader forwards fragment k to its
-/// child leaders while fragment k+1 is still in flight to it), and inside
-/// each leaf group members copy published fragments straight out of their
-/// leader's buffer — one copy per member, no intermediate staging.
-template <typename T>
-void Team::hier_bcast(int root, T* buf, std::size_t n) {
-  auto& h = state_->hierarchy();
-  const auto& tree = h.tree_for(root);
-  const int me = rank();
-  const std::size_t bytes = n * sizeof(T);
-  auto* data = reinterpret_cast<std::byte*>(buf);
-  const auto plan = team_detail::plan_chunks(bytes, h.chunk_bytes, sizeof(T));
-  const int gi = h.leaf_of[static_cast<std::size_t>(me)];
-  auto& g = *h.groups[static_cast<std::size_t>(gi)];
-  const std::size_t gsize = h.leaf_members[static_cast<std::size_t>(gi)].size();
-  const auto [seq, pub_base, arrive_base, done_base] =
-      hier_claim(/*pub=*/plan.nchunks, /*arrive=*/0, /*done=*/gsize - 1);
-  (void)arrive_base;
-  if (tree.is_leader[static_cast<std::size_t>(me)]) {
-    if (gsize > 1 && plan.nchunks > 0) {
-      // Roots rotate, so this op's leader may differ from the previous
-      // bcast's — and that leader only waits for its *own* op's copy-outs.
-      // Before overwriting the single src slot, wait until every member
-      // finished copying from all prior bcasts (done reached this op's
-      // base), or a straggler could latch the new pointer mid-copy.
-      Runtime::get().sched(here()).run_until([&g, base = done_base] {
-        return g.done.load(std::memory_order_acquire) >= base;
-      });
-      g.src.store(data, std::memory_order_release);
-    }
-    for (std::size_t k = 0; k < plan.nchunks; ++k) {
-      const std::size_t off = k * plan.chunk;
-      const std::size_t len = std::min(plan.chunk, bytes - off);
-      if (me != root) {
-        auto payload = recv_bytes(seq,
-                                  team_detail::kTagBcastChunk +
-                                      static_cast<int>(k),
-                                  tree.parent[static_cast<std::size_t>(me)]);
-        assert(payload.size() == len);
-        std::memcpy(data + off, payload.data(), len);
-      }
-      for (int c : tree.children[static_cast<std::size_t>(me)]) {
-        std::vector<std::byte> payload(len);
-        std::memcpy(payload.data(), data + off, len);
-        send_bytes(seq, team_detail::kTagBcastChunk + static_cast<int>(k), c,
-                   std::move(payload));
-        team_detail::note_chunk(team_detail::kOpBcast, k, c, len);
-      }
-      if (gsize > 1) {
-        g.pub.fetch_add(1, std::memory_order_release);
-        notify_group(h, me);
-      }
-    }
-    if (gsize > 1) {
-      const std::uint64_t want = done_base + (gsize - 1);
-      Runtime::get().sched(here()).run_until([&g, want] {
-        return g.done.load(std::memory_order_acquire) >= want;
-      });
-    }
-  } else {
-    // Plain member: copy fragments out of the leader's buffer as they
-    // publish (the predicate has side effects on purpose — recv_bytes sets
-    // the precedent), then hand the buffer back with one `done` bump.
-    std::size_t k = 0;
-    const std::byte* src = nullptr;
-    Runtime::get().sched(here()).run_until([&] {
-      const std::uint64_t avail = g.pub.load(std::memory_order_acquire);
-      while (k < plan.nchunks && avail >= pub_base + k + 1) {
-        if (src == nullptr) src = g.src.load(std::memory_order_relaxed);
-        const std::size_t off = k * plan.chunk;
-        const std::size_t len = std::min(plan.chunk, bytes - off);
-        std::memcpy(data + off, src + off, len);
-        ++k;
-      }
-      return k == plan.nchunks;
-    });
-    g.done.fetch_add(1, std::memory_order_release);
-    const int leader = tree.leaf_leader[static_cast<std::size_t>(gi)];
-    Runtime::get().transport().notify(place_of(leader));
-  }
-}
-
-/// Hierarchical reduce: leaf members stream fragments to their leaf leader,
-/// which combines them (fixed ascending order, then child leaders) and
-/// forwards the per-level partial up the tree, fragment-pipelined. On
-/// non-roots `buf` is scratch, as in the emulated path.
-template <typename T>
-void Team::hier_reduce(int root, T* buf, std::size_t n, ReduceOp op) {
-  auto& h = state_->hierarchy();
-  const auto& tree = h.tree_for(root);
-  const int me = rank();
-  const std::size_t bytes = n * sizeof(T);
-  const auto plan = team_detail::plan_chunks(bytes, h.chunk_bytes, sizeof(T));
-  const int gi = h.leaf_of[static_cast<std::size_t>(me)];
-  const std::uint64_t seq = next_seq();
-  auto chunk_of = [&](std::size_t k, std::size_t& off, std::size_t& len) {
-    off = k * plan.chunk;
-    len = std::min(plan.chunk, bytes - off);
-  };
-  if (tree.is_leader[static_cast<std::size_t>(me)]) {
-    const auto& mates = h.leaf_members[static_cast<std::size_t>(gi)];
-    for (std::size_t k = 0; k < plan.nchunks; ++k) {
-      std::size_t off, len;
-      chunk_of(k, off, len);
-      T* acc = buf + off / sizeof(T);
-      const std::size_t elems = len / sizeof(T);
-      for (int m : mates) {
-        if (m == me) continue;
-        auto payload = recv_bytes(
-            seq, team_detail::kTagReduceChunk + static_cast<int>(k), m);
-        assert(payload.size() == len);
-        combine(op, acc, reinterpret_cast<const T*>(payload.data()), elems);
-      }
-      for (int c : tree.children[static_cast<std::size_t>(me)]) {
-        auto payload = recv_bytes(
-            seq, team_detail::kTagReduceChunk + static_cast<int>(k), c);
-        assert(payload.size() == len);
-        combine(op, acc, reinterpret_cast<const T*>(payload.data()), elems);
-      }
-      if (me != root) {
-        std::vector<std::byte> payload(len);
-        std::memcpy(payload.data(), reinterpret_cast<std::byte*>(buf) + off,
-                    len);
-        const int parent = tree.parent[static_cast<std::size_t>(me)];
-        send_bytes(seq, team_detail::kTagReduceChunk + static_cast<int>(k),
-                   parent, std::move(payload));
-        team_detail::note_chunk(team_detail::kOpReduce, k, parent, len);
-      }
-    }
-  } else {
-    const int leader = tree.leaf_leader[static_cast<std::size_t>(gi)];
-    for (std::size_t k = 0; k < plan.nchunks; ++k) {
-      std::size_t off, len;
-      chunk_of(k, off, len);
-      std::vector<std::byte> payload(len);
-      std::memcpy(payload.data(), reinterpret_cast<std::byte*>(buf) + off,
-                  len);
-      send_bytes(seq, team_detail::kTagReduceChunk + static_cast<int>(k),
-                 leader, std::move(payload));
-      team_detail::note_chunk(team_detail::kOpReduce, k, leader, len);
-    }
   }
 }
 

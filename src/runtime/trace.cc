@@ -34,7 +34,6 @@ constexpr std::array<const char*, kNumEv> kEvNames = {
     "glb.loot",        // kStealSuccess
     "team",            // kTeamBegin
     "team",            // kTeamEnd
-    "team.chunk",      // kTeamChunk
     "sched.steal",     // kSchedSteal
     "sched.overflow",  // kSchedOverflow
     "retx.timeout",    // kRetxTimeout
@@ -231,7 +230,8 @@ std::uint64_t epoch_abs_ns() {
 namespace {
 
 constexpr std::uint32_t kBlobMagic = 0x41504754u;  // "APGT"
-constexpr std::uint32_t kBlobVersion = 1;
+// Blobs carry raw Ev ids, so the version moves whenever those ids shift.
+constexpr std::uint32_t kBlobVersion = 2;
 
 template <typename T>
 void put(std::string& out, T v) {

@@ -45,8 +45,6 @@ enum class Ev : std::uint8_t {
   kStealSuccess,     // a = victim place
   kTeamBegin,        // a = collective op id (see docs), b = team id
   kTeamEnd,          // a = collective op id, b = team id
-  kTeamChunk,        // hierarchical fragment forwarded;
-                     // a = op id<<32 | chunk index, b = bytes<<16 | dst rank
   kSchedSteal,       // intra-place deque steal; a = thief worker, b = victim
   kSchedOverflow,    // overflow-inbox drain; a = draining worker (-1 = ext)
   kRetxTimeout,      // retransmit fired; a = seq, b = attempt<<32 | dst

@@ -3,11 +3,11 @@
 // Driven by test_launcher under apgas_launch (which arms APGAS_BACKEND=socket
 // and APGAS_PLACES before exec); also runs standalone on the in-process
 // backend. Every place runs the same frame task: one
-// barrier -> allreduce -> bcast round on the world team of each of the three
+// barrier -> allreduce -> bcast round on the world team of each of the two
 // modes, bumping the "team_probe.ok" counter per verified round. kNative
-// downgrades to the emulated algorithms across processes (effective_mode);
-// kHierarchical rebuilds its plan with singleton leaf groups. The supervisor
-// checks the aggregated counter equals places * 3 and prints "verified".
+// downgrades to the emulated algorithms across processes (effective_mode).
+// The supervisor checks the aggregated counter equals places * 2 and prints
+// "verified".
 #include <cinttypes>
 #include <cstdio>
 
@@ -21,8 +21,7 @@ namespace {
 using namespace apgas;
 
 void probe_task(x10rt::ByteBuffer&) {
-  for (TeamMode mode : {TeamMode::kEmulated, TeamMode::kNative,
-                        TeamMode::kHierarchical}) {
+  for (TeamMode mode : {TeamMode::kEmulated, TeamMode::kNative}) {
     Team t = Team::world(mode);
     t.barrier();
     double v = 1.0 + t.rank();
@@ -55,7 +54,7 @@ int main() {
   const auto& m = last_run_metrics();
   const auto it = m.find("team_probe.ok");
   const std::uint64_t ok = it == m.end() ? 0 : it->second;
-  const auto want = static_cast<std::uint64_t>(cfg.places) * 3;
+  const auto want = static_cast<std::uint64_t>(cfg.places) * 2;
   std::printf("team_socket_probe: %" PRIu64 "/%" PRIu64
               " mode-rounds ok across %d place(s)\n",
               ok, want, cfg.places);

@@ -392,12 +392,12 @@ TEST(ChaosSweepTeam, BarrierOrdersPhases) {
 }
 
 TEST(ChaosSweepTeam, NativeBarrierBackToBackReuse) {
-  // Back-to-back native barriers from every rank (ISSUE 5 satellite): the
-  // sense-reversal reset must zero barrier_count *before* publishing the new
-  // generation, or a fast rank re-entering the next barrier would add its
-  // arrival to the previous epoch's count and release it early. Each round
-  // checks the happens-before edge the barrier promises, then immediately
-  // reuses the same team state.
+  // Back-to-back native barriers from every rank: a fast rank re-entering
+  // the next barrier publishes a later epoch in its slot while slow ranks
+  // still wait on the previous one, which must release them, never count
+  // toward an epoch they have not reached. Each round checks the
+  // happens-before edge the barrier promises, then immediately reuses the
+  // same team state.
   static constexpr int kPlaces = 4;
   static constexpr int kRounds = 16;
   sweep(kPlaces, [] {
@@ -648,38 +648,40 @@ TEST(DiffBackendDense, RoutedFanout) {
       /*places_per_node=*/2);
 }
 
-// --- hierarchical teams under chaos (ISSUE 7) ------------------------------
+// --- native teams under chaos ----------------------------------------------
 //
-// Each finish protocol hosts the same collective round on the hierarchical
-// *and* emulated world teams with identical integer-valued inputs.
+// Each finish protocol hosts the same collective round on the native *and*
+// emulated world teams with identical integer-valued inputs.
 // Integer-valued doubles make floating-point addition exact in every combine
 // order, so the two paths must agree bit for bit — any mismatch means a
-// fragment was lost, duplicated, or mis-offset, not a rounding artifact.
+// contribution was lost, duplicated, or read from a stale buffer, not a
+// rounding artifact. (The ChaosSweepTeamHier suite keeps the name it had
+// when it checked the leader-tree mode the native protocol replaced.)
 
-void hier_vs_emulated_round(std::atomic<int>& ok, int salt) {
-  Team hier = Team::world(TeamMode::kHierarchical);
+void native_vs_emulated_round(std::atomic<int>& ok, int salt) {
+  Team native = Team::world(TeamMode::kNative);
   Team emu = Team::world(TeamMode::kEmulated);
-  hier.barrier();
+  native.barrier();
   constexpr std::size_t kN = 65;
   std::vector<double> a(kN), b(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     a[i] = b[i] =
-        static_cast<double>((hier.rank() + 1) * (static_cast<int>(i) + salt));
+        static_cast<double>((native.rank() + 1) * (static_cast<int>(i) + salt));
   }
   bool good = true;
-  hier.allreduce(a.data(), kN, ReduceOp::kSum);
+  native.allreduce(a.data(), kN, ReduceOp::kSum);
   emu.allreduce(b.data(), kN, ReduceOp::kSum);
   good = good && std::memcmp(a.data(), b.data(), kN * sizeof(double)) == 0;
-  // Reduce to a non-zero root (exercises the reroot promotion); non-root
-  // buffers are scratch, so only the root's bits are comparable.
-  const int root = 1 % hier.size();
+  // Reduce to a non-zero root (the fold starts at the root and wraps);
+  // non-root buffers are scratch, so only the root's bits are comparable.
+  const int root = 1 % native.size();
   for (std::size_t i = 0; i < kN; ++i) {
     a[i] = b[i] =
-        static_cast<double>((hier.rank() + 2) * (static_cast<int>(i) + salt));
+        static_cast<double>((native.rank() + 2) * (static_cast<int>(i) + salt));
   }
-  hier.reduce(root, a.data(), kN, ReduceOp::kSum);
+  native.reduce(root, a.data(), kN, ReduceOp::kSum);
   emu.reduce(root, b.data(), kN, ReduceOp::kSum);
-  if (hier.rank() == root) {
+  if (native.rank() == root) {
     good = good && std::memcmp(a.data(), b.data(), kN * sizeof(double)) == 0;
   }
   if (good) ok.fetch_add(1);
@@ -696,14 +698,14 @@ TEST(ChaosSweepTeamHier, FanoutProtocolsBitExactVsEmulated) {
           std::atomic<int> ok{0};
           finish(pr, [&] {
             for (int p = 0; p < num_places(); ++p) {
-              asyncAt(p, [&ok, salt] { hier_vs_emulated_round(ok, salt); });
+              asyncAt(p, [&ok, salt] { native_vs_emulated_round(ok, salt); });
             }
           });
           ASSERT_EQ(ok.load(), kPlaces) << "pragma " << pragma_name(pr);
           ++salt;
         }
       },
-      /*places_per_node=*/4);  // uneven leaf groups: {0..3} and {4,5}
+      /*places_per_node=*/4);  // kDense relays through masters 0 and 4
 }
 
 TEST(ChaosSweepTeamHier, AsyncHereLocalProtocolsBitExactVsEmulated) {
@@ -722,7 +724,7 @@ TEST(ChaosSweepTeamHier, AsyncHereLocalProtocolsBitExactVsEmulated) {
               async([&ok, p, pr, salt] {
                 finish(pr, [&ok, p, salt] {
                   asyncAt(p,
-                          [&ok, salt] { hier_vs_emulated_round(ok, salt); });
+                          [&ok, salt] { native_vs_emulated_round(ok, salt); });
                 });
               });
             }
@@ -740,13 +742,12 @@ TEST(ChaosSweepTeamHier, AsyncHereLocalProtocolsBitExactVsEmulated) {
               finish(Pragma::kLocal, [&] {
                 for (int i = 0; i < 4; ++i) async([&n] { n.fetch_add(1); });
               });
-              if (n.load() == 4) hier_vs_emulated_round(ok, 20);
+              if (n.load() == 4) native_vs_emulated_round(ok, 20);
             });
           }
         });
         ASSERT_EQ(ok.load(), kPlaces);
-      },
-      /*places_per_node=*/2);  // two places per leaf group: depth-2 tree
+      });
 }
 
 // --- Team and GLB over the socket backend (ISSUE 10) ------------------------
@@ -798,16 +799,6 @@ TEST(DiffBackendTeam, NativeDowngradesToEmulatedOverSockets) {
   run_diff(
       kPlaces, [] { team_diff_job(TeamMode::kNative); },
       /*expect_ran=*/kPlaces);
-}
-
-TEST(DiffBackendTeam, HierarchicalCollectivesMatchAcrossBackends) {
-  static constexpr int kPlaces = 4;
-  // places_per_node = 2: in-process the leaf groups are {0,1},{2,3} with
-  // shared-memory publish; over sockets the hierarchy collapses to singleton
-  // leaves and everything rides mail frames. Same books either way.
-  run_diff(
-      kPlaces, [] { team_diff_job(TeamMode::kHierarchical); },
-      /*expect_ran=*/kPlaces, /*places_per_node=*/2);
 }
 
 TEST(DiffBackendGlb, CounterBagProcessedTotalsMatchAcrossBackends) {

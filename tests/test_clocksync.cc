@@ -138,11 +138,13 @@ TEST(Telemetry, PrefixParsingAndSelection) {
   EXPECT_FALSE(defaults.empty());
   EXPECT_TRUE(telemetry::key_selected("sched.p0.steals", defaults));
   EXPECT_TRUE(telemetry::key_selected("hist.task.exec_ns.p99", defaults));
-  EXPECT_FALSE(telemetry::key_selected("team.hier.chunks", defaults));
+  // Team latency histograms exist but stay out of the default set.
+  EXPECT_FALSE(
+      telemetry::key_selected("hist.team.op_ns.barrier.p99", defaults));
 
-  const auto custom = telemetry::parse_key_prefixes("glb.,team.");
+  const auto custom = telemetry::parse_key_prefixes("glb.,hist.team.");
   ASSERT_EQ(custom.size(), 2u);
-  EXPECT_TRUE(telemetry::key_selected("team.hier.chunks", custom));
+  EXPECT_TRUE(telemetry::key_selected("hist.team.op_ns.barrier.p99", custom));
   EXPECT_FALSE(telemetry::key_selected("sched.p0.steals", custom));
 }
 
@@ -151,9 +153,9 @@ TEST(Telemetry, FrameEmitsDeltasAndAbsolutes) {
   std::map<std::string, std::uint64_t> prev;
   const std::map<std::string, std::uint64_t> snap1 = {
       {"sched.p0.steals", 5},
-      {"sched.p0.idle", 0},              // zero delta -> omitted
-      {"hist.task.exec_ns.p99", 4200},   // absolute
-      {"team.hier.chunks", 9},           // not selected
+      {"sched.p0.idle", 0},                // zero delta -> omitted
+      {"hist.task.exec_ns.p99", 4200},     // absolute
+      {"hist.team.op_ns.barrier.p99", 9},  // absolute, but not selected
   };
   const std::string f1 = telemetry::make_frame(2, 0, 1234, snap1, prefixes,
                                                prev);
@@ -162,7 +164,7 @@ TEST(Telemetry, FrameEmitsDeltasAndAbsolutes) {
   EXPECT_NE(f1.find("\"t_ms\":1234"), std::string::npos);
   EXPECT_NE(f1.find("\"sched.p0.steals\":5"), std::string::npos);
   EXPECT_EQ(f1.find("sched.p0.idle"), std::string::npos);
-  EXPECT_EQ(f1.find("team.hier.chunks"), std::string::npos);
+  EXPECT_EQ(f1.find("hist.team.op_ns"), std::string::npos);
   EXPECT_NE(f1.find("\"hist.task.exec_ns.p99\":4200"), std::string::npos);
 
   // Second frame: steals moved 5 -> 3 (a gauge going down) => delta -2;

@@ -432,22 +432,21 @@ TEST(ChaosFourWorkersLossy, FanoutSurvivesDropAndDupWithStealing) {
 }
 
 TEST_P(WorkerCounts, HierarchicalCollectivesStressWithRepeatedSplit) {
-  // ISSUE 7 tsan stress: hierarchical barrier/bcast/allreduce back to back
-  // at multiple workers per place. Work stealing means consecutive
+  // TSan stress for the native protocol (the test keeps the name it had
+  // when it stressed the leader-tree mode): barrier/bcast/allreduce back to
+  // back at multiple workers per place. Work stealing means consecutive
   // collectives of one logical rank run on different worker threads, so the
-  // cumulative group counters (GroupShared pub/arrive/done) and the
-  // per-member mirror bases get real cross-thread interleavings; repeated
-  // split rebuilds a child hierarchy every round and runs chunked ops on it.
+  // epochs in each member's slot and the published buffers get real
+  // cross-thread interleavings; repeated split gives the child team fresh
+  // slots every round and runs collectives on it at once.
   static constexpr int kPlaces = 6;
   static constexpr int kRounds = 6;
   std::atomic<int> ok{0};
-  Config cfg = cfg_w(kPlaces, GetParam());  // places_per_node = 4: 2 groups
-  cfg.team_chunk_bytes = 128;               // force multi-fragment pipelines
-  Runtime::run(cfg, [&ok] {
+  Runtime::run(cfg_w(kPlaces, GetParam()), [&ok] {
     finish(Pragma::kSpmd, [&ok] {
       for (int p = 0; p < num_places(); ++p) {
         asyncAt(p, [&ok] {
-          Team world = Team::world(TeamMode::kHierarchical);
+          Team world = Team::world(TeamMode::kNative);
           for (int r = 0; r < kRounds; ++r) {
             bool good = true;
             world.barrier();
@@ -459,10 +458,9 @@ TEST_P(WorkerCounts, HierarchicalCollectivesStressWithRepeatedSplit) {
             long acc = world.rank() + r;
             world.allreduce(&acc, 1, ReduceOp::kSum);
             good = good && acc == 15 + static_cast<long>(kPlaces) * r;
-            // Split into halves; the child rebuilds its own hierarchy and
-            // must survive chunked collectives immediately.
+            // Split into halves; the child must run collectives at once.
             Team half = world.split(world.rank() % 2, world.rank());
-            good = good && half.mode() == TeamMode::kHierarchical;
+            good = good && half.mode() == TeamMode::kNative;
             std::vector<long> sub(40, half.rank());
             half.allreduce(sub.data(), sub.size(), ReduceOp::kSum);
             const long want =

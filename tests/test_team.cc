@@ -1,11 +1,12 @@
-// Team collectives under the emulated (point-to-point), native
-// ("hardware"), and hierarchical (topology-aware leader tree) paths —
-// the paper §3.3 split plus docs/collectives.md.
+// Team collectives under the emulated (point-to-point) and native
+// (shared-memory "hardware") paths — the paper §3.3 split plus
+// docs/collectives.md.
 #include "runtime/team.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -16,7 +17,6 @@ using namespace apgas;
 Config cfg_n(int places) {
   Config cfg;
   cfg.places = places;
-  cfg.places_per_node = 4;
   return cfg;
 }
 
@@ -24,16 +24,11 @@ class TeamModes : public ::testing::TestWithParam<TeamMode> {};
 
 INSTANTIATE_TEST_SUITE_P(AllModes, TeamModes,
                          ::testing::Values(TeamMode::kEmulated,
-                                           TeamMode::kNative,
-                                           TeamMode::kHierarchical),
+                                           TeamMode::kNative),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case TeamMode::kEmulated: return "Emulated";
-                             case TeamMode::kNative: return "Native";
-                             case TeamMode::kHierarchical:
-                               return "Hierarchical";
-                           }
-                           return "Unknown";
+                           return info.param == TeamMode::kNative
+                                      ? "Native"
+                                      : "Emulated";
                          });
 
 TEST_P(TeamModes, BarrierSynchronizesAllPlaces) {
@@ -219,140 +214,89 @@ TEST(Team, RowColumnSplitLikeHpl) {
   });
 }
 
-TEST(TeamHier, PlanChunksIsElementAlignedAndCovers) {
-  using team_detail::plan_chunks;
-  auto p = plan_chunks(/*bytes=*/8000, /*chunk_bytes=*/3001, /*elem=*/8);
-  EXPECT_EQ(p.chunk % 8, 0u);
-  EXPECT_EQ(p.chunk, 3000u);  // 3001 rounded down to an 8-byte multiple
-  EXPECT_EQ(p.nchunks, 3u);   // 3000 + 3000 + 2000
-  EXPECT_EQ(plan_chunks(0, 4096, 8).nchunks, 0u);
-  // chunk_bytes == 0 disables pipelining: one fragment.
-  EXPECT_EQ(plan_chunks(1 << 20, 0, 8).nchunks, 1u);
-  // chunk_bytes below the element size is raised to one element.
-  EXPECT_EQ(plan_chunks(64, 3, 8).chunk, 8u);
-}
-
-TEST(TeamHier, TopologyGroupingAndRootPromotion) {
-  Config cfg;
-  cfg.places = 16;
-  cfg.team_places_per_octant = 4;
-  cfg.team_octants_per_drawer = 2;
-  cfg.team_drawers_per_supernode = 2;
-  cfg.team_levels = 3;
-  Runtime::run(cfg, [&] {
-    finish(Pragma::kSpmd, [&] {
-      asyncAt(0, [] {
-        Team t = Team::world(TeamMode::kHierarchical);
-        auto& h = t.hierarchy();
-        EXPECT_EQ(h.levels, 3);
-        ASSERT_EQ(h.leaf_members.size(), 4u);  // 16 places / 4 per octant
-        for (int g = 0; g < 4; ++g) {
-          ASSERT_EQ(h.leaf_members[g].size(), 4u);
-          for (int i = 0; i < 4; ++i) {
-            EXPECT_EQ(h.leaf_members[g][i], g * 4 + i);
-            EXPECT_EQ(h.leaf_of[g * 4 + i], g);
-          }
-        }
-        // Root 0 heads everything: parent -1, every other group led by its
-        // minimum rank, and all leaders reachable from 0.
-        const auto& t0 = h.tree_for(0);
-        EXPECT_EQ(t0.parent[0], -1);
-        EXPECT_EQ(t0.leaf_leader[0], 0);
-        EXPECT_EQ(t0.leaf_leader[1], 4);
-        EXPECT_EQ(t0.leaf_leader[2], 8);
-        EXPECT_EQ(t0.leaf_leader[3], 12);
-        // Rerooting at 5 promotes 5 to leader of its whole chain: its own
-        // octant (displacing 4) and the top of the tree.
-        const auto& t5 = h.tree_for(5);
-        EXPECT_EQ(t5.leaf_leader[1], 5);
-        EXPECT_TRUE(t5.is_leader[5]);
-        EXPECT_FALSE(t5.is_leader[4]);
-        EXPECT_EQ(t5.parent[5], -1);
-        for (int g : {0, 2, 3}) {
-          const int lead = t5.leaf_leader[g];
-          EXPECT_EQ(lead, g * 4);  // min rank of the group
-          // Every non-root leader has a parent path ending at 5.
-          int p = lead;
-          int hops = 0;
-          while (t5.parent[p] != -1 && hops < 16) {
-            p = t5.parent[p];
-            ++hops;
-          }
-          EXPECT_EQ(p, 5);
-        }
-      });
-    });
-  });
-}
-
-TEST(TeamHier, FallbackGroupsByPlacesPerNode) {
-  Config cfg;
-  cfg.places = 6;
-  cfg.places_per_node = 4;  // no topology model configured
-  Runtime::run(cfg, [&] {
-    finish(Pragma::kSpmd, [&] {
-      asyncAt(0, [] {
-        Team t = Team::world(TeamMode::kHierarchical);
-        auto& h = t.hierarchy();
-        EXPECT_EQ(h.levels, 1);
-        ASSERT_EQ(h.leaf_members.size(), 2u);
-        EXPECT_EQ(h.leaf_members[0], (std::vector<int>{0, 1, 2, 3}));
-        EXPECT_EQ(h.leaf_members[1], (std::vector<int>{4, 5}));
-      });
-    });
-  });
-}
-
-TEST(TeamHier, ChunkedLargePayloadBcastAndAllreduce) {
-  Config cfg;
-  cfg.places = 8;
-  cfg.places_per_node = 3;     // uneven groups: {0,1,2} {3,4,5} {6,7}
-  cfg.team_chunk_bytes = 256;  // force many fragments per op
-  Runtime::run(cfg, [&] {
+TEST(Team, NativeReduceFoldsInFixedOrder) {
+  // Sums of these contributions depend on the association: folded in rank
+  // order, ((1e16 + 1) - 1e16) + 1 == 1 (the first + 1 rounds away), while
+  // the emulated binomial tree computes (1e16 + 1) + (-1e16 + 1) == 0. The
+  // native fold order (root, root+1, ... wrapping) is documented, so every
+  // repeat must give its bits whatever order the peers arrive in.
+  static constexpr double kIn[] = {1e16, 1.0, -1e16, 1.0};
+  auto fold_from = [](int root) {
+    double acc = kIn[root];
+    for (int k = 1; k < 4; ++k) acc += kIn[(root + k) % 4];
+    return acc;
+  };
+  const double want0 = fold_from(0);
+  const double want2 = fold_from(2);
+  ASSERT_EQ(want0, 1.0);
+  ASSERT_EQ(want2, 1.0);  // ((-1e16 + 1) + 1e16) + 1: the first + 1 rounds away
+  std::atomic<int> mismatches{0};
+  Runtime::run(cfg_n(4), [&] {
     finish(Pragma::kSpmd, [&] {
       for (int p = 0; p < num_places(); ++p) {
-        asyncAt(p, [] {
-          Team t = Team::world(TeamMode::kHierarchical);
-          const std::size_t n = 10'000;  // 80 KB -> 313 fragments
-          std::vector<double> buf(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            buf[i] = t.rank() == 5 ? static_cast<double>(i) : -1.0;
+        asyncAt(p, [&] {
+          Team t = Team::world(TeamMode::kNative);
+          const double mine = kIn[t.rank()];
+          for (int rep = 0; rep < 50; ++rep) {
+            double v = mine;
+            t.allreduce(&v, 1, ReduceOp::kSum);
+            if (std::memcmp(&v, &want0, sizeof v) != 0) mismatches.fetch_add(1);
+            double r0 = mine;
+            t.reduce(0, &r0, 1, ReduceOp::kSum);
+            if (t.rank() == 0 && std::memcmp(&r0, &want0, sizeof r0) != 0) {
+              mismatches.fetch_add(1);
+            }
+            double r2 = mine;
+            t.reduce(2, &r2, 1, ReduceOp::kSum);
+            if (t.rank() == 2 && std::memcmp(&r2, &want2, sizeof r2) != 0) {
+              mismatches.fetch_add(1);
+            }
           }
-          t.bcast(5, buf.data(), n);
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_DOUBLE_EQ(buf[i], static_cast<double>(i));
-          }
-          std::vector<long> acc(1001, t.rank());
-          t.allreduce(acc.data(), acc.size(), ReduceOp::kSum);
-          const long want = static_cast<long>(t.size()) * (t.size() - 1) / 2;
-          for (long v : acc) ASSERT_EQ(v, want);
         });
       }
     });
   });
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(TeamHier, BackToBackMixedOpsReuseGroupCounters) {
-  // Cumulative group counters + per-member mirrors must survive immediate
-  // reuse across op kinds with no intervening quiescence.
-  Config cfg;
-  cfg.places = 8;
-  cfg.places_per_node = 4;
-  cfg.team_chunk_bytes = 64;
-  Runtime::run(cfg, [&] {
+TEST(Team, NativeBackToBackMixedOpsWithRotatingRoots) {
+  // Every op kind back to back with the root moving every round: a member
+  // republishes its slot while slower peers may still be in the previous
+  // op, so a reader that latched a stale buffer would see a wrong value.
+  Runtime::run(cfg_n(5), [&] {
     finish(Pragma::kSpmd, [&] {
       for (int p = 0; p < num_places(); ++p) {
         asyncAt(p, [] {
-          Team t = Team::world(TeamMode::kHierarchical);
+          Team t = Team::world(TeamMode::kNative);
+          const int n = t.size();
+          const int me = t.rank();
           for (int iter = 0; iter < 25; ++iter) {
-            const int root = iter % t.size();
-            std::vector<long> buf(33, t.rank() == root ? iter : 0);
+            const int root = iter % n;
+            std::vector<long> buf(33, me == root ? iter : -1);
             t.bcast(root, buf.data(), buf.size());
             for (long v : buf) ASSERT_EQ(v, iter);
+            std::vector<long> blocks(static_cast<std::size_t>(n) * 2);
+            for (std::size_t i = 0; i < blocks.size(); ++i) {
+              blocks[i] = iter * 100 + static_cast<long>(i);
+            }
+            long got[2] = {-1, -1};
+            t.scatter(root, blocks.data(), got, 2);
+            ASSERT_EQ(got[0], iter * 100 + 2 * me);
+            ASSERT_EQ(got[1], iter * 100 + 2 * me + 1);
+            std::vector<long> all(static_cast<std::size_t>(n) * 2, -1);
+            t.gather(root, got, me == root ? all.data() : nullptr, 2);
+            if (me == root) {
+              ASSERT_EQ(all, blocks);
+            }
             t.barrier();
-            long v = iter + t.rank();
-            t.allreduce(&v, 1, ReduceOp::kSum);
-            ASSERT_EQ(v, 8L * iter + 28);
+            long v = iter + me;
+            t.reduce(root, &v, 1, ReduceOp::kMax);
+            if (me == root) {
+              ASSERT_EQ(v, iter + n - 1);
+            }
+            long s = iter + me;
+            t.allreduce(&s, 1, ReduceOp::kSum);
+            ASSERT_EQ(s, static_cast<long>(n) * iter + n * (n - 1) / 2);
           }
         });
       }
@@ -360,38 +304,32 @@ TEST(TeamHier, BackToBackMixedOpsReuseGroupCounters) {
   });
 }
 
-TEST(TeamHier, SplitRebuildsHierarchyFromSurvivors) {
-  // Regression: a split-derived team must propagate the parent's mode and
-  // rebuild its own leader hierarchy from the surviving members' places —
-  // not inherit the parent's grouping (which indexes ranks that no longer
-  // exist in the child).
-  Config cfg;
-  cfg.places = 8;
-  cfg.places_per_node = 4;
-  Runtime::run(cfg, [&] {
+TEST(Team, NativeSplitAndLargePayloads) {
+  // A split-derived team keeps kNative and gets slots of its own; payloads
+  // far past one cache block move single-copy from a non-zero root.
+  Runtime::run(cfg_n(6), [&] {
     finish(Pragma::kSpmd, [&] {
       for (int p = 0; p < num_places(); ++p) {
         asyncAt(p, [] {
-          Team world = Team::world(TeamMode::kHierarchical);
-          world.barrier();
-          const int color = world.rank() % 2;
-          Team sub = world.split(color, world.rank());
-          EXPECT_EQ(sub.mode(), TeamMode::kHierarchical);
-          EXPECT_EQ(sub.size(), 4);
-          auto& h = sub.hierarchy();
-          // Evens {0,2,4,6} and odds {1,3,5,7} both straddle the node
-          // boundary at place 4: two leaf groups of two survivors each.
-          ASSERT_EQ(h.leaf_members.size(), 2u);
-          EXPECT_EQ(h.leaf_members[0].size(), 2u);
-          EXPECT_EQ(h.leaf_members[1].size(), 2u);
-          for (int root = 0; root < sub.size(); ++root) {
-            std::vector<double> buf(300, sub.rank() == root ? 7.5 : 0.0);
-            sub.bcast(root, buf.data(), buf.size());
-            for (double v : buf) ASSERT_DOUBLE_EQ(v, 7.5);
+          Team world = Team::world(TeamMode::kNative);
+          Team sub = world.split(world.rank() % 2, world.rank());
+          EXPECT_EQ(sub.mode(), TeamMode::kNative);
+          ASSERT_EQ(sub.size(), 3);
+          const std::size_t n = 10'000;  // 80 KB
+          std::vector<double> buf(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            buf[i] = sub.rank() == 2 ? static_cast<double>(i) : -1.0;
           }
-          long v = sub.rank();
-          sub.allreduce(&v, 1, ReduceOp::kSum);
-          ASSERT_EQ(v, 6);  // 0+1+2+3
+          sub.bcast(2, buf.data(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(buf[i], static_cast<double>(i));
+          }
+          std::vector<long> acc(1001, world.rank());
+          world.allreduce(acc.data(), acc.size(), ReduceOp::kSum);
+          for (long v : acc) ASSERT_EQ(v, 15);  // 0+1+...+5
+          std::vector<long> part(1001, sub.rank());
+          sub.allreduce(part.data(), part.size(), ReduceOp::kSum);
+          for (long v : part) ASSERT_EQ(v, 3);  // 0+1+2
         });
       }
     });
