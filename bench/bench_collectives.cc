@@ -12,6 +12,10 @@
 //                       hardware thread; the native win comes from copying
 //                       straight out of the root's buffer instead of
 //                       shipping one mail payload per member.
+// Every latency cell is the median over kBlocks timed blocks of ops on rank
+// 0's clock, printed with the blocks' interquartile range: a single sample
+// swings by 10x or more when a waiter happens to park, and a median over
+// many blocks does not.
 // After every timed loop each rank runs one untimed round of every
 // collective (barrier, allreduce, reduce to the last rank, alltoall, bcast,
 // scatter, gather, allgather) on fresh small-integer inputs (exact in
@@ -159,6 +163,40 @@ bool verify_round(Team& t, std::atomic<int>& arrived) {
   return ok;
 }
 
+/// Timed blocks per latency cell.
+constexpr int kBlocks = 41;
+
+/// Median and interquartile range (q3 - q1) of one cell's blocks, in us/op.
+struct Summary {
+  double median = 0;
+  double iqr = 0;
+};
+
+Summary summarize(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                      0.5)];
+  };
+  return {at(0.5), at(0.75) - at(0.25)};
+}
+
+/// Runs kBlocks blocks of `rounds` calls of `op` (collectively, on every
+/// rank) and returns each block's mean latency in us/op.
+template <typename Op>
+std::vector<double> time_blocks(int rounds, Op op) {
+  std::vector<double> out;
+  out.reserve(kBlocks);
+  for (int b = 0; b < kBlocks; ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < rounds; ++i) op();
+    const auto t1 = std::chrono::steady_clock::now();
+    out.push_back(std::chrono::duration<double>(t1 - t0).count() / rounds *
+                  1e6);
+  }
+  return out;
+}
+
 /// Rows whose results failed verify_round; nonzero makes main exit 1.
 int g_failed_rows = 0;
 
@@ -167,43 +205,39 @@ const char* verdict(bool ok) {
   return ok ? "yes" : "NO";
 }
 
-bool small_op_bench(int places, TeamMode mode, double& barrier_us,
-                    double& allreduce_us, double& alltoall_us,
+/// Barrier, allreduce and alltoall latency at `places` places in `mode`
+/// (`out[0..2]`), and the collective messages their timed loops sent.
+bool small_op_bench(int places, TeamMode mode, Summary (&out)[3],
                     std::uint64_t& msgs) {
   Config cfg = bench_cfg(places);
   std::atomic<bool> ok{true};
   Runtime::run(cfg, [&] {
     auto& tr = Runtime::get().transport();
     tr.reset_stats();
-    constexpr int kRounds = 50;
-    std::vector<double> timings(3, 0.0);
+    // Oversubscribed rows time-share cores and run far slower per op.
+    const int rounds = places <= bench::cores() ? 10 : 2;
+    std::vector<double> blocks[3];
     std::mutex mu;
     std::atomic<int> arrived{0};
     PlaceGroup::world().broadcast([&, mode] {
       Team t = Team::world(mode);
       t.barrier();
-      auto time_op = [&](auto op) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kRounds; ++i) op();
-        const auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count() / kRounds * 1e6;
-      };
-      const double b = time_op([&] { t.barrier(); });
+      auto b = time_blocks(rounds, [&] { t.barrier(); });
       std::vector<double> v(64, 1.0);
-      const double ar =
-          time_op([&] { t.allreduce(v.data(), v.size(), ReduceOp::kSum); });
+      auto ar = time_blocks(
+          rounds, [&] { t.allreduce(v.data(), v.size(), ReduceOp::kSum); });
       std::vector<double> send(static_cast<std::size_t>(t.size()) * 16, 1.0);
       std::vector<double> recv(send.size());
-      const double aa =
-          time_op([&] { t.alltoall(send.data(), recv.data(), 16); });
+      auto aa = time_blocks(
+          rounds, [&] { t.alltoall(send.data(), recv.data(), 16); });
       if (here() == 0) {
         std::scoped_lock lock(mu);
-        timings = {b, ar, aa};
+        blocks[0] = std::move(b);
+        blocks[1] = std::move(ar);
+        blocks[2] = std::move(aa);
       }
     });
-    barrier_us = timings[0];
-    allreduce_us = timings[1];
-    alltoall_us = timings[2];
+    for (int k = 0; k < 3; ++k) out[k] = summarize(std::move(blocks[k]));
     msgs = tr.count(x10rt::MsgType::kCollective);
     // Checked in a second SPMD pass so the message column counts only the
     // timed loops and their warm-up.
@@ -218,15 +252,15 @@ bool small_op_bench(int places, TeamMode mode, double& barrier_us,
 }
 
 
-/// One (op, mode, payload) cell: SPMD loop at `places` places, `rounds`
-/// timed repetitions after one warm-up op, rank 0's wall clock. Rounds shrink as payloads
-/// grow so the sweep stays O(seconds) end to end. Clears `ok` when
+/// One (op, mode, payload) cell: SPMD loop at `places` places, kBlocks
+/// timed blocks after one warm-up op, rank 0's wall clock. Blocks shrink as
+/// payloads grow so the sweep stays O(seconds) end to end. Clears `ok` when
 /// verify_round fails at any rank.
-double payload_bench(int places, TeamMode mode, bool bcast_op,
-                     std::size_t bytes, bool& ok) {
+Summary payload_bench(int places, TeamMode mode, bool bcast_op,
+                      std::size_t bytes, bool& ok) {
   Config cfg = bench_cfg(places);
-  const int rounds = bytes >= (1u << 20) ? 4 : 10;
-  double usec = 0;
+  const int rounds = bytes >= (1u << 20) ? 1 : 4;
+  std::vector<double> blocks;
   std::atomic<bool> verified{true};
   Runtime::run(cfg, [&] {
     std::mutex mu;
@@ -242,19 +276,17 @@ double payload_bench(int places, TeamMode mode, bool bcast_op,
         t.allreduce(v.data(), n, ReduceOp::kSum);
       }
       t.barrier();
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < rounds; ++i) {
+      auto samples = time_blocks(rounds, [&] {
         if (bcast_op) {
           t.bcast(0, v.data(), n);
         } else {
           t.allreduce(v.data(), n, ReduceOp::kSum);
         }
-      }
-      const auto t1 = std::chrono::steady_clock::now();
+      });
       if (!verify_round(t, arrived)) verified.store(false);
       if (here() == 0) {
         std::scoped_lock lock(mu);
-        usec = std::chrono::duration<double>(t1 - t0).count() / rounds * 1e6;
+        blocks = std::move(samples);
       }
     });
   });
@@ -262,7 +294,7 @@ double payload_bench(int places, TeamMode mode, bool bcast_op,
   bench::maybe_emit_metrics(std::string("collectives.payload.") +
                             (bcast_op ? "bcast." : "allreduce.") +
                             mode_name(mode) + "." + std::to_string(bytes));
-  return usec;
+  return summarize(std::move(blocks));
 }
 
 }  // namespace
@@ -270,43 +302,41 @@ double payload_bench(int places, TeamMode mode, bool bcast_op,
 int main() {
   const TeamMode kModes[] = {TeamMode::kEmulated, TeamMode::kNative};
 
-  bench::header("§3.3 — Team collectives: emulated vs native (us/op)");
-  bench::row("%8s %14s %12s %12s %12s %12s %9s", "places", "mode", "barrier",
-             "allreduce", "alltoall", "coll msgs", "verified");
+  bench::header("§3.3 — Team collectives: emulated vs native (us/op, "
+                "median and IQR of " + std::to_string(kBlocks) + " blocks)");
+  bench::row("%8s %10s %10s %8s %10s %8s %10s %8s %10s %9s", "places", "mode",
+             "barrier", "iqr", "allreduce", "iqr", "alltoall", "iqr",
+             "coll msgs", "verified");
   for (int places : bench::sweep_places(16)) {
     for (TeamMode mode : kModes) {
-      double b, ar, aa;
+      Summary op[3];
       std::uint64_t msgs;
-      const bool ok = small_op_bench(places, mode, b, ar, aa, msgs);
-      bench::row("%8d %14s %12.1f %12.1f %12.1f %12llu %9s", places,
-                 mode_name(mode), b, ar, aa,
+      const bool ok = small_op_bench(places, mode, op, msgs);
+      bench::row("%8d %10s %10.1f %8.1f %10.1f %8.1f %10.1f %8.1f %10llu %9s",
+                 places, mode_name(mode), op[0].median, op[0].iqr,
+                 op[1].median, op[1].iqr, op[2].median, op[2].iqr,
                  static_cast<unsigned long long>(msgs), verdict(ok));
     }
   }
 
   const int sweep_places = bench::cores();
   bench::header("§3.3 — large-payload bcast/allreduce at " +
-                std::to_string(sweep_places) + " places (us/op)");
-  bench::row("%10s %10s %14s %14s %10s %9s", "op", "KiB", "emulated",
-             "native", "native_x", "verified");
+                std::to_string(sweep_places) + " places (us/op, median and " +
+                "IQR of " + std::to_string(kBlocks) + " blocks)");
+  bench::row("%10s %8s %10s %8s %10s %8s %10s %9s", "op", "KiB", "emulated",
+             "iqr", "native", "iqr", "native_x", "verified");
   for (bool bcast_op : {true, false}) {
     for (std::size_t kib : {4u, 32u, 256u, 1024u, 4096u}) {
       const std::size_t bytes = kib * 1024;
-      // Interleaved min-of-reps: on a loaded host the noise has longer
-      // periods than one cell, so the modes alternate within each rep and
-      // each reports its best — the ratio of bests is the stable signal.
-      constexpr int kReps = 3;
-      double cell[2] = {1e30, 1e30};
+      Summary cell[2];
       bool ok = true;
-      for (int rep = 0; rep < kReps; ++rep) {
-        for (int m = 0; m < 2; ++m) {
-          cell[m] = std::min(cell[m], payload_bench(sweep_places, kModes[m],
-                                                    bcast_op, bytes, ok));
-        }
+      for (int m = 0; m < 2; ++m) {
+        cell[m] = payload_bench(sweep_places, kModes[m], bcast_op, bytes, ok);
       }
-      bench::row("%10s %10zu %14.1f %14.1f %9.2fx %9s",
-                 bcast_op ? "bcast" : "allreduce", kib, cell[0], cell[1],
-                 cell[0] / cell[1], verdict(ok));
+      bench::row("%10s %8zu %10.1f %8.1f %10.1f %8.1f %9.2fx %9s",
+                 bcast_op ? "bcast" : "allreduce", kib, cell[0].median,
+                 cell[0].iqr, cell[1].median, cell[1].iqr,
+                 cell[0].median / cell[1].median, verdict(ok));
     }
   }
 

@@ -4,7 +4,8 @@
 //
 // Scale note: the paper sweeps 1..55,680 cores of a Power 775; we sweep
 // 1..N places (threads) on one machine. Wall-clock panels stop at the
-// hardware thread count (core_sweep) and report the median of kRepeats runs;
+// hardware thread count (core_sweep) and report the median of kRepeats runs,
+// interleaved across the panel's place counts (repeat_rows);
 // protocol columns (message counts, out-degree, balance quality) are exact
 // and hardware-independent, so those benches sweep past the cores.
 #pragma once
@@ -43,8 +44,8 @@ inline std::string per_run_path(const std::string& path, int run) {
 ///   APGAS_TRACE_CAP=<n>    per-place ring capacity in events (default 2^16)
 ///   APGAS_METRICS=<path>   write metrics at teardown (.json => JSON,
 ///                          anything else => key=value text)
-/// plus the APGAS_* knobs (places, workers_per_place, backend, chaos,
-/// reliability, ...) via Config::apply_env — note benches that sweep
+/// plus the APGAS_* knobs (places, workers_per_place, backend, chaos, ...)
+/// via Config::apply_env — note benches that sweep
 /// `cfg.places` themselves overwrite an APGAS_PLACES override afterwards.
 ///
 /// Trace/metrics paths get a per-run ".rN" suffix (see per_run_path): benches
@@ -126,6 +127,12 @@ struct Spread {
   double max = 0;
 };
 
+/// Median and range of a set of runs.
+inline Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
 /// Calls `measure` kRepeats times and summarises the value it returns
 /// (seconds or a rate). Inside a Runtime::run the congruent arena is
 /// released before each call, so every run allocates afresh.
@@ -136,8 +143,31 @@ Spread repeat(Measure&& measure) {
     if (apgas::Runtime::active()) apgas::Runtime::get().congruent().reset();
     v.push_back(measure());
   }
-  std::sort(v.begin(), v.end());
-  return {v[v.size() / 2], v.front(), v.back()};
+  return spread(std::move(v));
+}
+
+/// The rows of a scaling table, measured interleaved: kRepeats rounds, each
+/// running every place count of `sweep` once in order (1, 2, 4, 1, 2, 4,
+/// ...), so host load that comes and goes lands on every row instead of on
+/// whichever row ran through it. Each run is a fresh
+/// Runtime::run(make_cfg(sweep[i])) inside which `measure(i)` returns the
+/// run's value for row i. Returns one Spread per row, in sweep order.
+template <typename MakeCfg, typename Measure>
+std::vector<Spread> repeat_rows(const std::vector<int>& sweep,
+                                MakeCfg&& make_cfg, Measure&& measure) {
+  std::vector<std::vector<double>> runs(sweep.size());
+  for (int r = 0; r < kRepeats; ++r) {
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      const int places = sweep[i];
+      apgas::Runtime::run(make_cfg(places),
+                          [&] { runs[i].push_back(measure(i)); });
+      maybe_emit_metrics("places" + std::to_string(places));
+    }
+  }
+  std::vector<Spread> out;
+  out.reserve(sweep.size());
+  for (auto& v : runs) out.push_back(spread(std::move(v)));
+  return out;
 }
 
 inline void header(const std::string& title) {

@@ -1,7 +1,8 @@
 // Figure 1 "Global RandomAccess" + Table 1 row 2 (paper §5): weak-scaling
 // GUP/s over the congruent table via GUPS remote XOR, with the HPCC replay
 // verification. Power-of-two place counts only, as in the paper. Each row
-// is the median of bench::kRepeats runs, with their range.
+// is the median of bench::kRepeats runs, interleaved across the rows, with
+// their range.
 #include <algorithm>
 
 #include "bench_common.h"
@@ -13,28 +14,32 @@ int main() {
   bench::header("Figure 1 / Global RandomAccess — weak scaling");
   bench::row("%8s %12s %16s %20s %12s %12s %10s", "places", "GUP/s",
              "GUP/s/place", "min-max", "efficiency", "err-frac", "verified");
-  double base = 0;
-  for (int places : bench::core_sweep()) {
-    Config cfg;
-    cfg.places = places;
-    cfg.places_per_node = 8;
-    cfg.congruent_bytes = 4u << 20;
-    Runtime::run(cfg, [&] {
-      kernels::RaParams p;
-      p.log2_table_per_place = 15;
-      double err = 0;
-      bool verified = true;
-      const bench::Spread g = bench::repeat([&] {
+  const std::vector<int> sweep = bench::core_sweep();
+  std::vector<double> err(sweep.size(), 0.0);
+  std::vector<bool> verified(sweep.size(), true);
+  const std::vector<bench::Spread> rows = bench::repeat_rows(
+      sweep,
+      [](int places) {
+        Config cfg;
+        cfg.places = places;
+        cfg.places_per_node = 8;
+        cfg.congruent_bytes = 4u << 20;
+        return cfg;
+      },
+      [&](std::size_t i) {
+        kernels::RaParams p;
+        p.log2_table_per_place = 15;
         const auto r = kernels::randomaccess_run(p);
-        err = std::max(err, r.error_fraction);
-        verified = verified && r.verified;
+        err[i] = std::max(err[i], r.error_fraction);
+        if (!r.verified) verified[i] = false;
         return r.gups_per_place;
       });
-      if (places == 1) base = g.median;
-      bench::row("%8d %12.5f %16.6f %9.6f-%-10.6f %11.0f%% %12.4f %10s",
-                 places, g.median * places, g.median, g.min, g.max,
-                 100.0 * g.median / base, err, verified ? "yes" : "NO");
-    });
+  const double base = rows.front().median;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const bench::Spread& g = rows[i];
+    bench::row("%8d %12.5f %16.6f %9.6f-%-10.6f %11.0f%% %12.4f %10s",
+               sweep[i], g.median * sweep[i], g.median, g.min, g.max,
+               100.0 * g.median / base, err[i], verified[i] ? "yes" : "NO");
   }
   bench::row("(paper: 0.82 GUP/s/host at both 8 and 1,024 hosts; dip "
              "in-between from cross-section bandwidth — see bench_topology)");

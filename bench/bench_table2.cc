@@ -2,7 +2,8 @@
 // same implementation at scale versus at one place (one host in the paper),
 // for all eight kernels. "At scale" is as many places as the machine has
 // hardware threads (at most 8), so no row timeshares a core; every rate is
-// the median of bench::kRepeats runs.
+// the median of bench::kRepeats runs, the 1-place and at-scale runs of a
+// row alternating.
 #include <algorithm>
 
 #include "bench_common.h"
@@ -28,19 +29,24 @@ Config cfg_n(int places) {
   return bench::observe(cfg);
 }
 
-/// Median over bench::kRepeats runs of `measure` at `places` places.
-template <typename F>
-double median_at(int places, F measure) {
-  double median = 0;
-  Runtime::run(cfg_n(places), [&] { median = bench::repeat(measure).median; });
-  bench::maybe_emit_metrics("places" + std::to_string(places));
-  return median;
+/// One row's medians over bench::kRepeats runs of `one` at 1 place and of
+/// `at_scale` at `scale` places, the two sides' runs alternating.
+struct RowMedians {
+  double one = 0;
+  double scale = 0;
+};
+
+template <typename One, typename AtScale>
+RowMedians medians(int scale, One one, AtScale at_scale) {
+  const std::vector<bench::Spread> rows = bench::repeat_rows(
+      {1, scale}, cfg_n,
+      [&](std::size_t i) { return i == 0 ? one() : at_scale(); });
+  return {rows[0].median, rows[1].median};
 }
 
-void report(const char* name, double at_one, double at_scale,
-            const char* unit) {
-  bench::row("%-22s %14.4f %14.4f %-12s %9.0f%%", name, at_one, at_scale,
-             unit, 100.0 * at_scale / at_one);
+void report(const char* name, RowMedians m, const char* unit) {
+  bench::row("%-22s %14.4f %14.4f %-12s %9.0f%%", name, m.one, m.scale, unit,
+             100.0 * m.scale / m.one);
 }
 
 }  // namespace
@@ -55,78 +61,62 @@ int main() {
              "at scale", "unit", "rel. eff.");
 
   report("Global HPL",
-         median_at(1,
-                   [] {
-                     kernels::HplParams p;
-                     p.n = 256;
-                     return kernels::hpl_run(p).gflops_per_place;
-                   }),
-         median_at(kScale,
-                   [] {
-                     kernels::HplParams p;
-                     p.n = 512;
-                     return kernels::hpl_run(p).gflops_per_place;
-                   }),
+         medians(
+             kScale,
+             [] {
+               kernels::HplParams p;
+               p.n = 256;
+               return kernels::hpl_run(p).gflops_per_place;
+             },
+             [] {
+               kernels::HplParams p;
+               p.n = 512;
+               return kernels::hpl_run(p).gflops_per_place;
+             }),
          "Gflop/s");
 
-  report("Global RandomAccess",
-         median_at(1,
-                   [] {
-                     kernels::RaParams p;
-                     p.log2_table_per_place = 14;
-                     return kernels::randomaccess_run(p).gups_per_place;
-                   }),
-         median_at(kScale,
-                   [] {
-                     kernels::RaParams p;
-                     p.log2_table_per_place = 14;
-                     return kernels::randomaccess_run(p).gups_per_place;
-                   }),
-         "GUP/s");
+  const auto ra = [] {
+    kernels::RaParams p;
+    p.log2_table_per_place = 14;
+    return kernels::randomaccess_run(p).gups_per_place;
+  };
+  report("Global RandomAccess", medians(kScale, ra, ra), "GUP/s");
 
   report("Global FFT",
-         median_at(1,
-                   [] {
-                     kernels::FftParams p;
-                     p.log2_size = 16;
-                     return kernels::fft_run(p).gflops_per_place;
-                   }),
-         median_at(kScale,
-                   [log2_scale] {
-                     kernels::FftParams p;
-                     p.log2_size = 16 + log2_scale;
-                     return kernels::fft_run(p).gflops_per_place;
-                   }),
+         medians(
+             kScale,
+             [] {
+               kernels::FftParams p;
+               p.log2_size = 16;
+               return kernels::fft_run(p).gflops_per_place;
+             },
+             [log2_scale] {
+               kernels::FftParams p;
+               p.log2_size = 16 + log2_scale;
+               return kernels::fft_run(p).gflops_per_place;
+             }),
          "Gflop/s");
 
-  report("EP Stream (Triad)",
-         median_at(1,
-                   [] {
-                     kernels::StreamParams p;
-                     p.elements_per_place = 1u << 17;
-                     return kernels::stream_run(p).gb_per_sec_per_place;
-                   }),
-         median_at(kScale,
-                   [] {
-                     kernels::StreamParams p;
-                     p.elements_per_place = 1u << 17;
-                     return kernels::stream_run(p).gb_per_sec_per_place;
-                   }),
-         "GB/s");
+  const auto stream = [] {
+    kernels::StreamParams p;
+    p.elements_per_place = 1u << 17;
+    return kernels::stream_run(p).gb_per_sec_per_place;
+  };
+  report("EP Stream (Triad)", medians(kScale, stream, stream), "GB/s");
 
   report("UTS",
-         median_at(1,
-                   [] {
-                     kernels::UtsParams p;
-                     p.depth = 10;
-                     return kernels::uts_run(p).mnodes_per_sec_per_place;
-                   }),
-         median_at(kScale,
-                   [] {
-                     kernels::UtsParams p;
-                     p.depth = 11;
-                     return kernels::uts_run(p).mnodes_per_sec_per_place;
-                   }),
+         medians(
+             kScale,
+             [] {
+               kernels::UtsParams p;
+               p.depth = 10;
+               return kernels::uts_run(p).mnodes_per_sec_per_place;
+             },
+             [] {
+               kernels::UtsParams p;
+               p.depth = 11;
+               return kernels::uts_run(p).mnodes_per_sec_per_place;
+             }),
          "Mnodes/s");
 
   // K-Means and Smith-Waterman report run time (lower is better), so
@@ -144,27 +134,26 @@ int main() {
   for (const auto& [name, secs] :
        {std::pair<const char*, double (*)()>{"K-Means", kmeans_secs},
         {"Smith-Waterman", sw_secs}}) {
-    const double t1 = median_at(1, secs);
-    const double tp = median_at(kScale, secs);
-    bench::row("%-22s %13.4fs %13.4fs %-12s %9.0f%%", name, t1, tp,
-               "run time", 100.0 * t1 / tp);
+    const RowMedians t = medians(kScale, secs, secs);
+    bench::row("%-22s %13.4fs %13.4fs %-12s %9.0f%%", name, t.one, t.scale,
+               "run time", 100.0 * t.one / t.scale);
   }
 
   report("Betweenness Centrality",
-         median_at(1,
-                   [] {
-                     kernels::BcParams p;
-                     p.graph.scale = 9;
-                     p.sources = 32;
-                     return kernels::bc_run(p).medges_per_sec_per_place;
-                   }),
-         median_at(kScale,
-                   [] {
-                     kernels::BcParams p;
-                     p.graph.scale = 11;  // the paper's instance switch
-                     p.sources = 32;
-                     return kernels::bc_run(p).medges_per_sec_per_place;
-                   }),
+         medians(
+             kScale,
+             [] {
+               kernels::BcParams p;
+               p.graph.scale = 9;
+               p.sources = 32;
+               return kernels::bc_run(p).medges_per_sec_per_place;
+             },
+             [] {
+               kernels::BcParams p;
+               p.graph.scale = 11;  // the paper's instance switch
+               p.sources = 32;
+               return kernels::bc_run(p).medges_per_sec_per_place;
+             }),
          "Medges/s");
 
   bench::row("(paper's Table 2: HPL 87%%, RandomAccess 100%%, FFT 100%%,"

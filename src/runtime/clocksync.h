@@ -22,8 +22,9 @@
 //   offset = m - r        (supervisor_ns ≈ child_ns + offset)
 //
 // with worst-case error rtt/2 for the chosen sample. Two estimates taken at
-// different times (attach and pre-quiescence) give a linear drift model used
-// when rebasing child trace timestamps into the supervisor clock domain.
+// different times (attach and the teardown barrier) give a linear drift
+// model used when rebasing child trace timestamps into the supervisor clock
+// domain.
 //
 // Everything here is pure arithmetic over samples — unit-testable without
 // sockets. The only process state is the child-side offset table armed by

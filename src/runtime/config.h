@@ -36,30 +36,16 @@ struct Config {
 
   /// Wire backend. kSocket forks one process per place (Runtime::run
   /// delegates to launcher::run_places before constructing anything); a
-  /// 1-place job stays in-process regardless. Reliability is force-armed in
-  /// socket mode (retx_timeout_us defaults to 1000 when unset) because
-  /// cross-process teardown needs the all-acked fixpoint.
+  /// 1-place job stays in-process regardless. Both wires are lossless;
+  /// cross-process teardown balances per-channel frame counts
+  /// (docs/transport.md "Teardown: channel counting").
   BackendKind backend = BackendKind::kInProc;
 
-  /// Network chaos injection (latency + reordering of queued messages).
+  /// Network chaos injection (delay + reordering of queued messages).
   x10rt::ChaosConfig chaos;
 
   /// Track per-(src,dst) message counts — needed by out-degree benches.
   bool count_pairs = false;
-
-  /// Reliability sublayer: initial retransmit timeout in microseconds
-  /// (docs/transport.md "Reliability"). 0 disables the layer — the default,
-  /// so sends are zero-cost passthroughs with wire behavior bit-for-bit
-  /// identical to pre-ISSUE-5. Must be > 0 whenever chaos drop_prob or
-  /// dup_prob is (the transport aborts otherwise).
-  std::uint64_t retx_timeout_us = 0;
-
-  /// Cap on the per-entry exponential retransmit backoff (microseconds).
-  std::uint64_t retx_backoff_max_us = 50'000;
-
-  /// Standalone-ack idle threshold: a receiver owing an ack with no reverse
-  /// traffic to piggyback on sends one after this many microseconds.
-  std::uint64_t retx_ack_idle_us = 200;
 
   /// Bytes reserved per place for the congruent (registered, symmetric)
   /// allocator arena.
@@ -98,9 +84,9 @@ struct Config {
   /// Sampling interval of the stall watchdog thread in milliseconds; 0 (the
   /// default) never starts the thread. When no progress signal advances for
   /// `watchdog_stall_intervals` consecutive samples, one human-readable
-  /// diagnosis (queue depths, oldest open finish, unacked retransmit
-  /// queues, recent trace events) is dumped to stderr; it re-arms only after
-  /// progress resumes.
+  /// diagnosis (queue depths, oldest open finish, per-peer socket queues
+  /// and frame counts, recent trace events) is dumped to stderr; it re-arms
+  /// only after progress resumes.
   int watchdog_interval_ms = 0;
 
   /// Consecutive no-progress samples before the watchdog diagnoses a stall.
@@ -125,8 +111,9 @@ struct Config {
   std::string telemetry_keys;
 
   /// Request/echo rounds per child of the launcher's Cristian clock-offset
-  /// handshake (minimum-RTT sample wins). Runs at attach and again before
-  /// quiescence for drift re-estimation; only meaningful in socket mode.
+  /// handshake (minimum-RTT sample wins). Runs at attach and again in the
+  /// teardown barrier for drift re-estimation; only meaningful in socket
+  /// mode.
   int clocksync_rounds = 8;
 
   /// Applies `APGAS_*` environment overrides for the perf knobs on top of
@@ -134,16 +121,11 @@ struct Config {
   /// without recompiling:
   ///
   ///   APGAS_BACKEND            "socket" or "inproc"
-  ///   APGAS_CHAOS_DROP         chaos.drop_prob  (0.0 .. 1.0)
-  ///   APGAS_CHAOS_DUP          chaos.dup_prob   (0.0 .. 1.0)
   ///   APGAS_CHAOS_DELAY        chaos.delay_prob (0.0 .. 1.0)
   ///   APGAS_CHAOS_SEED         chaos.seed
   ///   APGAS_PLACES             places
   ///   APGAS_PLACES_PER_NODE    places_per_node
   ///   APGAS_WORKERS_PER_PLACE  workers_per_place
-  ///   APGAS_RETX_TIMEOUT_US    retx_timeout_us (0 disables reliability)
-  ///   APGAS_RETX_BACKOFF_MAX_US retx_backoff_max_us
-  ///   APGAS_RETX_ACK_IDLE_US   retx_ack_idle_us
   ///   APGAS_HIST               histograms (nonzero arms them)
   ///   APGAS_WATCHDOG_MS        watchdog_interval_ms (nonzero starts it)
   ///   APGAS_WATCHDOG_INTERVALS watchdog_stall_intervals
@@ -197,16 +179,11 @@ struct Config {
         die("APGAS_BACKEND", b, "\"socket\" or \"inproc\"");
       }
     }
-    read_prob("APGAS_CHAOS_DROP", cfg.chaos.drop_prob);
-    read_prob("APGAS_CHAOS_DUP", cfg.chaos.dup_prob);
     read_prob("APGAS_CHAOS_DELAY", cfg.chaos.delay_prob);
     read("APGAS_CHAOS_SEED", cfg.chaos.seed);
     read("APGAS_PLACES", cfg.places);
     read("APGAS_PLACES_PER_NODE", cfg.places_per_node);
     read("APGAS_WORKERS_PER_PLACE", cfg.workers_per_place);
-    read("APGAS_RETX_TIMEOUT_US", cfg.retx_timeout_us);
-    read("APGAS_RETX_BACKOFF_MAX_US", cfg.retx_backoff_max_us);
-    read("APGAS_RETX_ACK_IDLE_US", cfg.retx_ack_idle_us);
     int hist = cfg.histograms ? 1 : 0;
     read("APGAS_HIST", hist);
     cfg.histograms = hist != 0;

@@ -188,6 +188,38 @@ std::string per_place_path(const std::string& path, int place) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
+std::string encode_frame_counts(
+    int places, const std::vector<x10rt::BackendPeerDiag>& diag) {
+  std::vector<std::uint64_t> words(2 * static_cast<std::size_t>(places), 0);
+  for (const auto& d : diag) {
+    if (d.peer < 0 || d.peer >= places) continue;
+    words[2 * static_cast<std::size_t>(d.peer)] = d.frames_sent;
+    words[2 * static_cast<std::size_t>(d.peer) + 1] = d.frames_received;
+  }
+  return std::string(reinterpret_cast<const char*>(words.data()),
+                     words.size() * sizeof(std::uint64_t));
+}
+
+bool frame_counts_balanced(const std::vector<std::string>& reports) {
+  const std::size_t places = reports.size();
+  const std::size_t bytes = 2 * places * sizeof(std::uint64_t);
+  for (const auto& r : reports) {
+    if (r.size() != bytes) return false;  // not reported yet
+  }
+  auto word = [&reports](std::size_t p, std::size_t i) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, reports[p].data() + i * sizeof(v), sizeof(v));
+    return v;
+  };
+  for (std::size_t p = 0; p < places; ++p) {
+    for (std::size_t q = 0; q < places; ++q) {
+      // sent[p -> q] against received[q <- p].
+      if (word(p, 2 * q) != word(q, 2 * p + 1)) return false;
+    }
+  }
+  return true;
+}
+
 void CtrlChannel::send_frame(char tag, std::string_view payload) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto len = static_cast<std::uint32_t>(payload.size());
@@ -232,7 +264,7 @@ bool child_poll_go(int ctrl_fd) {
     if (r == 1 && c == 'G') return true;
     if (r == 1 && c == 'C') {
       // Drift re-estimation probe (the supervisor runs a second round of
-      // clock sync between quiescence and go).
+      // clock sync between the balanced teardown barrier and go).
       const std::uint64_t echo = clocksync::now_ns();
       if (!send_all(ctrl_fd, &echo, sizeof(echo))) ::_exit(1);
       return false;
@@ -260,7 +292,7 @@ void run_places(const Config& cfg, std::function<void()> main) {
       mesh[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = sv[1];
     }
   }
-  // One control socketpair per child for the quiescence barrier, metrics
+  // One control socketpair per child for the teardown barrier, metrics
   // blob, and death detection (EOF).
   std::vector<int> ctrl_parent(static_cast<std::size_t>(P), -1);
   std::vector<int> ctrl_child(static_cast<std::size_t>(P), -1);
@@ -372,11 +404,13 @@ void run_places(const Config& cfg, std::function<void()> main) {
   const std::uint64_t t_start_ms = now_ms();
   bool kill_fired = false;
 
-  // Quiescence barrier: collect one 'Q' per child. EOF before 'Q' means the
-  // place died — fail fast instead of hanging on the barrier.
-  std::vector<bool> quiescent(static_cast<std::size_t>(P), false);
-  int n_quiescent = 0;
-  while (n_quiescent < P || (kill_place >= 0 && !kill_fired)) {
+  // Teardown barrier (docs/transport.md "Teardown: channel counting"): keep
+  // each child's latest 'Q' frame counts until every channel balances. EOF
+  // before that means the place died — fail fast instead of hanging.
+  const std::size_t report_bytes =
+      2 * static_cast<std::size_t>(P) * sizeof(std::uint64_t);
+  std::vector<std::string> reports(static_cast<std::size_t>(P));
+  while (!frame_counts_balanced(reports) || (kill_place >= 0 && !kill_fired)) {
     if (kill_place >= 0 && !kill_fired &&
         now_ms() - t_start_ms >= kill_after_ms) {
       ::kill(pids[static_cast<std::size_t>(kill_place)], SIGKILL);
@@ -386,7 +420,6 @@ void run_places(const Config& cfg, std::function<void()> main) {
     pfds.reserve(static_cast<std::size_t>(P));
     std::vector<int> owner;
     for (int p = 0; p < P; ++p) {
-      if (quiescent[static_cast<std::size_t>(p)]) continue;
       struct pollfd pfd{};
       pfd.fd = ctrl_parent[static_cast<std::size_t>(p)];
       pfd.events = POLLIN;
@@ -402,11 +435,6 @@ void run_places(const Config& cfg, std::function<void()> main) {
         timeout_ms = static_cast<int>(left) + 1;
       }
     }
-    if (pfds.empty()) {
-      // All Q's are in; we are only waiting for the kill deadline.
-      ::poll(nullptr, 0, timeout_ms);
-      continue;
-    }
     const int rc =
         ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (rc < 0) {
@@ -418,7 +446,7 @@ void run_places(const Config& cfg, std::function<void()> main) {
       const int p = owner[k];
       Frame f;
       if (!recv_frame(pfds[k].fd, f)) {
-        // EOF before 'Q': the place process is gone.
+        // EOF inside the barrier: the place process is gone.
         int st = 0;
         (void)::waitpid(pids[static_cast<std::size_t>(p)], &st, 0);
         pids[static_cast<std::size_t>(p)] = -pids[static_cast<std::size_t>(p)];
@@ -426,8 +454,11 @@ void run_places(const Config& cfg, std::function<void()> main) {
       }
       switch (f.tag) {
         case 'Q':
-          quiescent[static_cast<std::size_t>(p)] = true;
-          ++n_quiescent;
+          if (f.payload.size() != report_bytes) {
+            ::kill(pids[static_cast<std::size_t>(p)], SIGKILL);
+            fail_dead_child(p, pids);
+          }
+          reports[static_cast<std::size_t>(p)] = std::move(f.payload);
           break;
         case 'T':
           if (tlog) tlog->append(f.payload);
@@ -453,14 +484,16 @@ void run_places(const Config& cfg, std::function<void()> main) {
   }
 
   // Drift re-estimation: a second probe round per child while everyone sits
-  // in the quiescence barrier (child_poll_go answers 'C'). Two estimates per
-  // child give the linear drift model used to rebase its trace timestamps.
+  // in the teardown barrier (child_poll_go answers 'C'). Balanced counts
+  // mean no place will send again, so no 'Q' can interleave with the bare
+  // echoes. Two estimates per child give the linear drift model used to
+  // rebase its trace timestamps.
   for (int p = 0; p < P; ++p) {
     quiesce[static_cast<std::size_t>(p)] =
         probe_child(ctrl_parent[static_cast<std::size_t>(p)], p, rounds, pids);
   }
 
-  // Everyone is quiescent (and any kill has landed — in which case the
+  // Every channel balances (and any kill has landed — in which case the
   // victim's EOF above already failed the job): release the barrier.
   for (int p = 0; p < P; ++p) {
     const char g = 'G';

@@ -6,17 +6,19 @@
 // constructs its own Runtime over a SocketBackend (Runtime::run_child). The
 // parent never hosts a place — it supervises:
 //
-//   * clock handshake: at attach (and again between quiescence and go) the
+//   * clock handshake: at attach (and again between teardown and go) the
 //     parent runs cfg.clocksync_rounds Cristian probe rounds per child ('C'
 //     request → 8-byte clock echo), estimates each child's offset from the
 //     minimum-RTT sample (runtime/clocksync.h), and broadcasts the offset
 //     table ('O') so children can record clock-aligned cross-process ship
 //     latency.
-//   * quiescence barrier: each child drains to its local all-acked fixpoint
-//     and reports 'Q' on its control socket; once every 'Q' is in (and any
-//     configured kill injection has fired) the parent broadcasts 'G' and the
-//     children finalize. Between Q and G a child keeps serving retransmits
-//     and acks for slower peers, so the barrier cannot deadlock.
+//   * teardown barrier (docs/transport.md "Teardown: channel counting"):
+//     each child reports 'Q' with its per-peer frame counts whenever it is
+//     idle and the counts changed since its last report, and keeps draining
+//     its inbox. Once the latest reports balance every channel — place q
+//     received from p exactly the frames p sent to q, for every ordered
+//     pair — and any configured kill injection has fired, the parent
+//     broadcasts 'G' and the children finalize.
 //   * live telemetry: children stream 'T' frames (telemetry.h JSON lines)
 //     and 'W' watchdog reports while running; the parent appends them to
 //     cfg.telemetry_path (one JSONL for the whole job — tail it with
@@ -39,13 +41,14 @@
 // Control-socket protocol. Downstream (parent → child) commands are single
 // bytes: 'C' (clock probe; child answers with a bare 8-byte clocksync echo),
 // 'O' + places × i64 (offset table), 'G' (go). Upstream (child → parent)
-// messages are uniform tagged frames [tag u8][len u32][payload]: 'Q'
-// (quiescent, empty), 'T' (telemetry line), 'W' (watchdog report), 'M'
-// (metrics blob), 'R' (trace blob; empty when not tracing). Probe echoes can
-// stay bare because both probe phases run while no upstream frames are
-// possible: attach probes complete before the child starts workers,
-// telemetry, or its watchdog, and drift probes run after 'Q' (workers,
-// telemetry, and watchdog all stopped).
+// messages are uniform tagged frames [tag u8][len u32][payload]: 'Q' (idle,
+// places × {u64 frames sent to q, u64 frames received from q}), 'T'
+// (telemetry line), 'W' (watchdog report), 'M' (metrics blob), 'R' (trace
+// blob; empty when not tracing). Probe echoes can stay bare because both
+// probe phases run while no upstream frames are possible: attach probes
+// complete before the child starts workers, telemetry, or its watchdog, and
+// drift probes run once the reports balance (workers, telemetry, and
+// watchdog all stopped, and balanced counts never change again).
 //
 // Fault injection for the crash tests: APGAS_LAUNCH_KILL_PLACE=<p> (with
 // optional APGAS_LAUNCH_KILL_AFTER_MS, default 0) SIGKILLs place p once the
@@ -68,7 +71,7 @@ namespace apgas::launcher {
 struct SocketWiring {
   int place = -1;
   std::vector<int> peer_fds;  ///< indexed by place; -1 for self
-  int ctrl_fd = -1;           ///< status/quiescence channel to the supervisor
+  int ctrl_fd = -1;           ///< status/teardown channel to the supervisor
 };
 
 /// Forks the mesh and supervises it (see file comment). Returns normally
@@ -102,6 +105,17 @@ std::vector<std::int64_t> child_clock_handshake(int ctrl_fd, int places);
 /// any drift-phase 'C' probes it encounters. Returns true once 'G' arrived.
 /// A dead supervisor exits the child immediately.
 bool child_poll_go(int ctrl_fd);
+
+/// A child's 'Q' payload: for every place q, the frames this place sent to q
+/// and received from q (two native-endian u64 per place; 0 for itself).
+std::string encode_frame_counts(int places,
+                                const std::vector<x10rt::BackendPeerDiag>& diag);
+
+/// The supervisor's release test: true when every place has reported
+/// (`reports[p]` is place p's latest 'Q' payload, empty before its first)
+/// and, for every ordered pair, q's received-from-p count equals p's
+/// sent-to-q count.
+bool frame_counts_balanced(const std::vector<std::string>& reports);
 
 /// Inserts ".pN" before the path's extension ("m.json" -> "m.p2.json") so
 /// every place process writes its own metrics/trace files.

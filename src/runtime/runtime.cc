@@ -319,26 +319,6 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
   tc.places = cfg_.places;
   tc.chaos = cfg_.chaos;
   tc.count_pairs = cfg_.count_pairs;
-  // Reliability sublayer knobs + observability hooks (docs/transport.md
-  // "Reliability"): timeouts land in the flight recorder, ack latencies of
-  // retransmitted sequences in the retx.ack_latency_ns histogram.
-  tc.retx_timeout_us = cfg_.retx_timeout_us;
-  tc.retx_backoff_max_us = cfg_.retx_backoff_max_us;
-  tc.retx_ack_idle_us = cfg_.retx_ack_idle_us;
-  if (cfg_.retx_timeout_us > 0) {
-    tc.retx_timeout_hook = [](int src, int dst, std::uint64_t seq,
-                              std::uint32_t attempt) {
-      trace::emit_at(src, trace::Ev::kRetxTimeout, seq,
-                     (static_cast<std::uint64_t>(attempt) << 32) |
-                         static_cast<std::uint32_t>(dst));
-    };
-    Histogram* retx_hist = &metrics_->histogram("retx.ack_latency_ns");
-    tc.retx_acked_hook = [retx_hist](int /*src*/, int /*dst*/,
-                                     std::uint64_t latency_ns,
-                                     std::uint32_t /*attempts*/) {
-      if (hist::enabled()) retx_hist->record(latency_ns);
-    };
-  }
   transport_ = std::make_unique<x10rt::Transport>(tc);
   if (wiring != nullptr) local_place_ = wiring->place;
   hist_ship_frame_ = &metrics_->histogram("task.ship_ns");
@@ -351,11 +331,6 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
     auto ps = std::make_unique<PlaceState>();
     ps->sched = std::make_unique<Scheduler>(*this, p);
     ps->sched->add_idle_hook([this, p] { fin_flush_all_dirty(*this, p); });
-    if (cfg_.retx_timeout_us > 0) {
-      // An idle place retransmits its timed-out traffic and settles owed
-      // acks without waiting for the next poll tick.
-      ps->sched->add_idle_hook([this, p] { transport_->retx_pump(p); });
-    }
     pstates_.push_back(std::move(ps));
   }
 
@@ -441,20 +416,7 @@ void Runtime::register_transport_gauges() {
   metrics_->add_gauge("transport.pool.dropped",
                       [tr] { return tr->pool().dropped(); });
 
-  // Reliability sublayer + chaos injection (docs/transport.md "Reliability").
-  metrics_->add_gauge("transport.retx.sent", [tr] { return tr->retx_sent(); });
-  metrics_->add_gauge("transport.retx.acked",
-                      [tr] { return tr->retx_acked(); });
-  metrics_->add_gauge("transport.retx.retransmits",
-                      [tr] { return tr->retx_retransmits(); });
-  metrics_->add_gauge("transport.retx.dups_dropped",
-                      [tr] { return tr->retx_dups_dropped(); });
-  metrics_->add_gauge("transport.retx.standalone_acks",
-                      [tr] { return tr->retx_standalone_acks(); });
-  metrics_->add_gauge("transport.chaos.dropped",
-                      [tr] { return tr->chaos_dropped(); });
-  metrics_->add_gauge("transport.chaos.duped",
-                      [tr] { return tr->chaos_duped(); });
+  // Chaos delay shaping that saturated off (docs/transport.md "Chaos").
   metrics_->add_gauge("transport.chaos.bypass",
                       [tr] { return tr->chaos_bypass(); });
 
@@ -477,22 +439,17 @@ void Runtime::finalize_observability() {
   // finish closes. Running their handlers here lets them be classified
   // (applied/stale) instead of vanishing with the inboxes, which is what
   // makes `snapshots.sent == applied + stale` an exact teardown invariant.
+  // A handler may message another local place, so sweep until a whole pass
+  // makes no progress.
   const int saved_place = detail::tl_place;
   for (bool progressed = true; progressed;) {
     progressed = false;
     for (int p = 0; p < cfg_.places; ++p) {
       if (!place_is_local(p)) continue;
       detail::tl_place = p;
-      // Reliability fixpoint: force-retransmit every unacked entry and ship
-      // every owed ack. The force pump reports > 0 while any entry is
-      // unacked, so the drain cannot stop before the all-acked state — and
-      // an ack-only message never creates new debt, so it does terminate.
-      if (transport_->retx_pump(p, /*force=*/true) > 0) progressed = true;
       while (sched(p).step()) progressed = true;
     }
   }
-  assert(transport_->retx_quiescent() &&
-         "teardown drain must reach the all-acked fixpoint");
   detail::tl_place = saved_place;
   detail::store_last_metrics(metrics_->snapshot());
   hist::set_enabled(false);
@@ -590,40 +547,26 @@ void Runtime::run(const Config& cfg, std::function<void()> main) {
   current_ = nullptr;
 }
 
-bool Runtime::drain_local_pass() {
+std::optional<std::string> Runtime::idle_frame_counts() {
   const int p = local_place_;
+  // Read the counts first, then drain: if the drain makes no progress, no
+  // handler ran after the read, so every frame counted as received has
+  // already run and no send is missing from the sent counts.
+  const std::vector<x10rt::BackendPeerDiag> diag = transport_->backend_diag();
   bool progressed = false;
-  // Non-force pump: retransmits respect their timers and owed acks ship
-  // once aged (retx_ack_idle_us), so two peers looping this cannot feed
-  // each other a force-retransmit storm while they wait on the barrier.
-  if (transport_->retx_pump(p, /*force=*/false) > 0) progressed = true;
   while (sched(p).step()) progressed = true;
   transport_->backend_flush();
-  return progressed;
-}
-
-void Runtime::drain_local_fixpoint() {
-  const int p = local_place_;
-  for (;;) {
-    if (drain_local_pass()) continue;
-    if (transport_->retx_quiescent() && transport_->recv_all_acked(p) &&
-        transport_->inbox_depth(p) == 0 && transport_->backend_tx_drained()) {
-      return;
-    }
-    // Waiting on a peer's ack or retransmit; the backend I/O thread will
-    // deliver it — don't burn the core.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  if (progressed || transport_->inbox_depth(p) != 0 ||
+      !transport_->backend_tx_drained()) {
+    return std::nullopt;
   }
+  return launcher::encode_frame_counts(cfg_.places, diag);
 }
 
 int Runtime::run_child(const Config& cfg, std::function<void()> main,
                        const launcher::SocketWiring& wiring) {
   assert(current_ == nullptr && "only one APGAS runtime may be live");
   Config c = cfg;
-  // Socket mode always arms reliability: cross-process teardown is defined
-  // as the all-acked fixpoint, which needs acks to exist. (Chaos drop/dup
-  // would force this anyway; a clean wire just inherits the same contract.)
-  if (c.retx_timeout_us == 0) c.retx_timeout_us = 1000;
   // Per-place metrics files so the place processes don't clobber one
   // another; the parent writes the aggregate under the original name. Traces
   // are different: the child keeps the flight recorder armed but writes no
@@ -692,19 +635,25 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
   }
   for (auto& t : workers) t.join();
   if (watchdog) watchdog->stop();
-  // Stop the sampler (it emits one final frame) before 'Q': after 'Q' the
-  // only upstream traffic may be the drift-probe echoes and then 'M'/'R'.
+  // Stop the sampler (it emits one final frame) before the first 'Q': after
+  // it the only upstream traffic may be further 'Q' reports, the
+  // drift-probe echoes and then 'M'/'R'.
   if (tele) tele->stop();
 
-  // Quiescence barrier: drain to the local all-acked fixpoint, report 'Q',
-  // then keep serving retransmits/acks for slower peers until the
-  // supervisor releases everyone with 'G' (answering drift-phase clock
-  // probes along the way).
-  rt.drain_local_fixpoint();
-  ctrl.send_frame('Q', {});
-  while (!launcher::child_poll_go(wiring.ctrl_fd)) {
-    rt.drain_local_pass();
-  }
+  // Teardown barrier (docs/transport.md "Teardown: channel counting"):
+  // whenever the place is idle and its frame counts differ from the last
+  // report, report 'Q' with them; keep draining, since a slower peer may
+  // still send, until the supervisor has balanced every channel and
+  // releases everyone with 'G' (answering drift-phase clock probes along
+  // the way).
+  std::string reported;
+  do {
+    if (std::optional<std::string> counts = rt.idle_frame_counts();
+        counts && *counts != reported) {
+      ctrl.send_frame('Q', *counts);
+      reported = std::move(*counts);
+    }
+  } while (!launcher::child_poll_go(wiring.ctrl_fd));
 
   // Capture the flight recorder *before* finalize_observability shuts it
   // down; the supervisor rebases these events into its own clock domain and

@@ -13,6 +13,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -93,7 +95,7 @@ class Runtime {
   /// Internal: entry point of one forked place process (launcher.cc calls
   /// this right after fork). Builds a Runtime over a SocketBackend, runs the
   /// place (place 0 additionally drives `main` and broadcasts shutdown),
-  /// participates in the quiescence barrier, and ships the metrics blob.
+  /// participates in the teardown barrier, and ships the metrics blob.
   static int run_child(const Config& cfg, std::function<void()> main,
                        const launcher::SocketWiring& wiring);
 
@@ -202,11 +204,13 @@ class Runtime {
   ~Runtime();
   void worker_loop(int place, int wid);
   void register_transport_gauges();
-  /// Drives the local place to its all-acked fixpoint: no queued inbox
-  /// messages, no unacked sends, no owed acks, backend tx drained. One
-  /// `pass` is non-blocking; the child barrier loops it.
-  bool drain_local_pass();
-  void drain_local_fixpoint();
+  /// Drains the local place (steps its scheduler until it makes no
+  /// progress, pushes the backend's tx backlog) and returns the teardown
+  /// barrier's idle reading (docs/transport.md "Teardown: channel
+  /// counting"): the per-peer frame counts, encoded for a 'Q' report, when
+  /// the drain after reading them made no progress and left the inbox, the
+  /// chaos pool and the tx backlog empty; nullopt otherwise.
+  std::optional<std::string> idle_frame_counts();
   /// After workers join: snapshot metrics for last_run_metrics(), write the
   /// configured trace/metrics files, tear down the flight recorder.
   void finalize_observability();

@@ -14,11 +14,17 @@ namespace telemetry {
 namespace {
 
 // Everything apgas_top's columns need: task/steal/park rates from the
-// per-place scheduler counters, ship counts, retransmit traffic, GLB
+// per-place scheduler counters, ship counts, socket frames sent, GLB
 // steals, and the task latency histograms.
 const char* const kDefaultPrefixes[] = {
-    "sched.", "runtime.", "finish.opened", "finish.closed", "transport.retx.",
-    "glb.",   "hist.task.", "hist.activity.",
+    "sched.",
+    "runtime.",
+    "finish.opened",
+    "finish.closed",
+    "transport.backend.frames_sent",
+    "glb.",
+    "hist.task.",
+    "hist.activity.",
 };
 
 void append_json_escaped(std::string& out, std::string_view s) {
@@ -91,7 +97,7 @@ std::string make_frame(int place, std::uint64_t seq, std::uint64_t t_ms,
   for (const auto& [key, val] : snap) {
     if (is_absolute_key(key) || !key_selected(key, prefixes)) continue;
     std::uint64_t& last = prev[key];
-    // Gauges can legitimately move down (e.g. retx.unacked); emit signed.
+    // Gauges can legitimately move down; emit signed.
     const auto delta =
         static_cast<std::int64_t>(val) - static_cast<std::int64_t>(last);
     last = val;

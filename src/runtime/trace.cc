@@ -36,7 +36,6 @@ constexpr std::array<const char*, kNumEv> kEvNames = {
     "team",            // kTeamEnd
     "sched.steal",     // kSchedSteal
     "sched.overflow",  // kSchedOverflow
-    "retx.timeout",    // kRetxTimeout
 };
 
 constexpr bool all_events_named() {
@@ -231,7 +230,7 @@ namespace {
 
 constexpr std::uint32_t kBlobMagic = 0x41504754u;  // "APGT"
 // Blobs carry raw Ev ids, so the version moves whenever those ids shift.
-constexpr std::uint32_t kBlobVersion = 2;
+constexpr std::uint32_t kBlobVersion = 3;
 
 template <typename T>
 void put(std::string& out, T v) {

@@ -47,7 +47,6 @@ enum class Ev : std::uint8_t {
   kTeamEnd,          // a = collective op id, b = team id
   kSchedSteal,       // intra-place deque steal; a = thief worker, b = victim
   kSchedOverflow,    // overflow-inbox drain; a = draining worker (-1 = ext)
-  kRetxTimeout,      // retransmit fired; a = seq, b = attempt<<32 | dst
   kCount_,           // sentinel — keep last; name() is static_asserted to it
 };
 inline constexpr int kNumEv = static_cast<int>(Ev::kCount_);

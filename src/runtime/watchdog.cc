@@ -83,21 +83,17 @@ void Watchdog::diagnose(int stalled_intervals) const {
            " msgs=%" PRIu64 "\n",
            q, tr.inbox_depth(q), s.overflow_pending(), tr.sleepers(q),
            s.activities_executed(), s.messages_processed());
-    // Reliability sublayer: a stall with unacked retransmit queues usually
-    // means the loss/ack loop, not the protocols, is the thing to look at.
-    for (const auto& d : tr.retx_unacked(q)) {
-      append("    retx %d->%d: oldest_unacked_seq=%" PRIu64 " age=%" PRIu64
-             "us depth=%zu\n",
-             q, d.dst, d.oldest_seq, d.age_ns / 1000, d.depth);
-    }
   }
-  // Socket backend: per-peer queue depths. Bytes stuck in tx_pending mean
-  // the peer stopped reading (or died); a fat rx buffer means we are the
-  // slow consumer.
+  // Socket backend: per-peer queue depths and frame counts. Bytes stuck in
+  // tx_pending mean the peer stopped reading (or died); a fat rx buffer
+  // means we are the slow consumer. The counts pair up with the peer's own
+  // line (our sent against its received) to show frames still in flight.
   for (const auto& d : tr.backend_diag()) {
-    append("  socket peer %d: tx_pending=%zu rx_buffered=%zu\n", d.peer,
-           static_cast<std::size_t>(d.tx_pending_bytes),
-           static_cast<std::size_t>(d.rx_buffered_bytes));
+    append("  socket peer %d: tx_pending=%zu rx_buffered=%zu frames_sent=%"
+           PRIu64 " frames_received=%" PRIu64 "\n",
+           d.peer, static_cast<std::size_t>(d.tx_pending_bytes),
+           static_cast<std::size_t>(d.rx_buffered_bytes), d.frames_sent,
+           d.frames_received);
   }
 
   // Open finishes: count them and name the oldest (lowest seq; ties broken

@@ -7,9 +7,10 @@
 // APGAS_WATCHDOG_MS) that snapshots the runtime's monotone progress counters
 // every interval. When *none* of them advances for N consecutive intervals it
 // dumps one human-readable diagnosis to stderr — per-place queue depths and
-// scheduler totals, the oldest open finish (seq + protocol), unacked
-// retransmit queues, and the last few flight-recorder events — then stays quiet until
-// progress resumes (one report per distinct stall, not one per interval).
+// scheduler totals, the oldest open finish (seq + protocol), per-peer socket
+// queues and frame counts, and the last few flight-recorder events — then
+// stays quiet until progress resumes (one report per distinct stall, not one
+// per interval).
 //
 // Only monotone counters participate in stall detection: oscillating signals
 // (parked workers, inbox depth) would read as "progress" while the job spins

@@ -1,8 +1,9 @@
 // Backend: the wire under the Transport.
 //
-// Transport owns everything protocol-shaped — sequencing, ack/retransmit,
-// dedup, chaos injection — and a Backend only moves opaque byte frames
-// between places. Two implementations exist:
+// Transport owns everything protocol-shaped — framing, dispatch, chaos
+// injection — and a Backend only moves opaque byte frames between places.
+// Both wires are lossless and FIFO per peer, so no layer above them acks,
+// retransmits or dedups. Two implementations exist:
 //
 //   * InProcBackend (default): all places share the process, messages hop
 //     between inboxes as Message values and no frame is ever encoded. send_frame
@@ -35,11 +36,17 @@ struct BackendStats {
   std::uint64_t bytes_received = 0;
 };
 
-/// Per-peer queue depths for the watchdog's stall diagnosis.
+/// Per-peer queue depths and frame counts: the watchdog's stall diagnosis
+/// and the cross-process teardown barrier (docs/transport.md "Teardown").
 struct BackendPeerDiag {
   int peer = -1;
   std::size_t tx_pending_bytes = 0;  ///< encoded bytes waiting for POLLOUT
   std::size_t rx_buffered_bytes = 0; ///< received bytes not yet a full frame
+  /// Frames handed to send_frame for this peer.
+  std::uint64_t frames_sent = 0;
+  /// Frames from this peer that the sink has already taken (a frame counts
+  /// only once it sits in the local inbox).
+  std::uint64_t frames_received = 0;
 };
 
 class Backend {

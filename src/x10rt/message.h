@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace x10rt {
@@ -40,36 +39,20 @@ inline const char* msg_type_name(MsgType t) {
   return "?";
 }
 
-/// Reliability-header flags on a Message (the `rflags` field). Only the
-/// transport's reliability sublayer reads them; they are all zero when the
-/// layer is disabled.
-inline constexpr std::uint8_t kMsgHasAck = 1;  ///< `ack` field is valid
-inline constexpr std::uint8_t kMsgAckOnly = 2; ///< standalone ack, no body
-/// Arrived from another process; `src` is the peer (Transport::dispatch_peer).
-inline constexpr std::uint8_t kMsgXProc = 8;
-
 /// A registered active-message handler id (Transport::register_am) plus the
 /// payload bytes it is invoked with, and the header the transport keeps. The
-/// destination scheduler runs it with Transport::dispatch. Copies — the
-/// reliability layer's retained retransmit copy, chaos duplicates — share
-/// one payload, and dedup lets at most one of them be dispatched.
+/// destination scheduler runs it with Transport::dispatch, which moves the
+/// payload into the handler's buffer: every message is delivered exactly
+/// once, so nothing else ever holds its bytes.
 struct Message {
-  int handler = -1;  // unused for standalone acks
-  // Handler args.
-  std::shared_ptr<std::vector<std::byte>> payload;
+  int handler = -1;
+  std::vector<std::byte> payload;  // handler args
   MsgType type = MsgType::kOther;
   std::size_t bytes = 0;
   int src = -1;
-  // --- reliability header (docs/transport.md "Reliability") ----------------
-  // Per-(src,dst) monotone sequence number, stamped by the transport when the
-  // reliability sublayer is armed. 0 = unsequenced: the message bypasses
-  // ack/retransmit/dedup entirely (the layer off, standalone acks, or an
-  // anonymous source) and chaos never drops or duplicates it.
-  std::uint64_t seq = 0;
-  // Cumulative ack piggybacked for the reverse direction: "src has delivered
-  // every sequence <= ack of dst's traffic". Valid iff rflags & kMsgHasAck.
-  std::uint64_t ack = 0;
-  std::uint8_t rflags = 0;  // kMsgHasAck | kMsgAckOnly | kMsgXProc
+  /// Arrived from another process; `src` is the peer
+  /// (Transport::dispatch_peer).
+  bool xproc = false;
 };
 
 }  // namespace x10rt

@@ -7,6 +7,7 @@
 // the benches measure coalescing/compression factors the way the paper does.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -200,7 +201,10 @@ struct Ser<std::vector<T>> {
     } else {
       const auto n = b.get<std::uint32_t>();
       std::vector<T> v;
-      v.reserve(n);
+      // The count is wire input: reserve no more elements than there are
+      // bytes left, so a corrupt count fails on the element reads below
+      // instead of sizing a huge allocation.
+      v.reserve(std::min<std::size_t>(n, b.remaining()));
       for (std::uint32_t i = 0; i < n; ++i) v.push_back(Ser<T>::get(b));
       return v;
     }

@@ -89,6 +89,7 @@ void SocketBackend::send_frame(int dst, std::vector<std::uint8_t> frame) {
   Peer& p = *peers_[dst];
   const std::size_t n = frame.size();
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  p.frames_sent.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(n, std::memory_order_relaxed);
   std::scoped_lock lk(p.tx_mu);
   if (p.tx_pending.empty()) {
@@ -185,8 +186,11 @@ void SocketBackend::read_ready(int peer, Peer& p) {
       std::abort();
     }
     if (p.rx.size() - pos - frame::kLengthPrefixBytes < len) break;
-    frames_recv_.fetch_add(1, std::memory_order_relaxed);
     sink_(peer, p.rx.data() + pos + frame::kLengthPrefixBytes, len);
+    // Counted only once the frame sits in the inbox: a place that reads its
+    // counts and then finds its inbox empty has run every counted frame.
+    frames_recv_.fetch_add(1, std::memory_order_relaxed);
+    p.frames_received.fetch_add(1, std::memory_order_release);
     pos += frame::kLengthPrefixBytes + len;
   }
   p.rx.erase(p.rx.begin(), p.rx.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -251,9 +255,13 @@ std::vector<BackendPeerDiag> SocketBackend::diag() const {
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     const Peer& p = *peers_[i];
     if (p.fd < 0) continue;
-    out.push_back({static_cast<int>(i),
-                   p.tx_pending_bytes.load(std::memory_order_relaxed),
-                   p.rx_buffered.load(std::memory_order_relaxed)});
+    BackendPeerDiag d;
+    d.peer = static_cast<int>(i);
+    d.tx_pending_bytes = p.tx_pending_bytes.load(std::memory_order_relaxed);
+    d.rx_buffered_bytes = p.rx_buffered.load(std::memory_order_relaxed);
+    d.frames_sent = p.frames_sent.load(std::memory_order_relaxed);
+    d.frames_received = p.frames_received.load(std::memory_order_acquire);
+    out.push_back(d);
   }
   return out;
 }

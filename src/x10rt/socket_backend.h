@@ -7,10 +7,12 @@
 // to the sink; POLLOUT drains the per-peer tx backlog that non-blocking
 // sends could not write inline.
 //
-// The backend is a dumb pipe on purpose: loss, duplication, reordering and
-// retransmission are the Transport's business (and its chaos layer still
-// injects faults at the *receiving* inbox, identically to the in-process
-// backend). The one check the backend does make is framing sanity — a
+// The backend is a dumb pipe on purpose: a stream socket is lossless and
+// FIFO, and reordering is the Transport's business (its chaos layer injects
+// it at the *receiving* inbox, identically to the in-process backend). The
+// backend counts frames per peer in each direction; cross-process teardown
+// balances those counts (docs/transport.md "Teardown: channel counting").
+// The one check the backend does make is framing sanity — a
 // length prefix outside [header, kMaxFrameBytes] means the stream is
 // corrupt beyond recovery and aborts immediately rather than resynchronize
 // on attacker-controlled bytes.
@@ -56,6 +58,8 @@ class SocketBackend final : public Backend {
     std::vector<std::uint8_t> rx;  // I/O thread only
     std::atomic<std::size_t> rx_buffered{0};  // mirror of rx.size() for diag
     bool open = true;  // I/O thread only: false after EOF/reset
+    std::atomic<std::uint64_t> frames_sent{0};
+    std::atomic<std::uint64_t> frames_received{0};  // after the sink returns
   };
 
   void io_loop();

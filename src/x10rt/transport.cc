@@ -13,20 +13,8 @@
 namespace x10rt {
 
 namespace {
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Transport::dispatch_peer() for the handler running on this thread.
 thread_local int tl_dispatch_peer = -1;
-
-/// Wraps a payload so every copy of its Message shares one buffer.
-std::shared_ptr<std::vector<std::byte>> share(std::vector<std::byte> bytes) {
-  return std::make_shared<std::vector<std::byte>>(std::move(bytes));
-}
 }  // namespace
 
 Transport::Transport(TransportConfig cfg)
@@ -35,42 +23,11 @@ Transport::Transport(TransportConfig cfg)
       ranges_(static_cast<std::size_t>(cfg.places)),
       rdma_(static_cast<std::size_t>(cfg.places)) {
   assert(cfg_.places >= 1);
-  if (cfg_.chaos.lossy() && !reliability_enabled()) {
-    // A lost message with no retransmit layer wedges every finish protocol
-    // forever; refuse the configuration loudly instead of hanging silently.
-    std::fprintf(stderr,
-                 "[x10rt] fatal: chaos drop/dup injection requires the "
-                 "reliability sublayer (set retx_timeout_us > 0 / "
-                 "APGAS_RETX_TIMEOUT_US)\n");
-    std::abort();
-  }
   inboxes_.reserve(static_cast<std::size_t>(cfg_.places));
   for (int p = 0; p < cfg_.places; ++p) {
     auto box = std::make_unique<Inbox>();
     box->rng.seed(cfg_.chaos.seed + static_cast<std::uint64_t>(p) * 0x2545F4914F6CDD1DULL);
     inboxes_.push_back(std::move(box));
-  }
-  if (reliability_enabled()) {
-    retx_.reserve(static_cast<std::size_t>(cfg_.places));
-    recv_.reserve(static_cast<std::size_t>(cfg_.places));
-    retx_next_pump_.reserve(static_cast<std::size_t>(cfg_.places));
-    for (int p = 0; p < cfg_.places; ++p) {
-      auto rs = std::make_unique<RetxShard>();
-      rs->per_dst.resize(static_cast<std::size_t>(cfg_.places));
-      retx_.push_back(std::move(rs));
-      auto rv = std::make_unique<RecvShard>();
-      rv->per_src.resize(static_cast<std::size_t>(cfg_.places));
-      recv_.push_back(std::move(rv));
-      retx_next_pump_.push_back(
-          std::make_unique<std::atomic<std::uint64_t>>(0));
-    }
-    // Pump from the poll hot path often enough that neither a retransmit
-    // timer nor an ack-idle deadline slips by a whole interval.
-    const std::uint64_t tick_us =
-        std::min(cfg_.retx_timeout_us, std::max<std::uint64_t>(
-                                           cfg_.retx_ack_idle_us, 1)) /
-        2;
-    retx_pump_interval_ns_ = std::max<std::uint64_t>(tick_us, 1) * 1000;
   }
   if (cfg_.count_pairs) {
     pair_counts_ = std::vector<std::atomic<std::uint64_t>>(
@@ -85,7 +42,7 @@ Transport::Transport(TransportConfig cfg)
 
 Transport::~Transport() {
   // Stop the backend's I/O thread first: no deliver_frame may run while the
-  // inboxes and shards below it are being torn down.
+  // inboxes below it are being torn down.
   backend_->stop();
   {
     std::scoped_lock lock(dma_mu_);
@@ -96,32 +53,6 @@ Transport::~Transport() {
 }
 
 void Transport::enqueue_locked(Inbox& box, Message&& m) {
-  // Chaos dup injection: only sequenced messages (the reliability layer is
-  // armed, so the receiver dedups one of the copies). The injected copy goes
-  // through the same drop/delay gauntlet as the original, independently.
-  if (m.seq != 0 && cfg_.chaos.dup_prob > 0.0) {
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    if (u(box.rng) < cfg_.chaos.dup_prob) {
-      chaos_duped_.fetch_add(1, std::memory_order_relaxed);
-      Message copy = m;
-      enqueue_copy_locked(box, std::move(copy));
-    }
-  }
-  enqueue_copy_locked(box, std::move(m));
-}
-
-void Transport::enqueue_copy_locked(Inbox& box, Message&& m) {
-  // Chaos drop injection: discard sequenced messages at the wire; the
-  // sender's retransmit queue still holds a copy, so delivery is delayed,
-  // not lost. Unsequenced messages (layer off, standalone acks) never drop.
-  if (m.seq != 0 && cfg_.chaos.drop_prob > 0.0) {
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    if (u(box.rng) < cfg_.chaos.drop_prob) {
-      chaos_dropped_.fetch_add(1, std::memory_order_relaxed);
-      maybe_release_delayed_locked(box);
-      return;
-    }
-  }
   if (cfg_.chaos.delay_prob > 0.0) {
     if (box.delayed.size() < cfg_.chaos.max_delayed) {
       std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -172,17 +103,6 @@ void Transport::send(int dst, Message m) {
           .fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Reliability stamping: one branch when the layer is off (zero-cost
-  // passthrough). Anonymous sources (src < 0) cannot own a retransmit queue
-  // and ship unsequenced, exactly as before.
-  if (reliability_enabled() && m.src >= 0 && m.src < cfg_.places &&
-      !(m.rflags & kMsgAckOnly)) {
-    retx_stamp(dst, m);
-  }
-  wire_or_remote(dst, std::move(m));
-}
-
-void Transport::wire_or_remote(int dst, Message&& m) {
   if (multi_proc_ && dst != local_place_) {
     ship_remote(dst, std::move(m));
     return;
@@ -193,14 +113,6 @@ void Transport::wire_or_remote(int dst, Message&& m) {
 void Transport::attach_backend(std::unique_ptr<Backend> backend,
                                int local_place) {
   assert(backend && local_place >= 0 && local_place < cfg_.places);
-  if (backend->multi_process() && !reliability_enabled()) {
-    std::fprintf(stderr,
-                 "[x10rt] fatal: a multi-process backend requires the "
-                 "reliability sublayer (set retx_timeout_us > 0 / "
-                 "APGAS_RETX_TIMEOUT_US): cross-process teardown drives "
-                 "the retransmit queues to the all-acked fixpoint\n");
-    std::abort();
-  }
   backend_ = std::move(backend);
   multi_proc_ = backend_->multi_process();
   local_place_ = backend_->local_place();
@@ -211,26 +123,13 @@ void Transport::attach_backend(std::unique_ptr<Backend> backend,
 }
 
 void Transport::ship_remote(int dst, Message&& m) {
+  assert(m.handler >= 0 && "message without a handler");
   frame::Header h;
-  if ((m.rflags & kMsgAckOnly) != 0) {
-    h.kind = frame::Kind::kAckOnly;
-  } else {
-    assert(m.handler >= 0 && "message without a handler");
-    h.kind = frame::Kind::kAm;
-  }
-  h.rflags = m.rflags;
   h.type = m.type;
   h.src = m.src;
   h.handler = m.handler;
-  h.seq = m.seq;
-  h.ack = m.ack;
-  const std::byte* payload = nullptr;
-  std::size_t n = 0;
-  if (m.payload) {
-    payload = m.payload->data();
-    n = m.payload->size();
-  }
-  backend_->send_frame(dst, frame::encode(h, payload, n));
+  backend_->send_frame(dst,
+                       frame::encode(h, m.payload.data(), m.payload.size()));
 }
 
 void Transport::deliver_frame(int peer, const std::uint8_t* data,
@@ -248,31 +147,17 @@ void Transport::deliver_frame(int peer, const std::uint8_t* data,
     std::abort();
   }
   Message m;
+  m.handler = h.handler;
   m.type = h.type;
   m.src = h.src;
-  m.seq = h.seq;
-  m.ack = h.ack;
   m.bytes = h.payload_len;
-  m.rflags = static_cast<std::uint8_t>(h.rflags | kMsgXProc);
-  if (h.kind == frame::Kind::kAm) m.handler = h.handler;
-  if (h.kind != frame::Kind::kAckOnly) {
-    const auto* body = reinterpret_cast<const std::byte*>(data) +
-                       frame::kHeaderBytes;
-    m.payload = share(std::vector<std::byte>(body, body + h.payload_len));
-  }
-  // Into the *local* inbox: chaos injection, dedup at poll, and sleeper
-  // wakeup all apply exactly as for an in-process arrival.
+  m.xproc = true;
+  const auto* body =
+      reinterpret_cast<const std::byte*>(data) + frame::kHeaderBytes;
+  m.payload.assign(body, body + h.payload_len);
+  // Into the *local* inbox: chaos injection and sleeper wakeup apply
+  // exactly as for an in-process arrival.
   wire_deliver(local_place_, std::move(m));
-}
-
-bool Transport::recv_all_acked(int place) const {
-  if (!reliability_enabled() || place < 0 || place >= cfg_.places) return true;
-  auto& shard = *recv_[static_cast<std::size_t>(place)];
-  std::scoped_lock lock(shard.mu);
-  for (const auto& rp : shard.per_src) {
-    if (rp.cum > rp.acked_sent) return false;
-  }
-  return true;
 }
 
 void Transport::wire_deliver(int dst, Message m) {
@@ -288,239 +173,6 @@ void Transport::wire_deliver(int dst, Message m) {
   if (box.sleepers.load(std::memory_order_relaxed) > 0) box.cv.notify_one();
 }
 
-void Transport::retx_stamp(int dst, Message& m) {
-  const int src = m.src;
-  const std::uint64_t now = mono_ns();
-  {
-    auto& shard = *retx_[static_cast<std::size_t>(src)];
-    std::scoped_lock lock(shard.mu);
-    auto& pair = shard.per_dst[static_cast<std::size_t>(dst)];
-    m.seq = ++pair.next_seq;
-    RetxEntry e;
-    e.first_send_ns = now;
-    e.backoff_us = cfg_.retx_timeout_us;
-    e.next_retx_ns = now + e.backoff_us * 1000;
-    e.attempts = 1;
-    // Retained after the seq is stamped; the piggybacked ack below is *not*
-    // part of the retained copy — retransmits refresh it at pump time.
-    e.copy = m;
-    pair.unacked.emplace(m.seq, std::move(e));
-  }
-  retx_sent_.fetch_add(1, std::memory_order_relaxed);
-  // Piggyback the cumulative ack for the reverse direction (dst -> src
-  // traffic delivered at src). Separate critical section: sender-shard and
-  // receiver-shard locks are never nested.
-  {
-    auto& shard = *recv_[static_cast<std::size_t>(src)];
-    std::scoped_lock lock(shard.mu);
-    auto& rp = shard.per_src[static_cast<std::size_t>(dst)];
-    m.ack = rp.cum;
-    m.rflags |= kMsgHasAck;
-    rp.acked_sent = rp.cum;
-    rp.owed_since_ns = 0;
-  }
-}
-
-bool Transport::retx_admit(int place, Message& m) {
-  const int peer = m.src;
-  if ((m.rflags & kMsgHasAck) != 0 && peer >= 0 && peer < cfg_.places) {
-    retx_process_ack(place, peer, m.ack);
-  }
-  if ((m.rflags & kMsgAckOnly) != 0) return false;  // consumed at admission
-  if (m.seq == 0) return true;                      // unsequenced passthrough
-  bool fresh = false;
-  {
-    auto& shard = *recv_[static_cast<std::size_t>(place)];
-    std::scoped_lock lock(shard.mu);
-    auto& rp = shard.per_src[static_cast<std::size_t>(peer)];
-    if (m.seq <= rp.cum || rp.above.count(m.seq) != 0) {
-      // Duplicate. Its arrival proves the sender has not seen our
-      // cumulative ack (a piggybacked ack can ride a dropped message), so
-      // roll the communicated mark back to force a re-ack — standalone acks
-      // are unsequenced and can never be dropped, so this guarantees the
-      // sender's retransmit queue eventually drains.
-      if (m.seq <= rp.cum && rp.acked_sent >= m.seq) {
-        rp.acked_sent = m.seq - 1;
-      }
-      if (rp.owed_since_ns == 0) rp.owed_since_ns = mono_ns();
-    } else {
-      fresh = true;
-      if (m.seq == rp.cum + 1) {
-        rp.cum = m.seq;
-        while (!rp.above.empty() && *rp.above.begin() == rp.cum + 1) {
-          rp.above.erase(rp.above.begin());
-          ++rp.cum;
-        }
-      } else {
-        rp.above.insert(m.seq);
-      }
-      if (rp.cum > rp.acked_sent && rp.owed_since_ns == 0) {
-        rp.owed_since_ns = mono_ns();
-      }
-    }
-  }
-  if (!fresh) {
-    retx_dups_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-void Transport::retx_process_ack(int place, int peer, std::uint64_t ack) {
-  struct AckedHook {
-    std::uint64_t latency_ns;
-    std::uint32_t attempts;
-  };
-  std::vector<AckedHook> hooked;
-  std::uint64_t n = 0;
-  {
-    auto& shard = *retx_[static_cast<std::size_t>(place)];
-    std::scoped_lock lock(shard.mu);
-    auto& pair = shard.per_dst[static_cast<std::size_t>(peer)];
-    if (ack <= pair.cum_acked) return;
-    pair.cum_acked = ack;
-    const std::uint64_t now =
-        (cfg_.retx_acked_hook && !pair.unacked.empty()) ? mono_ns() : 0;
-    auto it = pair.unacked.begin();
-    while (it != pair.unacked.end() && it->first <= ack) {
-      ++n;
-      if (it->second.attempts > 1 && cfg_.retx_acked_hook) {
-        const std::uint64_t lat =
-            now > it->second.first_send_ns ? now - it->second.first_send_ns : 1;
-        hooked.push_back({lat, it->second.attempts});
-      }
-      it = pair.unacked.erase(it);
-    }
-  }
-  if (n > 0) retx_acked_.fetch_add(n, std::memory_order_relaxed);
-  for (const auto& h : hooked) {
-    cfg_.retx_acked_hook(place, peer, h.latency_ns, h.attempts);
-  }
-}
-
-void Transport::retx_maybe_pump(int place) {
-  auto& next = *retx_next_pump_[static_cast<std::size_t>(place)];
-  const std::uint64_t now = mono_ns();
-  std::uint64_t prev = next.load(std::memory_order_relaxed);
-  if (now < prev) return;
-  // One poller wins the tick; everyone else skips — the pump itself takes
-  // the shard locks, so admission control here keeps the hot path cheap.
-  if (!next.compare_exchange_strong(prev, now + retx_pump_interval_ns_,
-                                    std::memory_order_relaxed)) {
-    return;
-  }
-  retx_pump(place, /*force=*/false);
-}
-
-std::size_t Transport::retx_pump(int place, bool force) {
-  if (!reliability_enabled() || place < 0 || place >= cfg_.places) return 0;
-  const std::uint64_t now = mono_ns();
-  // Phase 1: timed-out retransmits. Collect copies under the sender shard
-  // lock, refresh their piggybacked acks under the receiver shard lock, then
-  // put them on the wire with no shard lock held.
-  std::vector<std::pair<int, Message>> resend;
-  struct TimeoutHook {
-    int dst;
-    std::uint64_t seq;
-    std::uint32_t attempt;
-  };
-  std::vector<TimeoutHook> hooks;
-  {
-    auto& shard = *retx_[static_cast<std::size_t>(place)];
-    std::scoped_lock lock(shard.mu);
-    for (int d = 0; d < cfg_.places; ++d) {
-      auto& pair = shard.per_dst[static_cast<std::size_t>(d)];
-      for (auto& [seq, e] : pair.unacked) {
-        if (!force && e.next_retx_ns > now) continue;
-        if (cfg_.retx_timeout_hook) hooks.push_back({d, seq, e.attempts});
-        ++e.attempts;
-        e.backoff_us = std::min(e.backoff_us * 2, cfg_.retx_backoff_max_us);
-        e.next_retx_ns = now + e.backoff_us * 1000;
-        resend.emplace_back(d, e.copy);
-      }
-    }
-  }
-  // Phase 2: standalone acks for aged (or force-drained) ack debt. Only owed
-  // when cum > acked_sent, so the teardown force loop cannot ping-pong acks
-  // forever — an ack-only message never creates new debt at its receiver.
-  std::vector<std::pair<int, Message>> acks;
-  {
-    auto& shard = *recv_[static_cast<std::size_t>(place)];
-    std::scoped_lock lock(shard.mu);
-    for (int s = 0; s < cfg_.places; ++s) {
-      auto& rp = shard.per_src[static_cast<std::size_t>(s)];
-      if (rp.cum <= rp.acked_sent) continue;
-      const bool aged = rp.owed_since_ns != 0 &&
-                        now - rp.owed_since_ns >=
-                            cfg_.retx_ack_idle_us * 1000;
-      if (!force && !aged) continue;
-      Message a;
-      a.type = MsgType::kControl;
-      a.src = place;
-      a.ack = rp.cum;
-      a.rflags = kMsgHasAck | kMsgAckOnly;
-      acks.emplace_back(s, std::move(a));
-      rp.acked_sent = rp.cum;
-      rp.owed_since_ns = 0;
-    }
-    // Refresh the retransmits' piggybacked acks while the lock is held.
-    for (auto& [d, m] : resend) {
-      auto& rp = shard.per_src[static_cast<std::size_t>(d)];
-      m.ack = rp.cum;
-      m.rflags |= kMsgHasAck;
-      rp.acked_sent = std::max(rp.acked_sent, rp.cum);
-      if (rp.acked_sent == rp.cum) rp.owed_since_ns = 0;
-    }
-  }
-  for (const auto& h : hooks) {
-    cfg_.retx_timeout_hook(place, h.dst, h.seq, h.attempt);
-  }
-  if (!resend.empty()) {
-    retx_retransmits_.fetch_add(resend.size(), std::memory_order_relaxed);
-  }
-  if (!acks.empty()) {
-    retx_standalone_acks_.fetch_add(acks.size(), std::memory_order_relaxed);
-  }
-  const std::size_t produced = resend.size() + acks.size();
-  for (auto& [d, m] : resend) wire_or_remote(d, std::move(m));
-  for (auto& [s, a] : acks) wire_or_remote(s, std::move(a));
-  return produced;
-}
-
-bool Transport::retx_quiescent() const {
-  if (!reliability_enabled()) return true;
-  for (int p = 0; p < cfg_.places; ++p) {
-    auto& shard = *retx_[static_cast<std::size_t>(p)];
-    std::scoped_lock lock(shard.mu);
-    for (const auto& pair : shard.per_dst) {
-      if (!pair.unacked.empty()) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<Transport::RetxDiag> Transport::retx_unacked(int src) const {
-  std::vector<RetxDiag> out;
-  if (!reliability_enabled() || src < 0 || src >= cfg_.places) return out;
-  const std::uint64_t now = mono_ns();
-  auto& shard = *retx_[static_cast<std::size_t>(src)];
-  std::scoped_lock lock(shard.mu);
-  for (int d = 0; d < cfg_.places; ++d) {
-    const auto& pair = shard.per_dst[static_cast<std::size_t>(d)];
-    if (pair.unacked.empty()) continue;
-    const auto& oldest = *pair.unacked.begin();
-    RetxDiag diag;
-    diag.dst = d;
-    diag.oldest_seq = oldest.first;
-    diag.age_ns = now > oldest.second.first_send_ns
-                      ? now - oldest.second.first_send_ns
-                      : 0;
-    diag.depth = pair.unacked.size();
-    out.push_back(diag);
-  }
-  return out;
-}
-
 void Transport::release_one_delayed_locked(Inbox& box) {
   // Chaos must not withhold the last messages forever: once the queue runs
   // dry, one parked message is released before anything is taken.
@@ -531,58 +183,28 @@ void Transport::release_one_delayed_locked(Inbox& box) {
   box.delayed.erase(box.delayed.begin() + static_cast<std::ptrdiff_t>(j));
 }
 
-// With the reliability layer armed, admission (ack processing / dedup /
-// ack-only consumption) runs *outside* the inbox lock: it takes the
-// retx/recv shard locks, and a self-send from retx_pump otherwise forms an
-// inbox <-> shard ordering cycle. The time-gated pump is also lock-free to
-// enter.
-
 std::optional<Message> Transport::poll(int place) {
   auto& box = *inboxes_[static_cast<std::size_t>(place)];
-  if (reliability_enabled()) retx_maybe_pump(place);
-  for (;;) {
-    std::optional<Message> m;
-    {
-      std::scoped_lock lock(box.mu);
-      release_one_delayed_locked(box);
-      if (!box.queue.empty()) {
-        m = std::move(box.queue.front());
-        box.queue.pop_front();
-      }
-    }
-    if (!m || !reliability_enabled() || retx_admit(place, *m)) return m;
-    // Duplicate or standalone ack: consumed here, try the next message.
-  }
+  std::scoped_lock lock(box.mu);
+  release_one_delayed_locked(box);
+  if (box.queue.empty()) return std::nullopt;
+  std::optional<Message> m = std::move(box.queue.front());
+  box.queue.pop_front();
+  return m;
 }
 
 std::size_t Transport::poll_batch(int place, std::deque<Message>& out,
                                   std::size_t max) {
   auto& box = *inboxes_[static_cast<std::size_t>(place)];
-  if (reliability_enabled()) retx_maybe_pump(place);
-  // Callers treat a zero return as "inbox empty", so a batch that admits
-  // nothing — a retransmit storm of duplicates, or standalone acks — must
-  // not end the call while raw messages remain queued: keep taking batches
-  // until something is admitted or the queue is actually drained.
-  const std::size_t base = out.size();
-  for (;;) {
-    {
-      std::scoped_lock lock(box.mu);
-      release_one_delayed_locked(box);
-      while (out.size() - base < max && !box.queue.empty()) {
-        out.push_back(std::move(box.queue.front()));
-        box.queue.pop_front();
-      }
-    }
-    if (out.size() == base || !reliability_enabled()) return out.size() - base;
-    auto kept = out.begin() + static_cast<std::ptrdiff_t>(base);
-    for (auto it = kept; it != out.end(); ++it) {
-      if (!retx_admit(place, *it)) continue;
-      if (it != kept) *kept = std::move(*it);
-      ++kept;
-    }
-    out.erase(kept, out.end());
-    if (out.size() > base) return out.size() - base;
+  std::scoped_lock lock(box.mu);
+  release_one_delayed_locked(box);
+  std::size_t n = 0;
+  while (n < max && !box.queue.empty()) {
+    out.push_back(std::move(box.queue.front()));
+    box.queue.pop_front();
+    ++n;
   }
+  return n;
 }
 
 bool Transport::wait_nonempty(int place, std::chrono::microseconds timeout) {
@@ -695,7 +317,7 @@ void Transport::complete_dma(DmaOp& op) {
   // 0 accounted bytes.
   Message m;
   m.handler = op.on_complete.handler;
-  m.payload = share(op.on_complete.payload.take_data());
+  m.payload = op.on_complete.payload.take_data();
   m.type = MsgType::kRdma;
   m.src = op.initiator;
   send(op.initiator, std::move(m));
@@ -792,7 +414,7 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
   const std::size_t wire = payload.size() + sizeof(int);
   Message m;
   m.handler = handler;
-  m.payload = share(payload.take_data());
+  m.payload = payload.take_data();
   m.src = src;
   m.type = type;
   m.bytes = wire;
@@ -802,20 +424,9 @@ void Transport::send_am(int src, int dst, int handler, ByteBuffer payload,
 int Transport::dispatch_peer() { return tl_dispatch_peer; }
 
 void Transport::dispatch(Message& m) {
-  // The payload moves into the handler's buffer when this message is its
-  // only holder; a retained retransmit copy or a chaos duplicate may still
-  // share it, and then the handler gets a copy (shared bytes are immutable).
-  ByteBuffer buf;
-  if (m.payload) {
-    if (m.payload.use_count() == 1) {
-      buf = ByteBuffer{std::move(*m.payload)};
-    } else {
-      std::vector<std::byte> copy = pool_.acquire();
-      copy.assign(m.payload->begin(), m.payload->end());
-      buf = ByteBuffer{std::move(copy)};
-    }
-    m.payload.reset();
-  }
+  // The payload moves into the handler's buffer: a message is dispatched
+  // once and nothing else holds its bytes.
+  ByteBuffer buf{std::move(m.payload)};
   assert(m.handler >= 0 && m.handler < static_cast<int>(am_handlers_.size()) &&
          "dispatch of a message without a registered handler");
   struct PeerScope {
@@ -824,7 +435,7 @@ void Transport::dispatch(Message& m) {
       tl_dispatch_peer = peer;
     }
     ~PeerScope() { tl_dispatch_peer = saved; }
-  } scope((m.rflags & kMsgXProc) != 0 ? m.src : -1);
+  } scope(m.xproc ? m.src : -1);
   am_handlers_[static_cast<std::size_t>(m.handler)](buf);
   pool_.release(buf.take_data());
 }
@@ -895,13 +506,6 @@ void Transport::reset_stats() {
     slot.ops.store(0, std::memory_order_relaxed);
     slot.bytes.store(0, std::memory_order_relaxed);
   }
-  retx_sent_.store(0, std::memory_order_relaxed);
-  retx_acked_.store(0, std::memory_order_relaxed);
-  retx_retransmits_.store(0, std::memory_order_relaxed);
-  retx_dups_dropped_.store(0, std::memory_order_relaxed);
-  retx_standalone_acks_.store(0, std::memory_order_relaxed);
-  chaos_dropped_.store(0, std::memory_order_relaxed);
-  chaos_duped_.store(0, std::memory_order_relaxed);
   chaos_bypass_.store(0, std::memory_order_relaxed);
   for (auto& pc : pair_counts_) pc.store(0, std::memory_order_relaxed);
   for (auto& pc : ctrl_pair_counts_) pc.store(0, std::memory_order_relaxed);

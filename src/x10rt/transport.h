@@ -28,12 +28,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -46,25 +44,18 @@ namespace x10rt {
 
 /// Chaos injection: with probability `delay_prob` a message is parked in a
 /// side pool and released later in randomized order (delivery remains
-/// guaranteed: pollers drain the pool once the main queue is empty). With
-/// probability `drop_prob` a *sequenced* message is discarded at the wire and
-/// with `dup_prob` an independent duplicate is injected — both require the
-/// reliability sublayer (TransportConfig::retx_timeout_us > 0), which
-/// retransmits the loss and dedups the copy; unsequenced messages are never
-/// dropped or duplicated. All decisions come from the same deterministic
-/// per-destination-place RNG stream as the delay decision (seed + place *
-/// constant), so a (seed, probabilities) tuple names one adversary.
+/// guaranteed: pollers drain the pool once the main queue is empty). Chaos
+/// reorders and never loses or duplicates: both wires are lossless, and
+/// what the finish protocols must survive is control messages arriving out
+/// of order. Every decision comes from a deterministic per-destination-place
+/// RNG stream (seed + place * constant), so a (seed, delay_prob) pair names
+/// one adversary.
 struct ChaosConfig {
   double delay_prob = 0.0;
-  double drop_prob = 0.0;
-  double dup_prob = 0.0;
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   std::size_t max_delayed = 64;
 
-  [[nodiscard]] bool enabled() const {
-    return delay_prob > 0.0 || drop_prob > 0.0 || dup_prob > 0.0;
-  }
-  [[nodiscard]] bool lossy() const { return drop_prob > 0.0 || dup_prob > 0.0; }
+  [[nodiscard]] bool enabled() const { return delay_prob > 0.0; }
 };
 
 struct TransportConfig {
@@ -72,35 +63,6 @@ struct TransportConfig {
   ChaosConfig chaos;
   bool count_pairs = false;  ///< track per-(src,dst) message counts (O(P^2))
   int dma_threads = 1;       ///< RDMA engine threads (0 = synchronous RDMA)
-
-  // --- reliability sublayer (docs/transport.md "Reliability") --------------
-
-  /// Initial retransmit timeout in microseconds; 0 disables the reliability
-  /// sublayer entirely — every send is a zero-cost passthrough with wire
-  /// behavior bit-for-bit identical to the pre-reliability transport. When
-  /// > 0, every message from a real source place is stamped with a
-  /// per-(src,dst) sequence number, retained for retransmission until
-  /// cumulatively acked, and deduplicated at the receiver.
-  std::uint64_t retx_timeout_us = 0;
-  /// Retransmit backoff cap: the per-entry timeout doubles after each
-  /// retransmission up to this many microseconds.
-  std::uint64_t retx_backoff_max_us = 50'000;
-  /// A receiver owing an ack (delivered sequences not yet communicated) with
-  /// no reverse traffic to piggyback on sends a standalone ack once the debt
-  /// is this many microseconds old.
-  std::uint64_t retx_ack_idle_us = 200;
-  /// Observability callback fired when a retransmit timer expires (before the
-  /// copy is re-sent). `attempt` counts sends of this sequence so far (1 =
-  /// the original). The runtime wires this to the retx.timeout trace event.
-  std::function<void(int src, int dst, std::uint64_t seq,
-                     std::uint32_t attempt)>
-      retx_timeout_hook;
-  /// Observability callback fired when a sequence that needed at least one
-  /// retransmission is finally acked; `latency_ns` spans first send -> ack.
-  /// The runtime records it into the retx.ack_latency_ns histogram.
-  std::function<void(int src, int dst, std::uint64_t latency_ns,
-                     std::uint32_t attempts)>
-      retx_acked_hook;
 };
 
 /// An RDMA completion (Transport::put/get): a registered handler plus its
@@ -130,9 +92,7 @@ class Transport {
   /// hosts: sends to it keep the in-process fast path, sends to every other
   /// place are encoded into frames and shipped through the backend, and
   /// inbound frames are delivered into the local inbox (so chaos injection
-  /// and sleeper wakeups behave identically on both backends). Requires the
-  /// reliability sublayer: teardown across processes is driven to the
-  /// all-acked fixpoint, which needs acks to exist.
+  /// and sleeper wakeups behave identically on both backends).
   void attach_backend(std::unique_ptr<Backend> backend, int local_place);
 
   /// True when places live in separate processes.
@@ -154,15 +114,9 @@ class Transport {
     return true;
   }
 
-  /// Receiver-side half of the all-acked fixpoint: true when every sequence
-  /// delivered at `place` has been acked back to its sender (no owed ack
-  /// debt). Trivially true when the reliability layer is off.
-  [[nodiscard]] bool recv_all_acked(int place) const;
-
   /// Enqueues a ready-made message for place `dst`: counts it by class
-  /// (and by pair), stamps it when reliability is armed, and puts it on the
-  /// wire. `m.src` must be the sending place (used for stats and chaos
-  /// determinism).
+  /// (and by pair) and puts it on the wire. `m.src` must be the sending
+  /// place (used for stats and chaos determinism).
   void send(int dst, Message m);
 
   // --- registered active-message handlers ----------------------------------
@@ -296,58 +250,8 @@ class Transport {
   [[nodiscard]] std::uint64_t ctrl_pair_count(int src, int dst) const;
   [[nodiscard]] int max_ctrl_out_degree() const;
 
-  // --- Reliability sublayer (ack/retransmit/dedup) -------------------------
-
-  [[nodiscard]] bool reliability_enabled() const {
-    return cfg_.retx_timeout_us > 0;
-  }
-
-  /// Drives `place`'s share of the reliability protocol: retransmits every
-  /// timed-out unacked entry whose source is `place`, and sends standalone
-  /// acks for delivered-but-uncommunicated sequences whose ack debt has aged
-  /// past the idle threshold. With `force`, every unacked entry retransmits
-  /// immediately and every owed ack ships regardless of age — the teardown
-  /// quiescence driver uses this to reach the all-acked fixpoint. Returns
-  /// the number of wire messages produced (0 = nothing to do). Cheap no-op
-  /// when the layer is off. Poll paths call this on a time gate; the
-  /// scheduler idle hook and teardown call it directly.
-  std::size_t retx_pump(int place, bool force = false);
-
-  /// True when every sequenced message ever sent has been cumulatively
-  /// acked (no retransmit queue holds an entry). Trivially true when off.
-  [[nodiscard]] bool retx_quiescent() const;
-
-  /// Sequenced messages sent (originals only; retransmissions excluded).
-  [[nodiscard]] std::uint64_t retx_sent() const {
-    return retx_sent_.load(std::memory_order_relaxed);
-  }
-  /// Sequenced messages confirmed delivered by a cumulative ack.
-  [[nodiscard]] std::uint64_t retx_acked() const {
-    return retx_acked_.load(std::memory_order_relaxed);
-  }
-  /// Retransmitted copies put on the wire (timeout- or force-driven).
-  [[nodiscard]] std::uint64_t retx_retransmits() const {
-    return retx_retransmits_.load(std::memory_order_relaxed);
-  }
-  /// Duplicate deliveries suppressed by the receiver dedup window.
-  [[nodiscard]] std::uint64_t retx_dups_dropped() const {
-    return retx_dups_dropped_.load(std::memory_order_relaxed);
-  }
-  /// Standalone (non-piggybacked) ack messages sent.
-  [[nodiscard]] std::uint64_t retx_standalone_acks() const {
-    return retx_standalone_acks_.load(std::memory_order_relaxed);
-  }
-
   // --- Chaos statistics ----------------------------------------------------
 
-  /// Sequenced messages discarded at the wire by chaos drop injection.
-  [[nodiscard]] std::uint64_t chaos_dropped() const {
-    return chaos_dropped_.load(std::memory_order_relaxed);
-  }
-  /// Duplicate copies injected by chaos dup injection.
-  [[nodiscard]] std::uint64_t chaos_duped() const {
-    return chaos_duped_.load(std::memory_order_relaxed);
-  }
   /// Messages that bypassed delay shaping because the delayed pool was
   /// saturated at max_delayed — "passed under chaos" with this nonzero may
   /// mean "chaos was saturated off" (ISSUE 5 satellite).
@@ -356,18 +260,6 @@ class Transport {
   }
 
   // --- Introspection (stall watchdog diagnosis) ----------------------------
-
-  /// One unacked retransmit queue, as reported to the stall watchdog.
-  struct RetxDiag {
-    int dst = -1;
-    std::uint64_t oldest_seq = 0;  ///< lowest unacked sequence for the pair
-    std::uint64_t age_ns = 0;      ///< time since that sequence's first send
-    std::size_t depth = 0;         ///< unacked entries for the pair
-  };
-
-  /// Non-empty retransmit queues whose source is `src` (empty when the layer
-  /// is off). Takes the shard lock; diagnosis-path only.
-  [[nodiscard]] std::vector<RetxDiag> retx_unacked(int src) const;
 
   /// Messages currently parked in `place`'s inbox (queued + chaos-delayed).
   /// Takes the inbox lock; diagnosis-path only, not for hot paths.
@@ -397,73 +289,14 @@ class Transport {
     Completion on_complete;
   };
 
-  // --- reliability state ----------------------------------------------------
-  // Lock discipline: the sender shard lock, the receiver shard lock, and an
-  // inbox lock are never nested with one another — every reliability path
-  // takes them strictly sequentially — so no ordering cycle can form.
-
-  /// One unacked sequenced message retained by the sender.
-  struct RetxEntry {
-    Message copy;                   // independent copy; re-sent on timeout
-    std::uint64_t first_send_ns = 0;
-    std::uint64_t next_retx_ns = 0;
-    std::uint64_t backoff_us = 0;   // current timeout (doubles, capped)
-    std::uint32_t attempts = 1;     // sends so far (1 = original only)
-  };
-
-  /// Sender-side books for one (src, dst) direction, held at src.
-  struct RetxPair {
-    std::map<std::uint64_t, RetxEntry> unacked;  // seq -> entry
-    std::uint64_t next_seq = 0;                  // last assigned (first is 1)
-    std::uint64_t cum_acked = 0;                 // highest cumulative ack seen
-  };
-
-  /// All sender-side pairs originating at one place.
-  struct RetxShard {
-    mutable std::mutex mu;
-    std::vector<RetxPair> per_dst;
-  };
-
-  /// Receiver-side dedup window for one (src -> me) direction, held at me.
-  struct RecvPair {
-    std::uint64_t cum = 0;             // every seq <= cum delivered
-    std::set<std::uint64_t> above;     // delivered seqs > cum (gap survivors)
-    std::uint64_t acked_sent = 0;      // last cum communicated back to src
-    std::uint64_t owed_since_ns = 0;   // when the ack debt began (0 = none)
-  };
-
-  struct RecvShard {
-    mutable std::mutex mu;
-    std::vector<RecvPair> per_src;
-  };
-
-  /// Stamps seq (and the piggybacked cumulative ack) into `m` and retains a
-  /// retransmit copy. Reliability-armed sends only.
-  void retx_stamp(int dst, Message& m);
-  /// Receiver-side admission: processes the piggybacked ack, consumes
-  /// ack-only messages, and dedups sequenced ones. Returns false when the
-  /// message must not be delivered to the scheduler.
-  bool retx_admit(int place, Message& m);
-  /// Removes entries with seq <= ack for the (place -> peer) direction and
-  /// fires the acked hook for retransmitted ones.
-  void retx_process_ack(int place, int peer, std::uint64_t ack);
-  /// Time-gated retx_pump from the poll hot path.
-  void retx_maybe_pump(int place);
-
+  /// Chaos delay roll + inbox enqueue.
   void enqueue_locked(Inbox& box, Message&& m);
-  /// The per-copy half of enqueue_locked: chaos drop + delay for one wire
-  /// copy (dup injection happens in enqueue_locked before this).
-  void enqueue_copy_locked(Inbox& box, Message&& m);
   void maybe_release_delayed_locked(Inbox& box);
   /// Moves one randomly chosen chaos-delayed message to an empty queue.
   void release_one_delayed_locked(Inbox& box);
   /// The wire itself: chaos injection + inbox enqueue + sleeper-elided
-  /// notify. Retransmissions and standalone acks enter here directly (they
-  /// are wire artifacts, never re-stamped and never re-counted).
+  /// notify.
   void wire_deliver(int dst, Message m);
-  /// Routes a post-stamping message: local places go through wire_deliver,
-  /// remote places (multi-process backend) are encoded and shipped.
-  void wire_or_remote(int dst, Message&& m);
   /// Encodes `m` into a frame and hands it to the backend.
   void ship_remote(int dst, Message&& m);
   /// Backend sink: validates an inbound frame (abort on malformed input —
@@ -484,13 +317,6 @@ class Transport {
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<AmHandler> am_handlers_;
   BufferPool pool_;
-
-  // Reliability sublayer state (empty vectors when the layer is off).
-  std::vector<std::unique_ptr<RetxShard>> retx_;
-  std::vector<std::unique_ptr<RecvShard>> recv_;
-  /// Per-place next allowed pump time (monotone ns) for the poll-path gate.
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> retx_next_pump_;
-  std::uint64_t retx_pump_interval_ns_ = 0;
 
   // Registered memory ranges per place. Every one-sided op validates
   // against them, so readers take no lock: a table is append-only, and
@@ -518,13 +344,6 @@ class Transport {
   // Stats.
   std::atomic<std::uint64_t> counts_[kNumMsgTypes] = {};
   std::atomic<std::uint64_t> bytes_[kNumMsgTypes] = {};
-  std::atomic<std::uint64_t> retx_sent_{0};
-  std::atomic<std::uint64_t> retx_acked_{0};
-  std::atomic<std::uint64_t> retx_retransmits_{0};
-  std::atomic<std::uint64_t> retx_dups_dropped_{0};
-  std::atomic<std::uint64_t> retx_standalone_acks_{0};
-  std::atomic<std::uint64_t> chaos_dropped_{0};
-  std::atomic<std::uint64_t> chaos_duped_{0};
   std::atomic<std::uint64_t> chaos_bypass_{0};
   std::vector<std::atomic<std::uint64_t>> pair_counts_;  // P*P when enabled
   std::vector<std::atomic<std::uint64_t>> ctrl_pair_counts_;

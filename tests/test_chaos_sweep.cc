@@ -3,18 +3,14 @@
 // the transport) with >= 8 distinct seeds, asserting
 //   1. completion — the job finishes and every activity ran exactly once;
 //   2. exact accounting — the MetricsRegistry counters that describe
-//      protocol *structure* (tasks shipped, completions, credits, snapshot
-//      conservation) are identical across seeds: chaos may reshuffle timing
-//      arbitrarily, but never the books.
-// ISSUE 5 extends the matrix with a *lossy* dimension: the same jobs run
-// again with chaos actively dropping (5%) and duplicating (2%) sequenced
-// messages while the reliability sublayer retransmits and dedups — and the
-// structural counters must still be exactly equal to the lossless runs.
-// ISSUE 6 adds the *cross-backend differential* dimension (the Diff* tests
-// at the bottom): the same frame-task jobs run on the in-process backend and
-// again as one OS process per place over the socket backend, under the same
-// lossy chaos, and the structural counters must be exactly equal cell by
-// cell — the headline proof that the Backend abstraction does not leak into
+//      protocol *structure* (tasks shipped, completions, credits) are
+//      identical across seeds, and every snapshot sent is applied or stale:
+//      chaos may reshuffle timing arbitrarily, but never the books.
+// The *cross-backend differential* dimension (the Diff* tests at the
+// bottom) runs the same frame-task jobs on the in-process backend and again
+// as one OS process per place over the socket backend, under the same
+// chaos, and the structural counters must be exactly equal cell by cell —
+// the headline proof that the Backend abstraction does not leak into
 // protocol behavior.
 // Registered in CMake with TEST_PREFIX "chaos_sweep/" so
 // `ctest -R chaos_sweep` selects the whole sweep.
@@ -27,11 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -69,28 +67,6 @@ Config chaos_cfg(int places, std::uint64_t seed, int places_per_node = 8) {
   return cfg;
 }
 
-/// Arms the lossy chaos dimension: drop/dup injection plus the reliability
-/// sublayer that makes it survivable. The retransmit knobs honour the
-/// APGAS_RETX_* environment (the CI lossy job sweeps them) with defaults
-/// aggressive enough that an 8-seed sweep exercises real retransmissions.
-void arm_lossy(Config& cfg) {
-  cfg.chaos.drop_prob = 0.05;
-  cfg.chaos.dup_prob = 0.02;
-  cfg.retx_timeout_us = 300;
-  auto read = [](const char* name, std::uint64_t& knob) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') return;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') return;
-    knob = parsed;
-  };
-  read("APGAS_RETX_TIMEOUT_US", cfg.retx_timeout_us);
-  read("APGAS_RETX_BACKOFF_MAX_US", cfg.retx_backoff_max_us);
-  read("APGAS_RETX_ACK_IDLE_US", cfg.retx_ack_idle_us);
-  if (cfg.retx_timeout_us == 0) cfg.retx_timeout_us = 300;  // env can't disarm
-}
-
 /// Sum of one key across the finish protocols ("hist.finish.close_ns.auto.
 /// count" + ... for every pragma name).
 std::uint64_t sum_close_counts(const std::map<std::string, std::uint64_t>& m) {
@@ -116,14 +92,15 @@ std::uint64_t sum_activities(const std::map<std::string, std::uint64_t>& m,
 
 /// The protocol-structure counters that chaos must not change. Timing-driven
 /// counters are deliberately absent: idle transitions, dense relay batch
-/// counts, and the applied/stale *split* of snapshots (a snapshot racing the
-/// release lands stale on some schedules) — though their *sum* is pinned via
-/// "finish.snapshots.sent" and the per-run conservation law in sweep().
+/// counts, and the snapshot counts — how many snapshots a place sends
+/// depends on when its worker goes idle (fin_flush_block), and a snapshot
+/// racing the release lands stale on some schedules. The per-run
+/// conservation law in sweep() (sent == applied + stale) holds instead.
 const char* const kStructuralKeys[] = {
     "finish.opened",         "finish.upgrades",
     "runtime.tasks_shipped", "finish.completion_msgs",
-    "finish.credit_msgs",    "finish.snapshots.sent",
-    "finish.releases",       "sched.msgs.task",
+    "finish.credit_msgs",    "finish.releases",
+    "sched.msgs.task",
 };
 
 std::map<std::string, std::uint64_t> structural(
@@ -136,88 +113,50 @@ std::map<std::string, std::uint64_t> structural(
   return out;
 }
 
-/// Runs `job` once per seed, then again with lossy chaos (drop/dup + the
-/// reliability sublayer), asserting per-run invariants and equality of the
-/// structural counters across *all* runs: neither chaos scheduling, message
-/// loss nor duplication may change the protocol books.
+/// Runs `job` once per seed, asserting per-run invariants and equality of
+/// the structural counters across *all* runs: chaos scheduling may not
+/// change the protocol books.
 template <typename Job>
 void sweep(int places, Job job, int places_per_node = 8) {
   std::map<std::string, std::uint64_t> reference;
   bool have_reference = false;
-  std::uint64_t total_dropped = 0;
-  std::uint64_t total_duped = 0;
-  std::uint64_t total_retransmits = 0;
-  std::uint64_t total_dups_dropped = 0;
   std::uint64_t total_bypass = 0;
-  for (const bool lossy : {false, true}) {
-    for (int s = 0; s < kNumSeeds; ++s) {
-      SCOPED_TRACE(std::string(lossy ? "lossy" : "lossless") +
-                   " seed index " + std::to_string(s));
-      Config cfg = chaos_cfg(places, kSeeds[s], places_per_node);
-      if (lossy) arm_lossy(cfg);
-      Runtime::run(cfg, job);
-      const auto& m = last_run_metrics();
-      // Conservation: every snapshot sent is either applied or provably
-      // stale.
-      EXPECT_EQ(m.at("finish.snapshots.sent"),
-                m.at("finish.snapshots.applied") +
-                    m.at("finish.snapshots.stale"));
-      // Every shipped task crossed the transport and was dequeued exactly
-      // once.
-      EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("sched.msgs.task"));
-      EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("transport.msgs.task"));
-      // Histogram counts are structural too: with histograms armed for the
-      // whole run, every protocol event must have produced exactly one
-      // latency sample — a count mismatch means a recording site is gated
-      // differently from its counter twin.
-      EXPECT_EQ(m.at("finish.closed"), m.at("finish.opened"));
-      EXPECT_EQ(sum_close_counts(m), m.at("finish.opened"));
-      EXPECT_EQ(m.at("hist.task.ship_ns.count"),
-                m.at("runtime.tasks_shipped"));
-      EXPECT_EQ(m.at("hist.activity.exec_ns.count"),
-                sum_activities(m, places));
-      if (lossy) {
-        // Teardown drained to the all-acked fixpoint: every sequenced
-        // message was confirmed delivered before the books were read.
-        EXPECT_EQ(m.at("transport.retx.sent"), m.at("transport.retx.acked"));
-        total_dropped += m.at("transport.chaos.dropped");
-        total_duped += m.at("transport.chaos.duped");
-        total_retransmits += m.at("transport.retx.retransmits");
-        total_dups_dropped += m.at("transport.retx.dups_dropped");
-      }
-      // Delay-shaping saturation is survivable but must be *visible*
-      // (ISSUE 5 satellite): tally it so "passed under chaos" can be
-      // qualified by how much chaos actually applied.
-      total_bypass += m.at("transport.chaos.bypass");
-      const auto strut = structural(m);
-      if (!have_reference) {
-        reference = strut;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(strut, reference)
-            << "accounting drifted with the chaos seed / lossy mode";
-      }
+  for (int s = 0; s < kNumSeeds; ++s) {
+    SCOPED_TRACE("seed index " + std::to_string(s));
+    Config cfg = chaos_cfg(places, kSeeds[s], places_per_node);
+    Runtime::run(cfg, job);
+    const auto& m = last_run_metrics();
+    // Conservation: every snapshot sent is either applied or provably
+    // stale.
+    EXPECT_EQ(m.at("finish.snapshots.sent"),
+              m.at("finish.snapshots.applied") +
+                  m.at("finish.snapshots.stale"));
+    // Every shipped task crossed the transport and was dequeued exactly
+    // once.
+    EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("sched.msgs.task"));
+    EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("transport.msgs.task"));
+    // Histogram counts are structural too: with histograms armed for the
+    // whole run, every protocol event must have produced exactly one
+    // latency sample — a count mismatch means a recording site is gated
+    // differently from its counter twin.
+    EXPECT_EQ(m.at("finish.closed"), m.at("finish.opened"));
+    EXPECT_EQ(sum_close_counts(m), m.at("finish.opened"));
+    EXPECT_EQ(m.at("hist.task.ship_ns.count"), m.at("runtime.tasks_shipped"));
+    EXPECT_EQ(m.at("hist.activity.exec_ns.count"), sum_activities(m, places));
+    // Delay-shaping saturation is survivable but must be *visible*: tally
+    // it so "passed under chaos" can be qualified by how much chaos
+    // actually applied.
+    total_bypass += m.at("transport.chaos.bypass");
+    const auto strut = structural(m);
+    if (!have_reference) {
+      reference = strut;
+      have_reference = true;
+    } else {
+      EXPECT_EQ(strut, reference) << "accounting drifted with the chaos seed";
     }
   }
-  // A drop can only be survived by a retransmit; if chaos dropped anything
-  // across the lossy half of the matrix, the reliability layer must show the
-  // matching work. (Jobs with no inter-place traffic legitimately drop 0.)
-  if (total_dropped > 0) {
-    EXPECT_GT(total_retransmits, 0u);
-  }
-  // A duplicate only reaches the dedup window if its copy survives the drop
-  // roll, so require a handful before insisting the counter moved.
-  if (total_duped > 4) {
-    EXPECT_GT(total_dups_dropped, 0u);
-  }
-  std::printf(
-      "[chaos-sweep] lossy totals: dropped=%llu duped=%llu retransmits=%llu "
-      "dups_dropped=%llu delay_bypass=%llu\n",
-      static_cast<unsigned long long>(total_dropped),
-      static_cast<unsigned long long>(total_duped),
-      static_cast<unsigned long long>(total_retransmits),
-      static_cast<unsigned long long>(total_dups_dropped),
-      static_cast<unsigned long long>(total_bypass));
+  std::printf("[chaos-sweep] delay_bypass=%llu\n",
+              static_cast<unsigned long long>(total_bypass));
 }
 
 // --- the six finish protocols ----------------------------------------------
@@ -423,7 +362,7 @@ TEST(ChaosSweepTeam, NativeBarrierBackToBackReuse) {
 // --- cross-backend differential sweep (ISSUE 6 headline) -------------------
 //
 // The same job runs on the in-process inbox backend and again as one OS
-// process per place over the socket backend, with lossy chaos armed in
+// process per place over the socket backend, with delay chaos armed in
 // both, and the protocol-structure counters must be *exactly* equal.
 // Jobs are built from registered frame tasks (asyncAtFrame), the only spawn
 // form that can cross a process boundary; registration happens at namespace
@@ -471,7 +410,7 @@ const int kFnLocalFanout = register_task_fn(&fn_local_fanout);
 
 /// The structural keys compared across backends: kStructuralKeys plus
 /// "finish.closed", which in socket mode proves the sum over *independent
-/// processes* still balances.
+/// processes* still balances, and "finish.snapshots.sent".
 const char* const kDiffKeys[] = {
     "finish.opened",          "finish.closed",
     "finish.upgrades",        "runtime.tasks_shipped",
@@ -490,10 +429,18 @@ std::map<std::string, std::uint64_t> diff_structural(
   return out;
 }
 
-/// Runs `job` per seed on both backends — lossy chaos armed in both — and
-/// asserts (a) the job's own activity count
-/// via the "test.ran" counter, (b) the all-acked teardown fixpoint, (c) exact
-/// equality of the structural counters between backends.
+/// Socket frames sent and received, summed over every place: equal once
+/// the teardown barrier has balanced every channel (docs/transport.md
+/// "Teardown: channel counting"); both read 0 in-process.
+void expect_frames_conserved(const std::map<std::string, std::uint64_t>& m) {
+  EXPECT_EQ(m.at("transport.backend.frames_sent"),
+            m.at("transport.backend.frames_received"));
+}
+
+/// Runs `job` per seed on both backends — delay chaos armed in both — and
+/// asserts (a) the job's own activity count via the "test.ran" counter,
+/// (b) frame conservation across the socket mesh, (c) exact equality of
+/// the structural counters between backends.
 template <typename Job>
 void run_diff(int places, Job job, std::uint64_t expect_ran,
               int places_per_node = 8) {
@@ -504,7 +451,6 @@ void run_diff(int places, Job job, std::uint64_t expect_ran,
       SCOPED_TRACE(std::string(socket ? "socket" : "inproc") +
                    " seed index " + std::to_string(s));
       Config cfg = chaos_cfg(places, kSeeds[s], places_per_node);
-      arm_lossy(cfg);
       // The differential matrix reuses one metrics/trace path many times per
       // test; keep these runs silent so CI artifacts stay one-run-per-file.
       cfg.trace = false;
@@ -516,8 +462,10 @@ void run_diff(int places, Job job, std::uint64_t expect_ran,
       const auto ran_it = m.find("test.ran");
       ASSERT_EQ(ran_it == m.end() ? 0 : ran_it->second, expect_ran)
           << "job lost or duplicated activities";
-      // Teardown drained to the all-acked fixpoint on this backend too.
-      EXPECT_EQ(m.at("transport.retx.sent"), m.at("transport.retx.acked"));
+      expect_frames_conserved(m);
+      if (socket) {
+        EXPECT_GT(m.at("transport.backend.frames_sent"), 0u);
+      }
       EXPECT_EQ(m.at("finish.snapshots.sent"),
                 m.at("finish.snapshots.applied") +
                     m.at("finish.snapshots.stale"));
@@ -648,6 +596,47 @@ TEST(DiffBackendDense, RoutedFanout) {
       /*places_per_node=*/2);
 }
 
+// --- the socket teardown barrier ---------------------------------------------
+//
+// Immediates run outside every finish, so the root finish closes with one
+// still queued at place 0 and place 0 runs it in its teardown drain. Each
+// hop of the relay below sleeps before it sends on, so every other place
+// has long reported idle when its frame arrives: 0 -> 2 -> 1 -> 0. Place 1
+// is the first place the launcher's drift probes pass after the reports
+// come in, and it sends its frame only after that, so nothing but balanced
+// counts keeps the launcher from releasing 'G' before place 0 runs it.
+
+/// Frame: [hops i32][next place i32]... — sleep, then forward the rest to
+/// the next place, or count a run once no hops are left.
+void fn_relay(x10rt::ByteBuffer&);
+const int kFnRelay = register_task_fn(&fn_relay);
+void fn_relay(x10rt::ByteBuffer& args) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto hops = args.get<std::int32_t>();
+  if (hops == 0) {
+    bump_ran();
+    return;
+  }
+  const auto next = args.get<std::int32_t>();
+  x10rt::ByteBuffer rest;
+  rest.put<std::int32_t>(hops - 1);
+  for (std::int32_t i = 1; i < hops; ++i) {
+    rest.put<std::int32_t>(args.get<std::int32_t>());
+  }
+  immediateAtFrame(next, kFnRelay, std::move(rest));
+}
+
+TEST(DiffBackendTeardown, LateRelayToAnIdlePlaceRunsBeforeGo) {
+  run_diff(
+      /*places=*/3,
+      [] {
+        x10rt::ByteBuffer route;
+        for (const std::int32_t w : {3, 2, 1, 0}) route.put<std::int32_t>(w);
+        immediateAtFrame(0, kFnRelay, std::move(route));
+      },
+      /*expect_ran=*/1);
+}
+
 // --- native teams under chaos ----------------------------------------------
 //
 // Each finish protocol hosts the same collective round on the native *and*
@@ -755,7 +744,7 @@ TEST(ChaosSweepTeamHier, AsyncHereLocalProtocolsBitExactVsEmulated) {
 // Team mail now rides registered frame tasks and GLB's steal/lifeline/loot
 // protocol ships bags through their Ser hooks, so both run under the socket
 // backend. The legs below are the structural-equality proof: the same
-// collective rounds and the same balancing job on both backends, lossy chaos
+// collective rounds and the same balancing job on both backends, delay chaos
 // armed, books compared cell by cell.
 
 /// One collective round as a frame task: [mode u8]. Every place runs
@@ -806,8 +795,8 @@ TEST(DiffBackendGlb, CounterBagProcessedTotalsMatchAcrossBackends) {
   // lifeline resuscitations vary with the schedule, and each resuscitation
   // ships a task ("runtime.tasks_shipped" moves). What must hold on *every*
   // backend and seed: each work unit processed exactly once (the summed
-  // "glb.processed" counter), the job's own verification, and the all-acked
-  // teardown fixpoint.
+  // "glb.processed" counter), the job's own verification, and frame
+  // conservation across the socket mesh.
   static constexpr int kPlaces = 4;
   static constexpr std::uint64_t kUnits = 3000;
   for (int s = 0; s < kNumSeeds; ++s) {
@@ -815,7 +804,6 @@ TEST(DiffBackendGlb, CounterBagProcessedTotalsMatchAcrossBackends) {
       SCOPED_TRACE(std::string(socket ? "socket" : "inproc") +
                    " seed index " + std::to_string(s));
       Config cfg = chaos_cfg(kPlaces, kSeeds[s]);
-      arm_lossy(cfg);
       cfg.trace = false;
       cfg.trace_path.clear();
       cfg.metrics_path.clear();
@@ -835,7 +823,7 @@ TEST(DiffBackendGlb, CounterBagProcessedTotalsMatchAcrossBackends) {
           << "gathered per-place stats did not sum to the seeded work";
       EXPECT_EQ(m.at("glb.processed"), kUnits)
           << "a work unit was lost or processed twice";
-      EXPECT_EQ(m.at("transport.retx.sent"), m.at("transport.retx.acked"));
+      expect_frames_conserved(m);
       EXPECT_EQ(m.at("finish.snapshots.sent"),
                 m.at("finish.snapshots.applied") +
                     m.at("finish.snapshots.stale"));

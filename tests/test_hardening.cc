@@ -155,8 +155,7 @@ TEST(Hardening, ChaosIsDeterministicPerSeed) {
       x10rt::Message m;
       m.src = 0;
       m.handler = h;
-      m.payload =
-          std::make_shared<std::vector<std::byte>>(payload.take_data());
+      m.payload = payload.take_data();
       tr.send(1, std::move(m));
     }
     while (order.size() < 50) {

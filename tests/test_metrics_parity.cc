@@ -206,13 +206,15 @@ TEST(MetricsParity, PinnedCountsForRemoteRootedFinish) {
   EXPECT_EQ(m.at("finish.upgrades"), 2u);  // both kAuto finishes upgraded
   EXPECT_EQ(m.at("runtime.tasks_shipped"), 4u);
   EXPECT_EQ(m.at("sched.msgs.task"), 4u);
-  // Flush-at-completion: outer contributes 1 (place 1's task), inner 3
-  // (places 0, 2, 3), plus place 1's idle-flush of the inner finish's
-  // spawn ledger while waiting = 5. Deterministic; drift means the flush
-  // discipline changed.
-  EXPECT_EQ(m.at("finish.snapshots.sent"), 5u);
-  EXPECT_EQ(m.at("finish.snapshots.applied"), 5u);
-  EXPECT_EQ(m.at("finish.snapshots.stale"), 0u);
+  // Flush-at-completion sends at least 4: outer contributes 1 (place 1's
+  // task), inner 3 (places 0, 2, 3). Whether place 1 also idle-flushes the
+  // inner finish's spawn ledger while it waits depends on when its worker
+  // goes idle (fin_flush_block), so the total is not pinned; every snapshot
+  // sent must still be applied or provably stale.
+  EXPECT_GE(m.at("finish.snapshots.sent"), 4u);
+  EXPECT_EQ(m.at("finish.snapshots.sent"),
+            m.at("finish.snapshots.applied") +
+                m.at("finish.snapshots.stale"));
   EXPECT_EQ(m.at("finish.releases"), 4u);  // cleanup per remote host place
 }
 
@@ -221,7 +223,7 @@ TEST(MetricsParity, PinnedCountsForRemoteRootedFinish) {
 TEST(MetricsParity, PrometheusTextExposesAllMetricClasses) {
   MetricsRegistry reg;
   reg.counter("finish.opened").fetch_add(7, std::memory_order_relaxed);
-  reg.add_gauge("transport.retx.unacked", [] { return std::uint64_t{3}; });
+  reg.add_gauge("transport.pool.hits", [] { return std::uint64_t{3}; });
   Histogram& h = reg.histogram("task.ship_xproc_aligned_ns");
   for (int i = 1; i <= 100; ++i) h.record(static_cast<std::uint64_t>(i));
 
@@ -231,8 +233,8 @@ TEST(MetricsParity, PrometheusTextExposesAllMetricClasses) {
                       "apgas_finish_opened 7\n"),
             std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("# TYPE apgas_transport_retx_unacked gauge\n"
-                      "apgas_transport_retx_unacked 3\n"),
+  EXPECT_NE(prom.find("# TYPE apgas_transport_pool_hits gauge\n"
+                      "apgas_transport_pool_hits 3\n"),
             std::string::npos)
       << prom;
   // Histograms export as summaries: quantile samples plus _sum/_count, and

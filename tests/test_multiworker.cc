@@ -399,38 +399,6 @@ TEST_P(WorkerCounts, RepeatedSplitDerivesStableIds) {
   EXPECT_EQ(ok.load(), kPlaces * kRounds);
 }
 
-TEST(ChaosFourWorkersLossy, FanoutSurvivesDropAndDupWithStealing) {
-  // The reliability sublayer's TSan-audited configuration: four workers per
-  // place race over poll_batch admission (dedup windows, ack processing) and
-  // the retransmit pump while chaos drops and duplicates the wire.
-  for (std::uint64_t seed : kChaosSeeds) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::atomic<int> ran{0};
-    Config cfg = chaos4_cfg(seed);
-    cfg.chaos.drop_prob = 0.05;
-    cfg.chaos.dup_prob = 0.02;
-    cfg.retx_timeout_us = 300;
-    Runtime::run(cfg, [&ran] {
-      finish(Pragma::kDefault, [&ran] {
-        for (int p = 0; p < num_places(); ++p) {
-          asyncAt(p, [&ran] {
-            ran.fetch_add(1);
-            async([&ran] { ran.fetch_add(1); });
-          });
-        }
-      });
-      ASSERT_EQ(ran.load(), 2 * 4);
-    });
-    const auto& m = last_run_metrics();
-    EXPECT_EQ(m.at("finish.snapshots.sent"),
-              m.at("finish.snapshots.applied") +
-                  m.at("finish.snapshots.stale"));
-    EXPECT_EQ(m.at("runtime.tasks_shipped"), m.at("sched.msgs.task"));
-    // Teardown reached the all-acked fixpoint despite active loss.
-    EXPECT_EQ(m.at("transport.retx.sent"), m.at("transport.retx.acked"));
-  }
-}
-
 TEST_P(WorkerCounts, HierarchicalCollectivesStressWithRepeatedSplit) {
   // TSan stress for the native protocol (the test keeps the name it had
   // when it stressed the leader-tree mode): barrier/bcast/allreduce back to

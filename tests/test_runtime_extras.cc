@@ -359,9 +359,9 @@ class ConfigEnv : public ::testing::Test {
   }
   static constexpr const char* kVars[] = {
       "APGAS_PLACES",          "APGAS_WORKERS_PER_PLACE",
-      "APGAS_PLACES_PER_NODE", "APGAS_RETX_TIMEOUT_US",
-      "APGAS_RETX_BACKOFF_MAX_US", "APGAS_RETX_ACK_IDLE_US",
-      "APGAS_CHAOS_DROP"};
+      "APGAS_PLACES_PER_NODE", "APGAS_CHAOS_SEED",
+      "APGAS_CHAOS_DELAY",     "APGAS_WATCHDOG_MS",
+      "APGAS_CLOCKSYNC_ROUNDS"};
 
  private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
@@ -373,31 +373,31 @@ TEST_F(ConfigEnv, UnsetVariablesLeaveDefaults) {
   EXPECT_EQ(cfg.places, defaults.places);
   EXPECT_EQ(cfg.workers_per_place, defaults.workers_per_place);
   EXPECT_EQ(cfg.places_per_node, defaults.places_per_node);
-  EXPECT_EQ(cfg.retx_timeout_us, defaults.retx_timeout_us);
-  EXPECT_EQ(cfg.retx_backoff_max_us, defaults.retx_backoff_max_us);
+  EXPECT_EQ(cfg.chaos.seed, defaults.chaos.seed);
+  EXPECT_EQ(cfg.clocksync_rounds, defaults.clocksync_rounds);
 }
 
 TEST_F(ConfigEnv, OverridesEveryPerfKnob) {
   ::setenv("APGAS_PLACES", "6", 1);
   ::setenv("APGAS_WORKERS_PER_PLACE", "2", 1);
   ::setenv("APGAS_PLACES_PER_NODE", "7", 1);
-  ::setenv("APGAS_RETX_TIMEOUT_US", "2048", 1);
-  ::setenv("APGAS_RETX_BACKOFF_MAX_US", "16", 1);
+  ::setenv("APGAS_CHAOS_SEED", "2048", 1);
+  ::setenv("APGAS_CLOCKSYNC_ROUNDS", "16", 1);
   const Config cfg = Config::from_env();
   EXPECT_EQ(cfg.places, 6);
   EXPECT_EQ(cfg.workers_per_place, 2);
   EXPECT_EQ(cfg.places_per_node, 7);
-  EXPECT_EQ(cfg.retx_timeout_us, 2048u);
-  EXPECT_EQ(cfg.retx_backoff_max_us, 16u);
+  EXPECT_EQ(cfg.chaos.seed, 2048u);
+  EXPECT_EQ(cfg.clocksync_rounds, 16);
 }
 
 TEST_F(ConfigEnv, AppliesOnTopOfExistingConfig) {
-  ::setenv("APGAS_RETX_TIMEOUT_US", "512", 1);
+  ::setenv("APGAS_CLOCKSYNC_ROUNDS", "12", 1);
   Config cfg;
   cfg.places = 3;
   cfg.places_per_node = 5;
   Config::apply_env(cfg);
-  EXPECT_EQ(cfg.retx_timeout_us, 512u);  // overridden
+  EXPECT_EQ(cfg.clocksync_rounds, 12);   // overridden
   EXPECT_EQ(cfg.places, 3);              // untouched
   EXPECT_EQ(cfg.places_per_node, 5);
 }
@@ -413,8 +413,8 @@ TEST_F(ConfigEnvDeath, AbortsOnNonNumeric) {
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnNegative) {
-  ::setenv("APGAS_RETX_TIMEOUT_US", "-4", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_RETX_TIMEOUT_US");
+  ::setenv("APGAS_CHAOS_SEED", "-4", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_CHAOS_SEED");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnEmpty) {
@@ -423,38 +423,19 @@ TEST_F(ConfigEnvDeath, AbortsOnEmpty) {
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnTrailingGarbage) {
-  ::setenv("APGAS_RETX_ACK_IDLE_US", "12trailing", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_RETX_ACK_IDLE_US");
+  ::setenv("APGAS_WATCHDOG_MS", "12trailing", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_WATCHDOG_MS");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnOverflow) {
   // Far past INT64_MAX: strtoll sets ERANGE.
-  ::setenv("APGAS_RETX_BACKOFF_MAX_US", "999999999999999999999999999999",
-           1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_RETX_BACKOFF_MAX_US");
+  ::setenv("APGAS_CHAOS_SEED", "999999999999999999999999999999", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_CHAOS_SEED");
 }
 
 TEST_F(ConfigEnvDeath, AbortsOnProbabilityOutOfRange) {
-  ::setenv("APGAS_CHAOS_DROP", "1.5", 1);
-  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_CHAOS_DROP");
-}
-
-TEST_F(ConfigEnv, ReadsReliabilityKnobs) {
-  ::setenv("APGAS_RETX_TIMEOUT_US", "300", 1);
-  ::setenv("APGAS_RETX_BACKOFF_MAX_US", "9000", 1);
-  ::setenv("APGAS_RETX_ACK_IDLE_US", "75", 1);
-  const Config cfg = Config::from_env();
-  EXPECT_EQ(cfg.retx_timeout_us, 300u);
-  EXPECT_EQ(cfg.retx_backoff_max_us, 9000u);
-  EXPECT_EQ(cfg.retx_ack_idle_us, 75u);
-}
-
-TEST_F(ConfigEnv, ZeroDisablesReliability) {
-  ::setenv("APGAS_RETX_TIMEOUT_US", "0", 1);
-  Config cfg;
-  cfg.retx_timeout_us = 4096;
-  Config::apply_env(cfg);
-  EXPECT_EQ(cfg.retx_timeout_us, 0u);
+  ::setenv("APGAS_CHAOS_DELAY", "1.5", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_CHAOS_DELAY");
 }
 
 }  // namespace

@@ -142,17 +142,13 @@ TEST(WireProtocol, ReleasesFreeRemoteBlocks) {
 
 namespace frm = x10rt::frame;
 
-/// A well-formed kAm frame (length prefix included) that validate() accepts
+/// A well-formed frame (length prefix included) that validate() accepts
 /// against places=4, num_handlers=8.
 std::vector<std::uint8_t> good_frame(const std::string& payload = "args") {
   frm::Header h;
-  h.kind = frm::Kind::kAm;
-  h.rflags = x10rt::kMsgHasAck;
   h.type = x10rt::MsgType::kTask;
   h.src = 1;
   h.handler = 3;
-  h.seq = 42;
-  h.ack = 17;
   return frm::encode(h, reinterpret_cast<const std::byte*>(payload.data()),
                      payload.size());
 }
@@ -169,14 +165,12 @@ TEST(FrameCodec, RoundTripPreservesEveryHeaderField) {
   ASSERT_EQ(check(wire), nullptr);
   const frm::Header h =
       frm::decode_header(wire.data() + frm::kLengthPrefixBytes);
-  EXPECT_EQ(h.kind, frm::Kind::kAm);
-  EXPECT_EQ(h.rflags, x10rt::kMsgHasAck);
   EXPECT_EQ(h.type, x10rt::MsgType::kTask);
   EXPECT_EQ(h.src, 1);
   EXPECT_EQ(h.handler, 3);
-  EXPECT_EQ(h.seq, 42u);
-  EXPECT_EQ(h.ack, 17u);
   EXPECT_EQ(h.payload_len, 13u);
+  EXPECT_EQ(wire.size(),
+            frm::kLengthPrefixBytes + frm::kHeaderBytes + 13u);
   EXPECT_EQ(std::memcmp(wire.data() + frm::kLengthPrefixBytes +
                             frm::kHeaderBytes,
                         "payload-bytes", 13),
@@ -217,8 +211,8 @@ TEST(FrameAdversarial, HeaderFieldCorruptionsAreEachRejected) {
     return wire;
   };
   EXPECT_STREQ(check(corrupt(0, 0x00)), "bad magic word");
-  EXPECT_STREQ(check(corrupt(4, 3)), "unknown frame kind");
-  EXPECT_STREQ(check(corrupt(4, 0xff)), "unknown frame kind");
+  EXPECT_STREQ(check(corrupt(4, 1)), "nonzero reserved header byte");
+  EXPECT_STREQ(check(corrupt(5, 0xff)), "nonzero reserved header byte");
   EXPECT_STREQ(check(corrupt(6, static_cast<std::uint8_t>(x10rt::kNumMsgTypes))),
                "unknown message type");
   EXPECT_STREQ(check(corrupt(7, 0)), "unsupported frame version");
@@ -226,38 +220,16 @@ TEST(FrameAdversarial, HeaderFieldCorruptionsAreEachRejected) {
   EXPECT_STREQ(check(corrupt(8, 4)), "src place out of range");      // src == places
   EXPECT_STREQ(check(corrupt(12, 0xff)), "AM handler id out of range");
   EXPECT_STREQ(check(corrupt(12, 8)), "AM handler id out of range");
-  EXPECT_STREQ(check(corrupt(32, 0xff)),
+  EXPECT_STREQ(check(corrupt(16, 0xff)),
                "payload_len disagrees with frame length");
 }
 
-TEST(FrameAdversarial, AckOnlyFramingRulesAreEnforced) {
-  frm::Header h;
-  h.kind = frm::Kind::kAckOnly;
-  h.rflags = x10rt::kMsgAckOnly | x10rt::kMsgHasAck;
-  h.type = x10rt::MsgType::kControl;
-  h.src = 2;
-  h.ack = 99;
-  EXPECT_EQ(check(frm::encode(h, nullptr, 0)), nullptr);
-  // An ack-only frame smuggling a payload is corruption, not data.
-  const std::byte body[1] = {std::byte{0}};
-  EXPECT_STREQ(check(frm::encode(h, body, 1)),
-               "ack-only frame carries a payload");
-  // The kind byte and the rflags bit must agree in both directions.
-  h.rflags = x10rt::kMsgHasAck;
-  EXPECT_STREQ(check(frm::encode(h, nullptr, 0)),
-               "ack-only frame missing kMsgAckOnly");
-  h.kind = frm::Kind::kAm;
-  h.handler = 1;
-  h.rflags = x10rt::kMsgAckOnly;
-  EXPECT_STREQ(check(frm::encode(h, nullptr, 0)),
-               "kMsgAckOnly set on a non-ack frame");
-}
-
 TEST(FrameAdversarial, HeaderBitFlipSweepNeverCrashesAndGuardsReject) {
-  // Flip every bit of the header, one at a time. Most single-bit flips land
-  // in don't-care width (seq, ack) and may legitimately pass —
-  // the property under test is that validate() always *returns* (no crash,
-  // no OOB) and that the integrity fields (magic, version) catch every flip.
+  // Flip every bit of the header, one at a time. Some single-bit flips land
+  // on another in-range src or handler and may legitimately pass — the
+  // property under test is that validate() always *returns* (no crash, no
+  // OOB) and that the integrity fields (magic, reserved bytes, version)
+  // catch every flip.
   const auto pristine = good_frame("xyz");
   for (std::size_t byte = 0; byte < frm::kHeaderBytes; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -265,10 +237,10 @@ TEST(FrameAdversarial, HeaderBitFlipSweepNeverCrashesAndGuardsReject) {
       wire[frm::kLengthPrefixBytes + byte] ^=
           static_cast<std::uint8_t>(1u << bit);
       const char* err = check(wire);
-      if (byte < 4 || byte == 7) {
+      if (byte < 6 || byte == 7) {
         EXPECT_NE(err, nullptr)
-            << "flip in magic/version (byte " << byte << " bit " << bit
-            << ") was accepted";
+            << "flip in magic/reserved/version (byte " << byte << " bit "
+            << bit << ") was accepted";
       }
     }
   }

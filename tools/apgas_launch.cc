@@ -1,7 +1,7 @@
 // apgas_launch: run an APGAS binary with one process per place.
 //
 //   apgas_launch -n 4 ./bench_uts
-//   apgas_launch -n 8 --chaos-drop 0.05 --chaos-dup 0.02 --seed 7 ./app args
+//   apgas_launch -n 8 --chaos-delay 0.3 --seed 7 ./app args
 //
 // The tool itself never forks the mesh — it execs the target with
 // APGAS_BACKEND=socket (plus the flags translated to APGAS_* variables), and
@@ -29,17 +29,14 @@ void usage(const char* argv0) {
       "options:\n"
       "  -n <places>           number of place processes (required, >= 1)\n"
       "  --workers <w>         worker threads per place\n"
-      "  --chaos-drop <p>      message drop probability (0..1)\n"
-      "  --chaos-dup <p>       message duplication probability (0..1)\n"
       "  --chaos-delay <p>     message delay probability (0..1)\n"
       "  --seed <s>            chaos RNG seed\n"
       "  --kill-place <p>      fault injection: SIGKILL place p\n"
       "  --kill-after-ms <ms>  delay before the injected kill (default 0)\n"
       "\n"
       "Each flag becomes the matching APGAS_* environment variable; flags\n"
-      "already set in the environment are overridden. Reliability (acks +\n"
-      "retransmit) is always armed in socket mode; APGAS_RETX_TIMEOUT_US\n"
-      "tunes it.\n",
+      "already set in the environment are overridden. The sockets are\n"
+      "lossless; chaos only delays and reorders messages.\n",
       argv0);
 }
 
@@ -70,12 +67,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       if (!expect_value(argc, argv, i, "--workers")) return 2;
       ::setenv("APGAS_WORKERS_PER_PLACE", argv[++i], 1);
-    } else if (arg == "--chaos-drop") {
-      if (!expect_value(argc, argv, i, "--chaos-drop")) return 2;
-      ::setenv("APGAS_CHAOS_DROP", argv[++i], 1);
-    } else if (arg == "--chaos-dup") {
-      if (!expect_value(argc, argv, i, "--chaos-dup")) return 2;
-      ::setenv("APGAS_CHAOS_DUP", argv[++i], 1);
     } else if (arg == "--chaos-delay") {
       if (!expect_value(argc, argv, i, "--chaos-delay")) return 2;
       ::setenv("APGAS_CHAOS_DELAY", argv[++i], 1);

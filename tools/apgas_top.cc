@@ -4,7 +4,7 @@
 //
 // Tails the JSONL that the launcher (socket mode) or the runtime itself
 // (in-process mode) appends under APGAS_TELEMETRY_MS, and renders one row
-// per place: activity/steal/retransmit/park rates computed from
+// per place: activity/steal/socket-frame/park rates computed from
 // counter deltas, the latest latency percentiles, and a watchdog flag that
 // lights up when a place shipped a stall diagnosis. With --once it reads the
 // file once, prints cumulative totals instead of rates, and exits — that is
@@ -130,14 +130,14 @@ void render(std::map<int, PlaceRow>& rows, bool once) {
               once ? " (totals)" : "");
   std::printf("%5s %6s %10s %10s %10s %10s %12s %12s %3s\n", "place", "seq",
               once ? "tasks" : "task/s", once ? "steals" : "steal/s",
-              once ? "retx" : "retx/s", once ? "parks" : "park/s",
+              once ? "frames" : "frame/s", once ? "parks" : "park/s",
               "exec_p99_us", "ship_p99_us", "wd");
   for (auto& [p, r] : rows) {
     if (once) {
       std::printf("%5d %6" PRIu64
                   " %10lld %10lld %10lld %10lld %12lld %12lld %3s\n",
                   p, r.seq, column(r, "activities_executed", false),
-                  column(r, ".steals", false), column(r, "retx", false),
+                  column(r, ".steals", false), column(r, "frames_sent", false),
                   column(r, "park", false),
                   abs_col(r, "activity.exec_ns.p99") / 1000,
                   abs_col(r, "ship_xproc_aligned_ns.p99") / 1000,
@@ -154,7 +154,7 @@ void render(std::map<int, PlaceRow>& rows, bool once) {
           fmt_rate(b[0], sizeof b[0], column(r, "activities_executed", true),
                    dt_ms),
           fmt_rate(b[1], sizeof b[1], column(r, ".steals", true), dt_ms),
-          fmt_rate(b[2], sizeof b[2], column(r, "retx", true), dt_ms),
+          fmt_rate(b[2], sizeof b[2], column(r, "frames_sent", true), dt_ms),
           fmt_rate(b[3], sizeof b[3], column(r, "park", true), dt_ms),
           abs_col(r, "activity.exec_ns.p99") / 1000,
           abs_col(r, "ship_xproc_aligned_ns.p99") / 1000,
