@@ -41,10 +41,10 @@ inline std::string per_run_path(const std::string& path, int run) {
 /// Applies the observability environment to a bench Config:
 ///   APGAS_TRACE=<path>     write a Chrome trace_event JSON after the run
 ///                          (also enables the flight recorder)
-///   APGAS_TRACE_CAP=<n>    per-place ring capacity in events (default 2^16)
 ///   APGAS_METRICS=<path>   write metrics at teardown (.json => JSON,
 ///                          anything else => key=value text)
-/// plus the APGAS_* knobs (places, workers_per_place, backend, chaos, ...)
+/// plus the APGAS_* knobs (places, workers_per_place, backend, chaos,
+/// APGAS_TRACE_CAP ring capacity, ...)
 /// via Config::apply_env — note benches that sweep
 /// `cfg.places` themselves overwrite an APGAS_PLACES override afterwards.
 ///
@@ -63,9 +63,6 @@ inline apgas::Config& observe(apgas::Config& cfg) {
     cfg.trace = true;
     cfg.trace_path = per_run_path(p, r);
     cfg.histograms = true;
-  }
-  if (const char* p = std::getenv("APGAS_TRACE_CAP")) {
-    cfg.trace_capacity = std::strtoull(p, nullptr, 10);
   }
   if (const char* p = std::getenv("APGAS_METRICS")) {
     cfg.metrics_path = per_run_path(p, r);

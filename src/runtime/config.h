@@ -92,7 +92,7 @@ struct Config {
   /// Consecutive no-progress samples before the watchdog diagnoses a stall.
   int watchdog_stall_intervals = 5;
 
-  // --- live telemetry + clock sync (docs/observability.md) -----------------
+  // --- live telemetry (docs/observability.md) -------------------------------
 
   /// Sampling interval of the live telemetry stream in milliseconds; 0 (the
   /// default) never constructs the sampler — the disabled path is bit-for-bit
@@ -110,12 +110,6 @@ struct Config {
   /// (docs/observability.md "Distributed telemetry").
   std::string telemetry_keys;
 
-  /// Request/echo rounds per child of the launcher's Cristian clock-offset
-  /// handshake (minimum-RTT sample wins). Runs at attach and again in the
-  /// teardown barrier for drift re-estimation; only meaningful in socket
-  /// mode.
-  int clocksync_rounds = 8;
-
   /// Applies `APGAS_*` environment overrides for the perf knobs on top of
   /// whatever `cfg` already holds, so benches and CI sweep configurations
   /// without recompiling:
@@ -132,7 +126,7 @@ struct Config {
   ///   APGAS_TELEMETRY_MS       telemetry_interval_ms (nonzero arms the stream)
   ///   APGAS_TELEMETRY_PATH     telemetry_path
   ///   APGAS_TELEMETRY_KEYS     telemetry_keys (comma-separated prefixes)
-  ///   APGAS_CLOCKSYNC_ROUNDS   clocksync_rounds
+  ///   APGAS_TRACE_CAP          trace_capacity (events per place ring)
   ///
   /// Unset variables leave the knob untouched. A variable that is set but
   /// malformed — empty, non-numeric, trailing garbage, negative, or out of
@@ -196,7 +190,7 @@ struct Config {
     if (const char* k = std::getenv("APGAS_TELEMETRY_KEYS"); k != nullptr) {
       cfg.telemetry_keys = k;
     }
-    read("APGAS_CLOCKSYNC_ROUNDS", cfg.clocksync_rounds);
+    read("APGAS_TRACE_CAP", cfg.trace_capacity);
   }
 
   /// Defaults + apply_env().

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/clocksync.h"
 #include "runtime/metrics.h"
 #include "runtime/runtime.h"
 #include "runtime/telemetry.h"
@@ -153,27 +152,6 @@ bool recv_frame(int fd, Frame& f) {
   return len == 0 || recv_all(fd, f.payload.data(), f.payload.size());
 }
 
-/// `rounds` Cristian probe rounds against one child; both probe phases run
-/// while the child can produce no upstream frames, so the 8-byte echo is
-/// unambiguous. Dies (via fail_dead_child) if the child is gone.
-clocksync::Estimate probe_child(int fd, int p, int rounds,
-                                std::vector<pid_t>& pids) {
-  std::vector<clocksync::Sample> samples;
-  samples.reserve(static_cast<std::size_t>(rounds));
-  for (int i = 0; i < rounds; ++i) {
-    clocksync::Sample s;
-    const char c = 'C';
-    s.t0_ns = clocksync::now_ns();
-    if (!send_all(fd, &c, 1)) fail_dead_child(p, pids);
-    if (!recv_all(fd, &s.remote_ns, sizeof(s.remote_ns))) {
-      fail_dead_child(p, pids);
-    }
-    s.t1_ns = clocksync::now_ns();
-    samples.push_back(s);
-  }
-  return clocksync::estimate(samples);
-}
-
 }  // namespace
 
 std::string per_place_path(const std::string& path, int place) {
@@ -228,30 +206,6 @@ void CtrlChannel::send_frame(char tag, std::string_view payload) {
   if (len > 0 && !send_all(fd_, payload.data(), payload.size())) ::_exit(1);
 }
 
-std::vector<std::int64_t> child_clock_handshake(int ctrl_fd, int places) {
-  for (;;) {
-    char c = 0;
-    if (!recv_all(ctrl_fd, &c, 1)) ::_exit(1);
-    if (c == 'C') {
-      const std::uint64_t echo = clocksync::now_ns();
-      if (!send_all(ctrl_fd, &echo, sizeof(echo))) ::_exit(1);
-    } else if (c == 'O') {
-      std::vector<std::int64_t> offsets(static_cast<std::size_t>(places), 0);
-      if (!recv_all(ctrl_fd, offsets.data(),
-                    offsets.size() * sizeof(std::int64_t))) {
-        ::_exit(1);
-      }
-      return offsets;
-    } else {
-      std::fprintf(stderr,
-                   "[apgas_launch] child: unexpected ctrl byte 0x%02x during "
-                   "clock handshake\n",
-                   static_cast<unsigned char>(c));
-      ::_exit(1);
-    }
-  }
-}
-
 bool child_poll_go(int ctrl_fd) {
   struct pollfd pfd{};
   pfd.fd = ctrl_fd;
@@ -262,13 +216,6 @@ bool child_poll_go(int ctrl_fd) {
     char c = 0;
     const ssize_t r = ::recv(ctrl_fd, &c, 1, 0);
     if (r == 1 && c == 'G') return true;
-    if (r == 1 && c == 'C') {
-      // Drift re-estimation probe (the supervisor runs a second round of
-      // clock sync between the balanced teardown barrier and go).
-      const std::uint64_t echo = clocksync::now_ns();
-      if (!send_all(ctrl_fd, &echo, sizeof(echo))) ::_exit(1);
-      return false;
-    }
     if (r <= 0) ::_exit(1);  // supervisor died mid-barrier
     return false;
   }
@@ -351,32 +298,6 @@ void run_places(const Config& cfg, std::function<void()> main) {
     }
   }
   for (int p = 0; p < P; ++p) ::close(ctrl_child[static_cast<std::size_t>(p)]);
-
-  // Attach clock sync: probe each child in turn, then broadcast the offset
-  // table so every child can map any place's clock into the supervisor
-  // domain. Children answer from run_child before starting workers, so the
-  // probes see an otherwise idle process; min-RTT selection absorbs the
-  // rounds that land while a child is still paging itself in.
-  const int rounds = cfg.clocksync_rounds < 1 ? 1 : cfg.clocksync_rounds;
-  std::vector<clocksync::Estimate> attach(static_cast<std::size_t>(P));
-  std::vector<clocksync::Estimate> quiesce(static_cast<std::size_t>(P));
-  for (int p = 0; p < P; ++p) {
-    attach[static_cast<std::size_t>(p)] =
-        probe_child(ctrl_parent[static_cast<std::size_t>(p)], p, rounds, pids);
-  }
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(P), 0);
-  for (int p = 0; p < P; ++p) {
-    offsets[static_cast<std::size_t>(p)] =
-        attach[static_cast<std::size_t>(p)].offset_ns;
-  }
-  for (int p = 0; p < P; ++p) {
-    const int fd = ctrl_parent[static_cast<std::size_t>(p)];
-    const char o = 'O';
-    if (!send_all(fd, &o, 1) ||
-        !send_all(fd, offsets.data(), offsets.size() * sizeof(std::int64_t))) {
-      fail_dead_child(p, pids);
-    }
-  }
 
   // Live telemetry sink: one JSONL for the whole job, flushed per line so
   // apgas_top can tail it while the job runs.
@@ -473,7 +394,7 @@ void run_places(const Config& cfg, std::function<void()> main) {
           std::fflush(stderr);
           if (tlog) {
             tlog->append(telemetry::wrap_watchdog(
-                p, clocksync::now_ns() / 1000000u, f.payload));
+                p, now_ms(), f.payload));
           }
           break;
         default:
@@ -481,16 +402,6 @@ void run_places(const Config& cfg, std::function<void()> main) {
           fail_dead_child(p, pids);
       }
     }
-  }
-
-  // Drift re-estimation: a second probe round per child while everyone sits
-  // in the teardown barrier (child_poll_go answers 'C'). Balanced counts
-  // mean no place will send again, so no 'Q' can interleave with the bare
-  // echoes. Two estimates per child give the linear drift model used to
-  // rebase its trace timestamps.
-  for (int p = 0; p < P; ++p) {
-    quiesce[static_cast<std::size_t>(p)] =
-        probe_child(ctrl_parent[static_cast<std::size_t>(p)], p, rounds, pids);
   }
 
   // Every channel balances (and any kill has landed — in which case the
@@ -505,7 +416,7 @@ void run_places(const Config& cfg, std::function<void()> main) {
   }
 
   // Metrics + trace collection: each child sends its 'M' metrics blob (flat
-  // "key value" lines; counters sum, percentile/max exports take the max
+  // "key=value" lines; counters sum, percentile/max exports take the max
   // across places) followed by its 'R' trace blob (empty when not tracing).
   std::map<std::string, std::uint64_t> agg;
   std::vector<trace::ProcEvents> procs;
@@ -524,10 +435,10 @@ void run_places(const Config& cfg, std::function<void()> main) {
       if (eol == std::string::npos) eol = blob.size();
       const std::string_view line(blob.data() + pos, eol - pos);
       pos = eol + 1;
-      const std::size_t sp = line.find(' ');
-      if (sp == std::string_view::npos) continue;
-      const std::string key(line.substr(0, sp));
-      const std::uint64_t val = std::strtoull(line.data() + sp + 1, nullptr, 10);
+      const std::size_t eq = line.find('=');
+      if (eq == std::string_view::npos) continue;
+      const std::string key(line.substr(0, eq));
+      const std::uint64_t val = std::strtoull(line.data() + eq + 1, nullptr, 10);
       auto [it, inserted] = agg.try_emplace(key, val);
       if (!inserted) {
         it->second = aggregate_by_max(key) ? std::max(it->second, val)
@@ -535,27 +446,15 @@ void run_places(const Config& cfg, std::function<void()> main) {
       }
     }
     if (!cfg.trace_path.empty() && !rf.payload.empty()) {
-      // Rebase this child's events into the supervisor clock domain through
-      // its drift model before handing them to the merged exporter.
-      std::uint64_t epoch = 0;
-      std::vector<trace::Event> events;
-      if (!trace::decode_events(rf.payload, epoch, events)) {
+      trace::ProcEvents pe;
+      pe.place = p;
+      if (trace::decode_events(rf.payload, pe.epoch_ns, pe.events)) {
+        procs.push_back(std::move(pe));
+      } else {
         std::fprintf(stderr,
                      "[apgas_launch] place %d sent a malformed trace blob; "
                      "dropping its events from the merged trace\n",
                      p);
-      } else {
-        const clocksync::DriftModel model =
-            clocksync::drift_model(attach[static_cast<std::size_t>(p)],
-                                   quiesce[static_cast<std::size_t>(p)]);
-        for (trace::Event& e : events) {
-          const std::int64_t abs = clocksync::rebase_ns(model, epoch + e.t_ns);
-          e.t_ns = abs < 0 ? 0u : static_cast<std::uint64_t>(abs);
-        }
-        trace::ProcEvents pe;
-        pe.place = p;
-        pe.events = std::move(events);
-        procs.push_back(std::move(pe));
       }
     }
   }
@@ -574,37 +473,14 @@ void run_places(const Config& cfg, std::function<void()> main) {
   for (int p = 0; p < P; ++p) ::close(ctrl_parent[static_cast<std::size_t>(p)]);
 
   // Publish the aggregate exactly like an in-process run would.
-  if (!cfg.metrics_path.empty()) {
-    std::FILE* f = std::fopen(cfg.metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "[apgas_launch] cannot write %s: %s\n",
-                   cfg.metrics_path.c_str(), std::strerror(errno));
-    } else {
-      const bool json = std::string_view(cfg.metrics_path).ends_with(".json");
-      if (json) std::fputs("{\n", f);
-      std::size_t i = 0;
-      for (const auto& [k, v] : agg) {
-        if (json) {
-          std::fprintf(f, "  \"%s\": %llu%s\n", k.c_str(),
-                       static_cast<unsigned long long>(v),
-                       ++i < agg.size() ? "," : "");
-        } else {
-          std::fprintf(f, "%s=%llu\n", k.c_str(),
-                       static_cast<unsigned long long>(v));
-        }
-      }
-      if (json) std::fputs("}\n", f);
-      std::fclose(f);
-    }
-  }
+  if (!cfg.metrics_path.empty()) write_metrics(cfg.metrics_path, agg);
 
   // Merged trace: ONE Perfetto JSON over every place process, per-place
   // process rows, cross-process flow arrows restored. Children additionally
   // wrote their own per-place files (".pN" inserted), but this is the file
   // that shows the whole job on one timeline.
   if (!cfg.trace_path.empty()) {
-    std::uint64_t clamped = 0;
-    const std::string json = trace::chrome_json_merged(procs, &clamped);
+    const std::string json = trace::chrome_json_merged(procs);
     std::FILE* f = std::fopen(cfg.trace_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "[apgas_launch] cannot write %s: %s\n",
@@ -612,12 +488,6 @@ void run_places(const Config& cfg, std::function<void()> main) {
     } else {
       std::fwrite(json.data(), 1, json.size(), f);
       std::fclose(f);
-    }
-    if (clamped > 0) {
-      std::fprintf(stderr,
-                   "[apgas_launch] merged trace: %llu span(s) clamped onto "
-                   "their remote spawn (residual clock-offset error)\n",
-                   static_cast<unsigned long long>(clamped));
     }
   }
   detail::store_last_metrics(std::move(agg));

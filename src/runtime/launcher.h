@@ -6,12 +6,6 @@
 // constructs its own Runtime over a SocketBackend (Runtime::run_child). The
 // parent never hosts a place — it supervises:
 //
-//   * clock handshake: at attach (and again between teardown and go) the
-//     parent runs cfg.clocksync_rounds Cristian probe rounds per child ('C'
-//     request → 8-byte clock echo), estimates each child's offset from the
-//     minimum-RTT sample (runtime/clocksync.h), and broadcasts the offset
-//     table ('O') so children can record clock-aligned cross-process ship
-//     latency.
 //   * teardown barrier (docs/transport.md "Teardown: channel counting"):
 //     each child reports 'Q' with its per-peer frame counts whenever it is
 //     idle and the counts changed since its last report, and keeps draining
@@ -29,26 +23,23 @@
 //     parent sums counters (max for percentile keys), publishes the
 //     aggregate through last_run_metrics(), writes cfg.metrics_path
 //     (children write per-place files with ".pN" inserted), and — when
-//     cfg.trace_path is set — rebases every child's events into its own
-//     clock domain via the per-child drift model and writes ONE merged
-//     Perfetto JSON with per-place process rows and cross-process flow
-//     arrows.
-//   * failure supervision: a control-socket EOF before 'Q', a child killed
-//     by a signal, or a nonzero exit status makes the parent report the
-//     failed place on stderr, SIGKILL the remaining children, reap
-//     everything, and exit nonzero — a crashed place never hangs the job.
+//     cfg.trace_path is set — writes ONE merged Perfetto JSON with
+//     per-place process rows and cross-process flow arrows. Every place
+//     process reads the host's one monotonic clock, so an event's time is
+//     its blob's epoch plus its offset; nothing is estimated or corrected.
+//   * failure supervision: a control-socket EOF before 'G' (a child that
+//     dies at start-up included), a child killed by a signal, or a nonzero
+//     exit status makes the parent report the failed place on stderr,
+//     SIGKILL the remaining children, reap everything, and exit nonzero — a
+//     crashed place never hangs the job.
 //
-// Control-socket protocol. Downstream (parent → child) commands are single
-// bytes: 'C' (clock probe; child answers with a bare 8-byte clocksync echo),
-// 'O' + places × i64 (offset table), 'G' (go). Upstream (child → parent)
-// messages are uniform tagged frames [tag u8][len u32][payload]: 'Q' (idle,
-// places × {u64 frames sent to q, u64 frames received from q}), 'T'
-// (telemetry line), 'W' (watchdog report), 'M' (metrics blob), 'R' (trace
-// blob; empty when not tracing). Probe echoes can stay bare because both
-// probe phases run while no upstream frames are possible: attach probes
-// complete before the child starts workers, telemetry, or its watchdog, and
-// drift probes run once the reports balance (workers, telemetry, and
-// watchdog all stopped, and balanced counts never change again).
+// Control-socket protocol. The one downstream (parent → child) command is the
+// single byte 'G' (go). Upstream (child → parent) messages are uniform
+// tagged frames [tag u8][len u32][payload]: 'Q' (idle, places × {u64 frames
+// sent to q, u64 frames received from q}), 'T' (telemetry line), 'W'
+// (watchdog report), 'M' (metrics blob, format_metrics text), 'R' (trace
+// blob; empty when not tracing). A child starts its workers as soon as it
+// is forked; the parent's first read is the barrier loop.
 //
 // Fault injection for the crash tests: APGAS_LAUNCH_KILL_PLACE=<p> (with
 // optional APGAS_LAUNCH_KILL_AFTER_MS, default 0) SIGKILLs place p once the
@@ -95,15 +86,8 @@ class CtrlChannel {
   std::mutex mu_;
 };
 
-/// Child side of the attach clock handshake: answers 'C' probes with clock
-/// echoes until the supervisor's 'O' offset table arrives; returns the
-/// table (offsets[p] maps place p's clock into the supervisor domain).
-/// Called from Runtime::run_child before any worker starts.
-std::vector<std::int64_t> child_clock_handshake(int ctrl_fd, int places);
-
-/// Non-blocking-ish poll for the go signal; waits at most ~1ms, answering
-/// any drift-phase 'C' probes it encounters. Returns true once 'G' arrived.
-/// A dead supervisor exits the child immediately.
+/// Non-blocking-ish poll for the go signal; waits at most ~1ms. Returns true
+/// once 'G' arrived. A dead supervisor exits the child immediately.
 bool child_poll_go(int ctrl_fd);
 
 /// A child's 'Q' payload: for every place q, the frames this place sent to q

@@ -68,101 +68,30 @@ std::map<std::string, std::uint64_t> MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::text() const {
-  std::string out;
+std::string format_metrics(const std::map<std::string, std::uint64_t>& snapshot,
+                           bool as_json) {
+  std::string out = as_json ? "{" : "";
   char buf[32];
-  for (const auto& [name, v] : snapshot()) {
-    out += name;
-    std::snprintf(buf, sizeof(buf), "=%" PRIu64 "\n", v);
-    out += buf;
-  }
-  return out;
-}
-
-std::string MetricsRegistry::json() const {
-  std::string out = "{";
-  char buf[32];
-  bool first = true;
-  for (const auto& [name, v] : snapshot()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "\"" + name + "\"";  // metric names never need escaping
-    std::snprintf(buf, sizeof(buf), ":%" PRIu64, v);
-    out += buf;
-  }
-  out += "}";
-  return out;
-}
-
-namespace {
-
-// Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*; our dotted names
-// map onto that with '_' and an "apgas_" namespace prefix.
-std::string prom_name(const std::string& name) {
-  std::string out = "apgas_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::prometheus_text() const {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, Gauge> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> hists;
-  {
-    std::scoped_lock lock(mu_);
-    for (const auto& [name, c] : counters_) {
-      counters[name] = c->load(std::memory_order_relaxed);
+  for (const auto& [name, v] : snapshot) {
+    if (as_json) {
+      if (out.size() > 1) out.push_back(',');
+      out += "\"" + name + "\"";  // metric names never need escaping
+      std::snprintf(buf, sizeof(buf), ":%" PRIu64, v);
+    } else {
+      out += name;
+      std::snprintf(buf, sizeof(buf), "=%" PRIu64 "\n", v);
     }
-    for (const auto& [name, h] : histograms_) hists.emplace_back(name, h.get());
-    gauges = gauges_;
-  }
-  std::string out;
-  char buf[96];
-  auto sample = [&](const std::string& nm, const char* labels,
-                    std::uint64_t v) {
-    out += nm;
-    out += labels;
-    std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", v);
     out += buf;
-  };
-  for (const auto& [name, v] : counters) {
-    const std::string nm = prom_name(name);
-    out += "# TYPE " + nm + " counter\n";
-    sample(nm, "", v);
   }
-  // Gauge callbacks run outside the lock, like snapshot().
-  for (const auto& [name, g] : gauges) {
-    const std::string nm = prom_name(name);
-    out += "# TYPE " + nm + " gauge\n";
-    sample(nm, "", g());
-  }
-  for (const auto& [name, h] : hists) {
-    const Histogram::Snapshot s = h->snapshot();
-    const std::string nm = prom_name(name);
-    out += "# TYPE " + nm + " summary\n";
-    sample(nm, "{quantile=\"0.5\"}", s.p50);
-    sample(nm, "{quantile=\"0.9\"}", s.p90);
-    sample(nm, "{quantile=\"0.99\"}", s.p99);
-    sample(nm + "_sum", "", s.sum);
-    sample(nm + "_count", "", s.count);
-    out += "# TYPE " + nm + "_max gauge\n";
-    sample(nm + "_max", "", s.max);
-  }
+  if (as_json) out += "}";
   return out;
 }
 
-bool MetricsRegistry::write(const std::string& path) const {
+bool write_metrics(const std::string& path,
+                   const std::map<std::string, std::uint64_t>& snapshot) {
   const bool as_json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  const bool as_prom =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-  const std::string body = as_json ? json() : as_prom ? prometheus_text() : text();
+  const std::string body = format_metrics(snapshot, as_json);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "[apgas] cannot write metrics to %s\n", path.c_str());

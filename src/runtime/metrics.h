@@ -70,30 +70,23 @@ class MetricsRegistry {
   /// keys), by name, evaluated now.
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
 
-  /// Flat `key=value` lines, sorted by key.
-  [[nodiscard]] std::string text() const;
-
-  /// Single JSON object {"key": value, ...}, sorted by key.
-  [[nodiscard]] std::string json() const;
-
-  /// Prometheus exposition format (text/plain version 0.0.4): counters and
-  /// gauges as `apgas_<name> value` samples with # TYPE headers, histograms
-  /// as summaries (quantile-labelled samples + _sum/_count) plus an
-  /// `apgas_<name>_max` gauge. Dots and other non-identifier characters in
-  /// metric names become underscores.
-  [[nodiscard]] std::string prometheus_text() const;
-
-  /// Writes json() if `path` ends in ".json", prometheus_text() for ".prom",
-  /// text() otherwise. Returns false on I/O failure (logged to stderr, never
-  /// throws).
-  bool write(const std::string& path) const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, Gauge> gauges_;
 };
+
+/// A snapshot as one JSON object {"key":value,...} when `as_json`, else as
+/// flat `key=value` lines; keys sorted either way.
+[[nodiscard]] std::string format_metrics(
+    const std::map<std::string, std::uint64_t>& snapshot, bool as_json);
+
+/// The one metrics file writer, shared by an in-process dump and the socket
+/// supervisor's aggregate: format_metrics(snapshot, path ends in ".json").
+/// Returns false on I/O failure (logged to stderr, never throws).
+bool write_metrics(const std::string& path,
+                   const std::map<std::string, std::uint64_t>& snapshot);
 
 /// Metrics snapshot of the most recently completed Runtime::run (empty
 /// before the first run). Safe to read once run() has returned.

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "runtime/api.h"
-#include "runtime/clocksync.h"
 #include "runtime/congruent.h"
 #include "runtime/launcher.h"
 #include "runtime/task_registry.h"
@@ -105,7 +104,7 @@ void require_local_origin(const char* what) {
 namespace {
 
 /// am_spawn frame: [home i32][seq u64][mode u8][credit u64][span u64]
-/// [parent_span u64][src i32][t_send_ns u64][fn_id i32][args...]
+/// [parent_span u64][t_send_ns u64][fn_id i32][args...]
 void rt_am_spawn(Runtime& rt, x10rt::ByteBuffer& buf) {
   FinishKey key;
   key.home = buf.get<std::int32_t>();
@@ -120,7 +119,6 @@ void rt_am_spawn(Runtime& rt, x10rt::ByteBuffer& buf) {
   const auto credit = buf.get<std::uint64_t>();
   const auto span = buf.get<std::uint64_t>();
   const auto parent_span = buf.get<std::uint64_t>();
-  const auto src = buf.get<std::int32_t>();
   const auto t_send_ns = buf.get<std::uint64_t>();
   const auto fn_id = buf.get<std::int32_t>();
   Activity act;
@@ -138,7 +136,7 @@ void rt_am_spawn(Runtime& rt, x10rt::ByteBuffer& buf) {
     };
   }
   if (t_send_ns != 0 && hist::enabled()) {
-    rt.record_ship_latency(t_send_ns, src);
+    rt.record_ship_latency(t_send_ns);
   }
   act.fin = fin_task_received(rt, key, mode);
   act.credit = credit;
@@ -322,7 +320,6 @@ Runtime::Runtime(const Config& cfg, const launcher::SocketWiring* wiring)
   transport_ = std::make_unique<x10rt::Transport>(tc);
   if (wiring != nullptr) local_place_ = wiring->place;
   hist_ship_frame_ = &metrics_->histogram("task.ship_ns");
-  hist_ship_xproc_ = &metrics_->histogram("task.ship_xproc_ns");
   hist_ship_xproc_aligned_ = &metrics_->histogram("task.ship_xproc_aligned_ns");
   register_transport_gauges();
 
@@ -453,7 +450,9 @@ void Runtime::finalize_observability() {
   detail::tl_place = saved_place;
   detail::store_last_metrics(metrics_->snapshot());
   hist::set_enabled(false);
-  if (!cfg_.metrics_path.empty()) metrics_->write(cfg_.metrics_path);
+  if (!cfg_.metrics_path.empty()) {
+    write_metrics(cfg_.metrics_path, last_run_metrics());
+  }
   if (!cfg_.trace_path.empty()) trace::write_chrome_json(cfg_.trace_path);
   trace::shutdown();
 }
@@ -525,7 +524,7 @@ void Runtime::run(const Config& cfg, std::function<void()> main) {
         std::fwrite(r.data(), 1, r.size(), stderr);
         std::fflush(stderr);
         w->append(
-            telemetry::wrap_watchdog(-1, clocksync::now_ns() / 1000000, r));
+            telemetry::wrap_watchdog(-1, hist::now_ns() / 1000000, r));
       });
     }
     watchdog->start();
@@ -571,7 +570,7 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
   // another; the parent writes the aggregate under the original name. Traces
   // are different: the child keeps the flight recorder armed but writes no
   // file of its own — it ships the raw event blob over the control socket
-  // and the supervisor writes the single clock-rebased merged trace.
+  // and the supervisor writes the single merged trace.
   c.metrics_path = launcher::per_place_path(cfg.metrics_path, wiring.place);
   if (!cfg.trace_path.empty()) c.trace = true;
   c.trace_path.clear();
@@ -581,12 +580,6 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
   const int p = wiring.place;
   detail::tl_place = p;
 
-  // Attach clock handshake: answer the supervisor's Cristian probes and arm
-  // the offset table before any worker starts, so the very first aligned
-  // ship-latency sample already has offsets to use. (Inbound task frames can
-  // queue during the handshake, but they only execute on workers.)
-  clocksync::set_offsets(launcher::child_clock_handshake(wiring.ctrl_fd,
-                                                         c.places));
   launcher::CtrlChannel ctrl(wiring.ctrl_fd);
 
   if (p == 0) {
@@ -636,16 +629,15 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
   for (auto& t : workers) t.join();
   if (watchdog) watchdog->stop();
   // Stop the sampler (it emits one final frame) before the first 'Q': after
-  // it the only upstream traffic may be further 'Q' reports, the
-  // drift-probe echoes and then 'M'/'R'.
+  // it the only upstream traffic may be further 'Q' reports and then
+  // 'M'/'R'.
   if (tele) tele->stop();
 
   // Teardown barrier (docs/transport.md "Teardown: channel counting"):
   // whenever the place is idle and its frame counts differ from the last
   // report, report 'Q' with them; keep draining, since a slower peer may
   // still send, until the supervisor has balanced every channel and
-  // releases everyone with 'G' (answering drift-phase clock probes along
-  // the way).
+  // releases everyone with 'G'.
   std::string reported;
   do {
     if (std::optional<std::string> counts = rt.idle_frame_counts();
@@ -655,8 +647,8 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
     }
   } while (!launcher::child_poll_go(wiring.ctrl_fd));
 
-  // Capture the flight recorder *before* finalize_observability shuts it
-  // down; the supervisor rebases these events into its own clock domain and
+  // Capture the flight recorder's events *before* finalize_observability
+  // shuts it down; the supervisor adds this process's epoch to each and
   // merges all places into one Perfetto file.
   std::string trace_blob;
   if (trace::enabled()) {
@@ -664,34 +656,17 @@ int Runtime::run_child(const Config& cfg, std::function<void()> main,
                                       trace::drain_all());
   }
   rt.finalize_observability();
-  std::string blob;
-  for (const auto& [k, v] : last_run_metrics()) {
-    blob += k;
-    blob += ' ';
-    blob += std::to_string(v);
-    blob += '\n';
-  }
-  ctrl.send_frame('M', blob);
+  ctrl.send_frame('M', format_metrics(last_run_metrics(), /*as_json=*/false));
   ctrl.send_frame('R', trace_blob);
-  clocksync::clear_offsets();
   team_detail::registry_clear();
   current_ = nullptr;
   detail::tl_place = -1;
   return 0;
 }
 
-void Runtime::record_ship_latency(std::uint64_t t_send_ns, int src) {
-  const std::uint64_t now = hist::now_ns();
-  const std::uint64_t lat = ship_latency_ns(now, t_send_ns);
-  if (multi_process()) {
-    hist_ship_xproc_->record(lat);
-    if (src >= 0 && clocksync::armed()) {
-      hist_ship_xproc_aligned_->record(
-          clocksync::aligned_ship_ns(now, local_place_, t_send_ns, src));
-    }
-  } else {
-    hist_ship_frame_->record(lat);
-  }
+void Runtime::record_ship_latency(std::uint64_t t_send_ns) {
+  const std::uint64_t lat = ship_latency_ns(hist::now_ns(), t_send_ns);
+  (multi_process() ? hist_ship_xproc_aligned_ : hist_ship_frame_)->record(lat);
 }
 
 void Runtime::send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
@@ -708,11 +683,9 @@ void Runtime::send_task_frame(int dst, int fn_id, x10rt::ByteBuffer args,
   frame.put<std::uint64_t>(credit);
   frame.put<std::uint64_t>(span);
   frame.put<std::uint64_t>(parent_span);
-  // Ship-time stamp + sending place travel inside the frame (not on the
-  // Message) so they survive the socket wire's fixed header; the source
-  // place lets the receiver pick the right clock offset for the aligned
-  // ship-latency sample.
-  frame.put<std::int32_t>(here());
+  // The ship-time stamp travels inside the frame (not on the Message) so it
+  // survives the socket wire's fixed header. Every place process reads the
+  // same host clock, so the receiver subtracts it directly.
   frame.put<std::uint64_t>(hist::enabled() ? hist::now_ns() : 0);
   frame.put<std::int32_t>(fn_id);
   // Ship exactly the unread suffix [position(), size()): the argument

@@ -173,12 +173,10 @@ class Runtime {
       int dst, const char* what = "closure spawn (asyncAt/at)") const;
 
   /// Records a frame task's ship->execute latency: in-process samples join
-  /// task.ship_ns; cross-process ones are clamped into task.ship_xproc_ns
-  /// (the sender's clock is another process's domain) and — when the
-  /// launcher's clock handshake has armed the offset table — additionally
-  /// recorded clock-corrected into task.ship_xproc_aligned_ns. `src` is the
-  /// sending place (-1 when unknown; skips the aligned sample).
-  void record_ship_latency(std::uint64_t t_send_ns, int src);
+  /// task.ship_ns, cross-process ones task.ship_xproc_aligned_ns. Place
+  /// processes share the host's monotonic clock, so both are plain
+  /// differences of hist::now_ns() stamps.
+  void record_ship_latency(std::uint64_t t_send_ns);
 
   /// Runs a closure at the home registry entry for `key`, if still present.
   /// Used by control handlers; late messages for released finishes drop.
@@ -235,7 +233,6 @@ class Runtime {
   int local_place_ = -1;  // >= 0 iff this process hosts exactly one place
   // Ship-latency histograms (record_ship_latency), resolved once.
   Histogram* hist_ship_frame_ = nullptr;
-  Histogram* hist_ship_xproc_ = nullptr;
   Histogram* hist_ship_xproc_aligned_ = nullptr;
   std::vector<std::unique_ptr<PlaceState>> pstates_;
   std::unique_ptr<CongruentSpace> congruent_;

@@ -5,7 +5,7 @@
 #include <cinttypes>
 #include <cstring>
 
-#include "runtime/clocksync.h"
+#include "runtime/histogram.h"
 #include "runtime/metrics.h"
 
 namespace apgas {
@@ -189,7 +189,7 @@ void Telemetry::stop() {
 }
 
 void Telemetry::emit_frame() {
-  const std::uint64_t t_ms = clocksync::now_ns() / 1000000u;
+  const std::uint64_t t_ms = hist::now_ns() / 1000000u;
   sink_(telemetry::make_frame(place_, seq_++, t_ms, reg_.snapshot(),
                               prefixes_, prev_));
 }

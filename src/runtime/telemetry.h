@@ -10,8 +10,8 @@
 //
 //   place  emitting place (-1 = whole in-process job)
 //   seq    frame counter, per emitter, from 0
-//   t_ms   clocksync::now_ns()/1e6 — absolute steady-clock milliseconds, so
-//          frames from different places line up to within the clock offset
+//   t_ms   hist::now_ns()/1e6 — absolute steady-clock milliseconds; every
+//          place process reads the same host clock, so frames line up
 //   d      counter DELTAS since the previous frame; zero deltas are omitted,
 //          so an idle place costs a few bytes per frame
 //   a      ABSOLUTE values: histogram percentile/max keys, which are not

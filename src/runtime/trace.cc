@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "runtime/runtime.h"
@@ -240,7 +239,7 @@ void put(std::string& out, T v) {
 }
 
 template <typename T>
-bool get(const std::string& in, std::size_t& pos, T& v) {
+bool get(std::string_view in, std::size_t& pos, T& v) {
   if (in.size() - pos < sizeof(T)) return false;
   std::memcpy(&v, in.data() + pos, sizeof(T));
   pos += sizeof(T);
@@ -267,7 +266,7 @@ std::string encode_events(std::uint64_t epoch_abs_ns,
   return out;
 }
 
-bool decode_events(const std::string& blob, std::uint64_t& epoch_abs_ns_out,
+bool decode_events(std::string_view blob, std::uint64_t& epoch_abs_ns_out,
                    std::vector<Event>& events_out) {
   std::size_t pos = 0;
   std::uint32_t magic = 0;
@@ -441,29 +440,14 @@ std::string chrome_json() {
   return out;
 }
 
-std::string chrome_json_merged(const std::vector<ProcEvents>& procs,
-                               std::uint64_t* clamped_spans) {
-  // Inputs arrive rebased into one clock domain but with an arbitrary origin;
-  // shift everything so the merged trace starts near ts 0.
+std::string chrome_json_merged(const std::vector<ProcEvents>& procs) {
   std::uint64_t base = UINT64_MAX;
-  for (const ProcEvents& p : procs) {
-    for (const Event& e : p.events) base = std::min(base, e.t_ns);
-  }
-  if (base == UINT64_MAX) base = 0;
-
   std::unordered_set<std::uint64_t> remote_spawns;
-  std::unordered_map<std::uint64_t, std::uint64_t> spawn_ts;
   for (const ProcEvents& p : procs) {
+    for (const Event& e : p.events) base = std::min(base, p.epoch_ns + e.t_ns);
     collect_remote_spawns(p.events, remote_spawns);
-    for (const Event& e : p.events) {
-      if (e.kind == Ev::kActivitySpawn && remote_spawns.count(e.a) != 0) {
-        auto [it, fresh] = spawn_ts.try_emplace(e.a, e.t_ns);
-        if (!fresh && e.t_ns < it->second) it->second = e.t_ns;
-      }
-    }
   }
 
-  std::uint64_t clamped = 0;
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   for (const ProcEvents& p : procs) {
@@ -477,40 +461,12 @@ std::string chrome_json_merged(const std::vector<ProcEvents>& procs,
                   "\"tid\":0,\"args\":{\"name\":\"place %d\"}}",
                   p.place, p.place);
     out += buf;
-
-    // Happened-before clamping: residual offset-estimation error (bounded by
-    // the handshake's min RTT / 2) can land a begin a hair before its remote
-    // spawn. Shift such spans — begin and end together — forward onto the
-    // spawn instant so cause always precedes effect in the merged view.
-    std::unordered_map<std::uint64_t, std::uint64_t> shift;
-    for (const Event& e : p.events) {
-      if (e.kind != Ev::kActivityBegin || e.a == 0) continue;
-      const auto it = spawn_ts.find(e.a);
-      if (it != spawn_ts.end() && e.t_ns < it->second) {
-        shift[e.a] = it->second - e.t_ns;
-      }
-    }
-    clamped += shift.size();
-
-    std::vector<Event> evs = p.events;
-    for (Event& e : evs) {
-      if ((e.kind == Ev::kActivityBegin || e.kind == Ev::kActivityEnd) &&
-          shift.count(e.a) != 0) {
-        e.t_ns += shift[e.a];
-      }
-      e.t_ns -= std::min(base, e.t_ns);
-    }
-    // Shifts may reorder neighbours; B/E pairing in the trace format follows
-    // timestamp order per (pid, tid), so restore it.
-    std::stable_sort(evs.begin(), evs.end(), [](const Event& x, const Event& y) {
-      return x.t_ns < y.t_ns;
-    });
-    for (const Event& e : evs) {
+    for (Event e : p.events) {
+      e.t_ns = p.epoch_ns + e.t_ns - base;
       emit_event_json(out, first, e, p.place, remote_spawns);
     }
   }
   out += "]}";
-  if (clamped_spans != nullptr) *clamped_spans = clamped;
   return out;
 }
 

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace apgas::trace {
@@ -152,9 +153,9 @@ std::vector<Event> recent(std::size_t k);
 std::vector<Event> drain_all();
 
 /// The recorder's epoch (the instant t_ns counts from) as absolute
-/// steady_clock nanoseconds — the same clock hist::now_ns()/clocksync echo.
-/// A child's event happened at absolute time epoch_abs_ns() + e.t_ns. 0 when
-/// inactive.
+/// steady_clock nanoseconds, the clock hist::now_ns() reads. Every place
+/// process on the host shares it, so a child's event happened at absolute
+/// time epoch_abs_ns() + e.t_ns in every process's view. 0 when inactive.
 std::uint64_t epoch_abs_ns();
 
 /// Compact binary codec for shipping a ring drain across the ctrl socket:
@@ -163,13 +164,14 @@ std::uint64_t epoch_abs_ns();
 /// untouched) on a malformed blob.
 std::string encode_events(std::uint64_t epoch_abs_ns,
                           const std::vector<Event>& events);
-bool decode_events(const std::string& blob, std::uint64_t& epoch_abs_ns_out,
+bool decode_events(std::string_view blob, std::uint64_t& epoch_abs_ns_out,
                    std::vector<Event>& events_out);
 
-/// One place process's events, rebased into a common clock domain, for the
-/// merged exporter.
+/// One place process's decoded trace blob, for the merged exporter: each
+/// event happened at absolute time epoch_ns + t_ns.
 struct ProcEvents {
   int place = 0;
+  std::uint64_t epoch_ns = 0;
   std::vector<Event> events;
 };
 
@@ -183,16 +185,14 @@ struct ProcEvents {
 std::string chrome_json();
 
 /// Multi-process variant used by the launcher supervisor: one Perfetto JSON
-/// over every place process's (already clock-rebased) events, with pid =
-/// owning place so each process renders as its own named row, plus the same
-/// flow arrows as chrome_json() — remote spawns are matched to begins across
-/// process boundaries. Residual offset-estimation error can leave a begin a
-/// few ns before its spawn; such spans are shifted forward onto the spawn
-/// (happened-before clamping) so the merged timeline never shows an effect
-/// preceding its cause. `clamped_spans`, when non-null, receives the number
-/// of spans so corrected.
-std::string chrome_json_merged(const std::vector<ProcEvents>& procs,
-                               std::uint64_t* clamped_spans = nullptr);
+/// over every place process's events, with pid = owning place so each
+/// process renders as its own named row, plus the same flow arrows as
+/// chrome_json() — remote spawns are matched to begins across process
+/// boundaries. Each event is emitted at epoch_ns + t_ns minus the earliest
+/// such instant over all places, so the merged trace starts near ts 0. A
+/// remote spawn is stamped before its frame is sent and the begin after it
+/// is dequeued, on the one host clock, so every arrow points forward.
+std::string chrome_json_merged(const std::vector<ProcEvents>& procs);
 
 /// Writes chrome_json() to `path`. Returns false (and keeps quiet beyond a
 /// stderr note) on I/O failure — teardown must not throw.

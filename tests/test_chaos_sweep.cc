@@ -469,22 +469,16 @@ void run_diff(int places, Job job, std::uint64_t expect_ran,
       EXPECT_EQ(m.at("finish.snapshots.sent"),
                 m.at("finish.snapshots.applied") +
                     m.at("finish.snapshots.stale"));
-      // Ship-latency routing (clock-domain bugfix): with histograms armed,
-      // every shipped frame task records exactly one sample — in-process
-      // into task.ship_ns, cross-process into task.ship_xproc_ns — and the
-      // clamp keeps a skewed clock from poisoning the max with ~2^64 ns.
+      // Ship-latency routing: with histograms armed, every shipped frame task
+      // records exactly one sample — in-process into task.ship_ns,
+      // cross-process into task.ship_xproc_aligned_ns — and, with every
+      // place process on the one host clock, no sample comes near the
+      // ~2^64 ns a backwards stamp would wrap to.
       auto val = [&m](const char* k) {
         auto it = m.find(k);
         return it == m.end() ? std::uint64_t{0} : it->second;
       };
       if (socket) {
-        EXPECT_EQ(val("hist.task.ship_xproc_ns.count"),
-                  m.at("runtime.tasks_shipped"));
-        EXPECT_LT(val("hist.task.ship_xproc_ns.max"), std::uint64_t{1} << 62);
-        // Clock-aligned twin (launcher clock handshake): offsets are armed
-        // before any worker starts, so every cross-process sample also
-        // records corrected — and the correction must keep the max far from
-        // the 2^63 wraparound regime a mis-signed offset would produce.
         EXPECT_EQ(val("hist.task.ship_xproc_aligned_ns.count"),
                   m.at("runtime.tasks_shipped"));
         EXPECT_LT(val("hist.task.ship_xproc_aligned_ns.max"),
@@ -492,9 +486,6 @@ void run_diff(int places, Job job, std::uint64_t expect_ran,
       } else {
         EXPECT_EQ(val("hist.task.ship_ns.count"),
                   m.at("runtime.tasks_shipped"));
-        EXPECT_EQ(val("hist.task.ship_xproc_ns.count"), 0u);
-        // No clock handshake ever runs in-process; the aligned histogram
-        // must stay untouched (telemetry-off inertness).
         EXPECT_EQ(val("hist.task.ship_xproc_aligned_ns.count"), 0u);
       }
       const auto strut = diff_structural(m);
@@ -601,10 +592,11 @@ TEST(DiffBackendDense, RoutedFanout) {
 // Immediates run outside every finish, so the root finish closes with one
 // still queued at place 0 and place 0 runs it in its teardown drain. Each
 // hop of the relay below sleeps before it sends on, so every other place
-// has long reported idle when its frame arrives: 0 -> 2 -> 1 -> 0. Place 1
-// is the first place the launcher's drift probes pass after the reports
-// come in, and it sends its frame only after that, so nothing but balanced
-// counts keeps the launcher from releasing 'G' before place 0 runs it.
+// has long reported idle when its frame arrives: 0 -> 2 -> 1 -> 0. A place
+// reports 'Q' only while idle, so as long as a hop's frame is in flight or
+// its handler still sleeps, the sender's latest report counts the frame
+// sent and the receiver's does not. Nothing but that unbalanced channel
+// keeps the launcher from releasing 'G' before place 0 runs the last hop.
 
 /// Frame: [hops i32][next place i32]... — sleep, then forward the rest to
 /// the next place, or count a run once no hops are left.

@@ -1,6 +1,7 @@
 // Seeded mutation fuzzer for the decoders that read bytes from another
 // process: the wire frame header (frame::validate), Ser<T> length decoding,
-// and the exception wire codec. Every mutant must either decode within
+// the exception wire codec, and the trace blob a place process ships to the
+// launcher supervisor (trace::decode_events). Every mutant must either decode within
 // bounds or be rejected with a message — never crash, never read past its
 // buffer, never size an allocation from a corrupt length.
 //
@@ -17,11 +18,13 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "runtime/runtime.h"
+#include "runtime/trace.h"
 #include "x10rt/frame.h"
 #include "x10rt/serialization.h"
 
@@ -250,6 +253,68 @@ TEST(FrameFuzz, WireExceptionDecoderStaysInBounds) {
     }
   }
   EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+bool same_event(const apgas::trace::Event& x, const apgas::trace::Event& y) {
+  return x.t_ns == y.t_ns && x.kind == y.kind && x.place == y.place &&
+         x.a == y.a && x.b == y.b;
+}
+
+TEST(FrameFuzz, TraceBlobDecoderStaysInBounds) {
+  namespace tr = apgas::trace;
+  // Blob layout (trace.h): a 24-byte header [magic u32][version u32]
+  // [epoch u64][count u64], then `count` records of
+  // [t_ns u64][kind u8][place i32][a u64][b u64].
+  constexpr std::size_t kHeader = 4 + 4 + 8 + 8;
+  constexpr std::size_t kRecord = 8 + 1 + 4 + 8 + 8;
+  auto blob = [](std::uint64_t epoch, const std::vector<tr::Event>& evs) {
+    const std::string s = tr::encode_events(epoch, evs);
+    return Bytes(s.begin(), s.end());
+  };
+  const std::vector<Bytes> corpus = {
+      blob(0, {}),
+      blob(5'000'000'000ULL,
+           {{100, tr::Ev::kActivitySpawn, 0, 0xabcdef, (1ULL << 32) | 1}}),
+      blob(77, {{10, tr::Ev::kMsgSend, 1, 2, 3},
+                {20, tr::Ev::kActivityBegin, 1, 0x42, 7},
+                {30, tr::Ev::kTeamEnd, 1, 4, 5},
+                {40, tr::Ev::kSchedOverflow, 1, ~0ULL, 0}}),
+  };
+  const tr::Event sentinel{0xdead, tr::Ev::kStealSuccess, 9, 0xbeef, 0xcafe};
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < kIterations; ++i) {
+      const Bytes m = mutate(corpus[rng() % corpus.size()], rng);
+      const auto buf = exact_copy(m);
+      const std::string_view view(reinterpret_cast<const char*>(buf.get()),
+                                  m.size());
+      std::uint64_t epoch = 0x5eed;
+      std::vector<tr::Event> events = {sentinel};
+      if (!tr::decode_events(view, epoch, events)) {
+        // Rejected: both outputs exactly as they were.
+        ++rejected;
+        ASSERT_EQ(epoch, 0x5eedu) << "seed " << seed << " iter " << i;
+        ASSERT_EQ(events.size(), 1u) << "seed " << seed << " iter " << i;
+        ASSERT_TRUE(same_event(events[0], sentinel))
+            << "seed " << seed << " iter " << i;
+        continue;
+      }
+      // Accepted: the count accounts for every payload byte, and every kind
+      // names a real event.
+      ++accepted;
+      ASSERT_GE(m.size(), kHeader) << "seed " << seed << " iter " << i;
+      ASSERT_EQ(events.size() * kRecord, m.size() - kHeader)
+          << "seed " << seed << " iter " << i;
+      for (const tr::Event& e : events) {
+        ASSERT_LT(static_cast<int>(e.kind), tr::kNumEv)
+            << "seed " << seed << " iter " << i;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
 }
 

@@ -4,7 +4,7 @@
 // SIGKILLs one place mid-run and must report the failed place with a nonzero
 // exit instead of hanging on the barrier. The telemetry-plane tests drive
 // the same binaries with tracing/telemetry armed and validate the merged
-// Perfetto trace (clock-rebased, time-ordered cross-process flow arrows),
+// Perfetto trace (time-ordered cross-process flow arrows on the host clock),
 // the streamed telemetry JSONL, and the apgas_top renderer.
 //
 // The binaries under test are injected by CMake as compile definitions
@@ -134,6 +134,72 @@ TEST(Launcher, SurvivesDelayChaosWithExactCounts) {
   EXPECT_EQ(r.output.find("NO"), std::string::npos) << r.output;
 }
 
+/// Reads a metrics dump in the one format write_metrics produces for the
+/// suffix: a single-line JSON object {"key":value,...} or `key=value` lines.
+/// Anything else is a test failure.
+std::map<std::string, std::uint64_t> read_metrics(const std::string& path,
+                                                  bool json) {
+  std::string body = slurp(path);
+  std::map<std::string, std::uint64_t> out;
+  if (json) {
+    EXPECT_TRUE(body.size() >= 2 && body.front() == '{' && body.back() == '}')
+        << path << ": " << body;
+    EXPECT_EQ(body.find('\n'), std::string::npos) << path;
+    body = body.size() >= 2 ? body.substr(1, body.size() - 2) : "";
+  }
+  std::stringstream ss(body);
+  std::string item;
+  while (std::getline(ss, item, json ? ',' : '\n')) {
+    const std::size_t sep = item.find(json ? ':' : '=');
+    if (sep == std::string::npos) {
+      ADD_FAILURE() << path << ": malformed entry " << item;
+      continue;
+    }
+    std::string key = item.substr(0, sep);
+    if (json) {
+      EXPECT_TRUE(key.size() >= 2 && key.front() == '"' && key.back() == '"')
+          << path << ": " << item;
+      key = key.substr(1, key.size() - 2);
+    }
+    out[key] = std::strtoull(item.c_str() + sep + 1, nullptr, 10);
+  }
+  EXPECT_FALSE(out.empty()) << "no metrics in " << path;
+  return out;
+}
+
+TEST(Launcher, MetricsAggregateUsesTheInProcessFileFormat) {
+  // The supervisor's aggregate and each place process's own dump go through
+  // one writer: the same format for the same suffix, the union of the
+  // places' keys, and counters that sum across the places.
+  for (const std::string ext : {"json", "txt"}) {
+    SCOPED_TRACE(ext);
+    const bool json = ext == "json";
+    const RunResult r = run("APGAS_METRICS=" + tmp_path("agg." + ext) + " " +
+                            kLaunch + " -n 2 " + kUts);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    // bench_common inserts ".r0" for the run, the launcher ".pN" per place.
+    const std::string agg_path = tmp_path("agg.r0." + ext);
+    const std::string p0_path = tmp_path("agg.r0.p0." + ext);
+    const std::string p1_path = tmp_path("agg.r0.p1." + ext);
+    const auto agg = read_metrics(agg_path, json);
+    const auto p0 = read_metrics(p0_path, json);
+    const auto p1 = read_metrics(p1_path, json);
+    for (const auto& [k, v] : agg) {
+      EXPECT_TRUE(p0.count(k) + p1.count(k) > 0) << k;
+    }
+    for (const auto* place : {&p0, &p1}) {
+      for (const auto& [k, v] : *place) EXPECT_EQ(agg.count(k), 1u) << k;
+    }
+    const char* shipped = "runtime.tasks_shipped";
+    ASSERT_EQ(agg.count(shipped), 1u);
+    EXPECT_GT(agg.at(shipped), 0u);
+    EXPECT_EQ(agg.at(shipped), p0.at(shipped) + p1.at(shipped));
+    for (const std::string& f : {agg_path, p0_path, p1_path}) {
+      std::remove(f.c_str());
+    }
+  }
+}
+
 TEST(Launcher, TeamCollectivesRunAcrossPlaceProcesses) {
   // team_socket_probe runs a barrier -> allreduce -> bcast round on the
   // world team in both modes at every place; kNative downgrades to the
@@ -187,7 +253,7 @@ TEST(Launcher, TracedRunMergesTimeOrderedFlowsAcrossPlaces) {
   // APGAS_TRACE in socket mode must yield ONE merged Perfetto JSON written
   // by the supervisor (bench_common inserts ".r0" for the run index), with
   // a process row per place and every cross-process spawn->begin flow arrow
-  // pointing forward in time after the clock rebase.
+  // pointing forward in time.
   const std::string trace = tmp_path("uts.trace.json");
   const RunResult r =
       run("APGAS_TRACE=" + trace + " " + kLaunch + " -n 4 " + kUts);
@@ -206,7 +272,8 @@ TEST(Launcher, TracedRunMergesTimeOrderedFlowsAcrossPlaces) {
 
   // Pair the flow halves by id: every finish ("f", on the destination's
   // activity.begin) needs a start ("s", on the source's spawn) and must not
-  // precede it — the acceptance invariant for the clock rebase + clamping.
+  // precede it. The merge corrects nothing, so this holds only because
+  // every place process stamps its events on the one host clock.
   const std::vector<FlowEvent> flows = scrape_flows(json);
   std::map<std::string, double> starts;
   std::size_t pairs = 0;

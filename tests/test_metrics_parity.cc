@@ -218,69 +218,4 @@ TEST(MetricsParity, PinnedCountsForRemoteRootedFinish) {
   EXPECT_EQ(m.at("finish.releases"), 4u);  // cleanup per remote host place
 }
 
-// --- Prometheus exposition --------------------------------------------------
-
-TEST(MetricsParity, PrometheusTextExposesAllMetricClasses) {
-  MetricsRegistry reg;
-  reg.counter("finish.opened").fetch_add(7, std::memory_order_relaxed);
-  reg.add_gauge("transport.pool.hits", [] { return std::uint64_t{3}; });
-  Histogram& h = reg.histogram("task.ship_xproc_aligned_ns");
-  for (int i = 1; i <= 100; ++i) h.record(static_cast<std::uint64_t>(i));
-
-  const std::string prom = reg.prometheus_text();
-  // Dotted names map into the prometheus charset under an apgas_ namespace.
-  EXPECT_NE(prom.find("# TYPE apgas_finish_opened counter\n"
-                      "apgas_finish_opened 7\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("# TYPE apgas_transport_pool_hits gauge\n"
-                      "apgas_transport_pool_hits 3\n"),
-            std::string::npos)
-      << prom;
-  // Histograms export as summaries: quantile samples plus _sum/_count, and
-  // the max as a companion gauge.
-  const std::string hn = "apgas_task_ship_xproc_aligned_ns";
-  EXPECT_NE(prom.find("# TYPE " + hn + " summary\n"), std::string::npos);
-  EXPECT_NE(prom.find(hn + "{quantile=\"0.5\"} "), std::string::npos);
-  EXPECT_NE(prom.find(hn + "{quantile=\"0.9\"} "), std::string::npos);
-  EXPECT_NE(prom.find(hn + "{quantile=\"0.99\"} "), std::string::npos);
-  EXPECT_NE(prom.find(hn + "_count 100\n"), std::string::npos) << prom;
-  EXPECT_NE(prom.find(hn + "_sum 5050\n"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("# TYPE " + hn + "_max gauge\n"), std::string::npos);
-  // Every non-comment line is "name[{labels}] value".
-  std::size_t start = 0;
-  while (start < prom.size()) {
-    std::size_t end = prom.find('\n', start);
-    if (end == std::string::npos) end = prom.size();
-    const std::string line = prom.substr(start, end - start);
-    start = end + 1;
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t sp = line.rfind(' ');
-    ASSERT_NE(sp, std::string::npos) << line;
-    EXPECT_EQ(line.find("apgas_"), 0u) << line;
-    EXPECT_NE(line.find_first_of("0123456789", sp), std::string::npos) << line;
-  }
-}
-
-TEST(MetricsParity, WriteDispatchesOnPromSuffix) {
-  MetricsRegistry reg;
-  reg.counter("finish.opened").fetch_add(2, std::memory_order_relaxed);
-  const std::string path =
-      ::testing::TempDir() + "apgas_metrics_test_" +
-      std::to_string(::getpid()) + ".prom";
-  ASSERT_TRUE(reg.write(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[256];
-  std::string body;
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_NE(body.find("# TYPE apgas_finish_opened counter"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("apgas_finish_opened 2"), std::string::npos) << body;
-}
-
 }  // namespace

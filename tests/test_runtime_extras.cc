@@ -361,7 +361,7 @@ class ConfigEnv : public ::testing::Test {
       "APGAS_PLACES",          "APGAS_WORKERS_PER_PLACE",
       "APGAS_PLACES_PER_NODE", "APGAS_CHAOS_SEED",
       "APGAS_CHAOS_DELAY",     "APGAS_WATCHDOG_MS",
-      "APGAS_CLOCKSYNC_ROUNDS"};
+      "APGAS_TRACE_CAP"};
 
  private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
@@ -374,7 +374,7 @@ TEST_F(ConfigEnv, UnsetVariablesLeaveDefaults) {
   EXPECT_EQ(cfg.workers_per_place, defaults.workers_per_place);
   EXPECT_EQ(cfg.places_per_node, defaults.places_per_node);
   EXPECT_EQ(cfg.chaos.seed, defaults.chaos.seed);
-  EXPECT_EQ(cfg.clocksync_rounds, defaults.clocksync_rounds);
+  EXPECT_EQ(cfg.trace_capacity, defaults.trace_capacity);
 }
 
 TEST_F(ConfigEnv, OverridesEveryPerfKnob) {
@@ -382,22 +382,22 @@ TEST_F(ConfigEnv, OverridesEveryPerfKnob) {
   ::setenv("APGAS_WORKERS_PER_PLACE", "2", 1);
   ::setenv("APGAS_PLACES_PER_NODE", "7", 1);
   ::setenv("APGAS_CHAOS_SEED", "2048", 1);
-  ::setenv("APGAS_CLOCKSYNC_ROUNDS", "16", 1);
+  ::setenv("APGAS_TRACE_CAP", "4096", 1);
   const Config cfg = Config::from_env();
   EXPECT_EQ(cfg.places, 6);
   EXPECT_EQ(cfg.workers_per_place, 2);
   EXPECT_EQ(cfg.places_per_node, 7);
   EXPECT_EQ(cfg.chaos.seed, 2048u);
-  EXPECT_EQ(cfg.clocksync_rounds, 16);
+  EXPECT_EQ(cfg.trace_capacity, 4096u);
 }
 
 TEST_F(ConfigEnv, AppliesOnTopOfExistingConfig) {
-  ::setenv("APGAS_CLOCKSYNC_ROUNDS", "12", 1);
+  ::setenv("APGAS_TRACE_CAP", "12", 1);
   Config cfg;
   cfg.places = 3;
   cfg.places_per_node = 5;
   Config::apply_env(cfg);
-  EXPECT_EQ(cfg.clocksync_rounds, 12);   // overridden
+  EXPECT_EQ(cfg.trace_capacity, 12u);    // overridden
   EXPECT_EQ(cfg.places, 3);              // untouched
   EXPECT_EQ(cfg.places_per_node, 5);
 }
@@ -436,6 +436,11 @@ TEST_F(ConfigEnvDeath, AbortsOnOverflow) {
 TEST_F(ConfigEnvDeath, AbortsOnProbabilityOutOfRange) {
   ::setenv("APGAS_CHAOS_DELAY", "1.5", 1);
   EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_CHAOS_DELAY");
+}
+
+TEST_F(ConfigEnvDeath, AbortsOnNonNumericTraceCapacity) {
+  ::setenv("APGAS_TRACE_CAP", "abc", 1);
+  EXPECT_DEATH({ (void)Config::from_env(); }, "APGAS_TRACE_CAP");
 }
 
 }  // namespace

@@ -261,8 +261,8 @@ TEST(FrameAdversarial, HeaderBitFlipSweepNeverCrashesAndGuardsReject) {
 
 /// Runs at place 1: hand-builds the am_spawn frame a closure spawn carries
 /// (the local-closure task id plus a "boxed closure" pointer) and sends it
-/// to place 0. The payload's src field even claims place 0; the check must
-/// trust the transport's arrival socket, not the payload.
+/// to place 0. The check must trust the transport's arrival socket: the
+/// payload names no source place at all.
 void forge_closure_spawn(x10rt::ByteBuffer&) {
   Runtime& rt = Runtime::get();
   x10rt::ByteBuffer f;
@@ -272,7 +272,6 @@ void forge_closure_spawn(x10rt::ByteBuffer&) {
   f.put<std::uint64_t>(0);       // credit
   f.put<std::uint64_t>(0);       // span
   f.put<std::uint64_t>(0);       // parent span
-  f.put<std::int32_t>(0);        // claimed source place
   f.put<std::uint64_t>(0);       // ship stamp
   f.put<std::int32_t>(local_closure_fn());
   f.put<std::uint64_t>(0xdeadbeefULL);  // a pointer from this address space

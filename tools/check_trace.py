@@ -8,8 +8,9 @@ Checks, exiting nonzero with a message on the first failure:
     ("s") with the same id, and starts without a finish are reported (the
     destination's begin can legitimately fall off the ring, so lone starts
     are only a warning)
-  * causality: for every s/f pair, ts(s) <= ts(f) — the clock rebase plus
-    happened-before clamping must leave no arrow pointing backwards in time
+  * causality: for every s/f pair, ts(s) <= ts(f). The merge corrects no
+    timestamp, so this holds only because every place process stamps its
+    events on the host's one monotonic clock
 
 Usage: check_trace.py TRACE.json [--places N] [--min-flows N]
 """
